@@ -8,18 +8,21 @@ Races four serving disciplines over the same in-process gateway under
   journals an INFER event *one row at a time*;
 * **plane off** — vectorized predict (one ``(B, n)`` matrix, one
   ``predict``, one event) but no cross-request coalescing;
-* **fixed window** — concurrent requests park for a constant window
-  and flush as one batch;
-* **adaptive** — the GACER-style controller widens/narrows the window
-  and max batch from the observed flush p99 vs the tenant's SLO bound.
+* **fixed 2ms** — an explicit 2 ms timer in front of the convoy: a
+  leader waits for company before it flushes;
+* **adaptive** — the default: the work-conserving convoy.  One predict
+  in flight per app; whatever arrives while it runs rides the next
+  flush; nothing waits on a clock.
 
 A second race sweeps the prediction cache across target hit rates
-(0 / 50 / 90%) in adaptive mode.  Before any timed run the harness
-asserts the new path's predictions are bit-identical to the seed
-path's, row for row.
+(0 / 50 / 90%) in the default mode; every thread asks its own disjoint
+fresh rows, so the measured hit ratio is the target, not an accident
+of thread timing.  Before any timed run the harness asserts the new
+path's predictions are bit-identical to the seed path's, row for row.
 
 Run standalone (CI smoke uses ``--quick``, which also enforces the
-PR's >=3x batched-vs-per-row floor and the p99-within-SLO bound)::
+>=3x batched-vs-per-row floor, the p99-within-SLO bound, and measured
+cache hits within 10 points of each target)::
 
     PYTHONPATH=src python benchmarks/bench_infer_plane.py --quick
 
@@ -55,8 +58,13 @@ from repro.utils.tables import ascii_table
 PROGRAM = "{input: {[Tensor[2]], []}, output: {[Tensor[2]], []}}"
 ZOO = ["naive-bayes", "ridge", "tree-d4"]
 APP = "bench-app"
-#: The PR's acceptance floor: adaptive coalescing vs the seed path.
+#: The acceptance floor: default-mode coalescing vs the seed path.
 SPEEDUP_FLOOR = 3.0
+#: Rows every thread may repeat (the cache sweep's warm set).
+WARM_ROWS = 32
+#: ``--quick`` fails when a sweep lane's measured hit ratio is further
+#: than this from its target.
+HIT_RATIO_TOLERANCE = 0.10
 
 
 def _build_gateway(seed):
@@ -134,23 +142,23 @@ def _assert_parity(gateway, token, app, probes):
     )
 
 
-def _probe_pool(seed, size=512):
+def _probe_pool(seed, size):
     """Distinct finite probe rows (the app's 2-feature input space)."""
     rng = np.random.default_rng(seed)
     return rng.normal(size=(size, 2)) * 2.0
 
 
-def _request_stream(pool, n_requests, rows_per_request, hit_fraction,
-                    seed):
+def _request_stream(warm, fresh, n_requests, rows_per_request,
+                    hit_fraction, seed):
     """Per-request row matrices with ``hit_fraction`` repeated rows.
 
-    Repeats draw from a small warmed subset of the pool, fresh rows
-    walk the rest — so a 0.9 stream really does re-ask mostly
-    already-answered rows, the prediction cache's target workload.
+    Repeats draw from the small ``warm`` set every thread shares;
+    ``fresh`` is this thread's own slice of never-asked rows, walked in
+    order — so a 0.9 stream really does re-ask mostly already-answered
+    rows, and a 0.0 stream can never hit.
     """
     rng = np.random.default_rng(seed)
-    warm = pool[:32]
-    fresh_at = 32
+    fresh_at = 0
     stream = []
     for _ in range(n_requests):
         rows = []
@@ -158,7 +166,7 @@ def _request_stream(pool, n_requests, rows_per_request, hit_fraction,
             if hit_fraction > 0 and rng.random() < hit_fraction:
                 rows.append(warm[rng.integers(len(warm))])
             else:
-                rows.append(pool[fresh_at % len(pool)])
+                rows.append(fresh[fresh_at])
                 fresh_at += 1
         stream.append(np.asarray(rows))
     return stream
@@ -193,10 +201,14 @@ def _drive(n_threads, per_thread_streams, fire):
 def _run_mode(gateway, token, app, mode, n_threads, n_requests,
               rows_per_request, seed, hit_fraction=0.0, config=None):
     """One timed lane; returns dict(rows/s, p50 ms, p99 ms, ...)."""
-    pool = _probe_pool(seed + 17)
+    per_thread = n_requests * rows_per_request
+    pool = _probe_pool(seed + 17, WARM_ROWS + n_threads * per_thread)
     streams = [
-        _request_stream(pool, n_requests, rows_per_request,
-                        hit_fraction, seed + 1000 + i)
+        _request_stream(
+            pool[:WARM_ROWS],
+            pool[WARM_ROWS + i * per_thread:][:per_thread],
+            n_requests, rows_per_request, hit_fraction, seed + 1000 + i,
+        )
         for i in range(n_threads)
     ]
     if mode == "per-row (seed)":
@@ -277,9 +289,13 @@ def run_race(n_threads=64, n_requests=16, rows_per_request=8, seed=0):
 
 def run_cache_sweep(n_threads=16, n_requests=16, rows_per_request=8,
                     seed=0):
-    """Adaptive mode with the cache on, across target hit rates."""
+    """Default mode with the cache on, across target hit rates.
+
+    Returns the table rows and ``{target: measured}`` hit ratios.
+    """
     gateway, token, app = _build_gateway(seed)
     rows = []
+    measured = {}
     for hit_fraction in (0.0, 0.5, 0.9):
         result = _run_mode(
             gateway, token, app, "adaptive-cached", n_threads,
@@ -287,15 +303,17 @@ def run_cache_sweep(n_threads=16, n_requests=16, rows_per_request=8,
             hit_fraction=hit_fraction,
             config=InferPlaneConfig(mode="adaptive", cache_rows=4096),
         )
-        measured = result["cache hits"] / result["total rows"]
+        measured[hit_fraction] = (
+            result["cache hits"] / result["total rows"]
+        )
         rows.append([
             f"{int(hit_fraction * 100)}%",
             result["rows/s"],
             result["p50 (ms)"],
             result["p99 (ms)"],
-            f"{100.0 * measured:.1f}%",
+            f"{100.0 * measured[hit_fraction]:.1f}%",
         ])
-    return rows
+    return rows, measured
 
 
 def render_race(rows, n_threads, rows_per_request):
@@ -314,7 +332,7 @@ def render_cache_sweep(rows, n_threads, rows_per_request):
         ["target hits", "rows/s", "p50 (ms)", "p99 (ms)",
          "measured hits"],
         rows,
-        title=f"Prediction cache sweep (adaptive mode, {n_threads} "
+        title=f"Prediction cache sweep (default mode, {n_threads} "
         f"concurrent requests x {rows_per_request} rows)",
     )
 
@@ -341,15 +359,16 @@ def main(argv=None):
     parser.add_argument(
         "--quick", action="store_true",
         help="CI smoke: one race + one sweep, then enforce the "
-        f">= {SPEEDUP_FLOOR:g}x adaptive-vs-seed floor and the "
-        "p99-within-SLO bound (exit 1 on miss)",
+        f">= {SPEEDUP_FLOOR:g}x adaptive-vs-seed floor, the "
+        "p99-within-SLO bound and the sweep's measured-vs-target hit "
+        "ratios (exit 1 on miss)",
     )
     args = parser.parse_args(argv)
     race, results = run_race(
         n_threads=args.threads, n_requests=args.requests,
         rows_per_request=args.rows, seed=args.seed,
     )
-    sweep = run_cache_sweep(
+    sweep, measured_hits = run_cache_sweep(
         n_threads=min(args.threads, 16), n_requests=args.requests,
         rows_per_request=args.rows, seed=args.seed,
     )
@@ -365,13 +384,16 @@ def main(argv=None):
             / results["per-row (seed)"]["rows/s"]
         )
         p99_ms = results["adaptive"]["p99 (ms)"]
-        # The default SLO objective the adaptive controller tunes
-        # against (repro.obs.slo DEFAULT_OBJECTIVE).
+        # The default SLO objective's latency bound
+        # (repro.obs.slo DEFAULT_OBJECTIVE).
         bound_ms = 1000.0
+        vs_off = (
+            results["adaptive"]["rows/s"] / results["plane off"]["rows/s"]
+        )
         print(
             f"\nquick gate: adaptive speedup {speedup:.2f}x "
-            f"(floor {SPEEDUP_FLOOR:g}x), adaptive p99 {p99_ms:.2f}ms "
-            f"(bound {bound_ms:g}ms)"
+            f"(floor {SPEEDUP_FLOOR:g}x; {vs_off:.2f}x plane off), "
+            f"adaptive p99 {p99_ms:.2f}ms (bound {bound_ms:g}ms)"
         )
         if speedup < SPEEDUP_FLOOR:
             print("FAIL: batched speedup below the acceptance floor")
@@ -379,6 +401,13 @@ def main(argv=None):
         if p99_ms > bound_ms:
             print("FAIL: adaptive p99 above the SLO bound")
             return 1
+        for target, measured in measured_hits.items():
+            if abs(measured - target) > HIT_RATIO_TOLERANCE:
+                print(
+                    f"FAIL: cache sweep lane {target:.0%} measured "
+                    f"{measured:.1%} hits"
+                )
+                return 1
     return 0
 
 

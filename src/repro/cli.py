@@ -280,10 +280,11 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--infer-batch-window", default="adaptive", metavar="MODE",
         help="inference cross-request coalescing: 'adaptive' (default; "
-        "a GACER-style controller widens/narrows the window and max "
-        "batch from observed flush p99 vs the tenant's SLO bound), "
-        "'off' (vectorized predict, no coalescing), or a fixed window "
-        "in seconds (e.g. 0.002)",
+        "a work-conserving convoy — one predict in flight per app, "
+        "requests that arrive meanwhile ride the next one, nothing "
+        "waits on a timer), 'off' (vectorized predict, no "
+        "coalescing), or an explicit timer in seconds in front of the "
+        "convoy (e.g. 0.002)",
     )
     srv.add_argument(
         "--infer-cache", type=int, default=4096, metavar="ROWS",
@@ -742,9 +743,7 @@ def _infer_plane_config(args: argparse.Namespace):
     from repro.infer import InferPlaneConfig, parse_batch_window
 
     mode, window = parse_batch_window(window_text or "adaptive")
-    kwargs = dict(mode=mode, default_rate=rate)
-    if window is not None:
-        kwargs["window"] = window
+    kwargs = dict(mode=mode, window=window, default_rate=rate)
     if cache_rows is not None:
         if cache_rows < 0:
             raise ValueError(

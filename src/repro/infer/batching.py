@@ -1,172 +1,86 @@
-"""Cross-request coalescing: the adaptive window and the batch queue.
+"""Cross-request coalescing: a work-conserving convoy per app.
 
-Concurrent infer requests for one app park briefly in a
-:class:`BatchQueue`; the first arrival becomes the *leader*, waits up
-to one coalescing window for followers, then executes every parked
-row as a single vectorized predict and distributes the per-request
-slices.  While a leader executes, the next arrival becomes the next
-leader — window waits pipeline with predicts, so the queue never adds
-more than one window of latency.
+The journal's group-commit idea applied to predict.  Per app at most
+one flush is in flight.  A request that finds the app idle flushes at
+once; requests that arrive while a flush runs park, and the first of
+them leads the next flush the moment the running one finishes, taking
+*every* parked entry as one vectorized predict.  Batch size is
+therefore arrival rate x predict time by construction: a request
+never waits on a clock, an idle app adds no latency at all, and under
+load the added latency is bounded by one predict.
 
-The window itself is regulated GACER-style (arXiv 2304.11745) by
-:class:`AdaptiveBatchController`: widen the window and the early-flush
-row target while the observed p99 of ``infer_batch_seconds`` has
-headroom against the tenant's SLO latency objective *and* flushes are
-actually coalescing; narrow multiplicatively as p99 approaches the
-bound; decay the window toward zero when flushes are singletons (an
-idle app must not tax every request with a pointless wait).  Even at
-window zero a loaded queue still batches — arrivals that land while a
-leader is executing convoy into the next flush, the same group-commit
-effect the journal uses.
+An operator may still put an explicit timer in front of the convoy
+(``window`` > 0): a leader then waits until its own request is
+``window`` seconds old — or ``max_batch`` rows are parked — before it
+flushes.  ``max_batch`` is that early-flush trigger, not a cap: a
+flush always takes every parked entry (a partial take would strand the
+remainder with no leader thread to flush it).
 
-``max_batch`` is the early-flush trigger, not a hard cap: a flush
-always takes *every* parked entry (a partial take would strand the
-remainder with no leader thread to flush it), so one oversized client
-batch simply flushes alone.
+The queue is bounded: past :data:`MAX_PARKED` parked requests
+``submit`` refuses with ``QUOTA_EXCEEDED`` (HTTP 429 + ``Retry-After``)
+instead of letting a slow model grow the convoy without limit.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["AdaptiveBatchController", "BatchQueue"]
+from repro.errors import ApiError, ApiErrorCode
 
-#: A follower gives up after this long parked on its flush event; the
-#: leader distributing results (or errors) makes this unreachable in
-#: practice — it guards against a leader thread dying mid-flush.
+__all__ = ["BatchQueue"]
+
+#: A parked rider gives up after this long; the leader answering every
+#: rider (with predictions or the flush's error) makes this unreachable
+#: in practice — it guards against a flush that never returns.
 FOLLOWER_TIMEOUT = 60.0
 
-#: The window a grow step starts from once decay reached zero.
-_REGROW_STEP = 0.0005
-
-#: Windows below this flush immediately (a sub-50µs sleep is all
-#: scheduler jitter, no coalescing value).
-_WINDOW_FLOOR = 5e-5
+#: Requests one app may have parked (the leader included) before
+#: ``submit`` sheds load; far above what the frontends' worker pools
+#: can park, so only a stalled model reaches it.
+MAX_PARKED = 256
 
 
-class AdaptiveBatchController:
-    """Regulates (window, max_batch) from observed flush latency.
+def _own_copy(exc: BaseException) -> BaseException:
+    """A rider's own instance of the flush's failure.
 
-    Parameters
-    ----------
-    objective_ms:
-        The tenant's SLO latency bound (``obs/slo.py`` objective).  The
-        controller keeps ``window + p99(flush)`` comfortably inside it:
-        above ``shrink_at`` (default 50%) of the bound it halves both
-        knobs; below ``grow_at`` (default 20%) — with real coalescing
-        happening — it multiplies them back up.
-    window / max_batch:
-        Starting point; also the fixed values when the controller is
-        bypassed (``mode="fixed"``).
+    N threads re-raising one object would race on its traceback and on
+    the ``request_id`` the frontends stamp on an :class:`ApiError`.
     """
-
-    def __init__(
-        self,
-        *,
-        objective_ms: float = 1000.0,
-        window: float = 0.002,
-        max_window: float = 0.02,
-        max_batch: int = 64,
-        min_batch: int = 8,
-        max_batch_cap: int = 512,
-        period: int = 16,
-        sample: int = 128,
-        shrink_at: float = 0.5,
-        grow_at: float = 0.2,
-    ) -> None:
-        self.objective_ms = float(objective_ms)
-        self.window = float(window)
-        self.max_window = float(max_window)
-        self.max_batch = int(max_batch)
-        self.min_batch = int(min_batch)
-        self.max_batch_cap = int(max_batch_cap)
-        self.period = max(1, int(period))
-        self.shrink_at = float(shrink_at)
-        self.grow_at = float(grow_at)
-        self._lock = threading.Lock()
-        self._flush_seconds: deque = deque(maxlen=int(sample))
-        self._flush_requests: deque = deque(maxlen=int(sample))
-        self._since_adjust = 0
-        #: (reason, window, max_batch) history of adjustments; bounded,
-        #: for tests and the bench report.
-        self.adjustments: deque = deque(maxlen=64)
-
-    def observe(self, flush_seconds: float, n_requests: int) -> None:
-        """Feed one flush; every ``period`` flushes, adjust the knobs."""
-        with self._lock:
-            self._flush_seconds.append(float(flush_seconds))
-            self._flush_requests.append(int(n_requests))
-            self._since_adjust += 1
-            if self._since_adjust < self.period:
-                return
-            self._since_adjust = 0
-            self._adjust()
-
-    def _adjust(self) -> None:
-        latency_ms = (
-            self.window
-            + float(np.quantile(np.asarray(self._flush_seconds), 0.99))
-        ) * 1000.0
-        coalescing = (
-            sum(self._flush_requests) / len(self._flush_requests)
-        ) > 1.05
-        if latency_ms > self.shrink_at * self.objective_ms:
-            # p99 is eating the SLO budget: back off both knobs.
-            self.window = (
-                self.window / 2.0
-                if self.window / 2.0 >= _WINDOW_FLOOR
-                else 0.0
-            )
-            self.max_batch = max(self.min_batch, self.max_batch // 2)
-            self.adjustments.append(
-                ("shrink", self.window, self.max_batch)
-            )
-        elif not coalescing:
-            # Nothing to coalesce: decay the window so sequential
-            # traffic stops paying for an empty wait.
-            if self.window > 0.0:
-                self.window = (
-                    self.window / 2.0
-                    if self.window / 2.0 >= _WINDOW_FLOOR
-                    else 0.0
-                )
-                self.adjustments.append(
-                    ("decay", self.window, self.max_batch)
-                )
-        elif latency_ms < self.grow_at * self.objective_ms:
-            # Real coalescing with latency headroom: push throughput.
-            self.window = min(
-                self.max_window, max(self.window * 1.5, _REGROW_STEP)
-            )
-            self.max_batch = min(self.max_batch_cap, self.max_batch * 2)
-            self.adjustments.append(("grow", self.window, self.max_batch))
+    clone = type(exc).__new__(type(exc))
+    clone.args = exc.args
+    clone.__dict__.update(exc.__dict__)
+    return clone
 
 
 class _Entry:
     """One parked request: its rows, and the flush's answer for them."""
 
-    __slots__ = ("rows", "result", "meta", "error", "ready")
+    __slots__ = ("rows", "arrived", "result", "meta", "error", "lead", "ready")
 
     def __init__(self, rows: np.ndarray) -> None:
         self.rows = rows
+        self.arrived = time.perf_counter()
         self.result: Optional[np.ndarray] = None
         self.meta: Optional[Dict[str, Any]] = None
         self.error: Optional[BaseException] = None
+        #: Set (with ``ready``) when this parked rider inherits the lead.
+        self.lead = False
         self.ready = threading.Event()
 
 
 class BatchQueue:
-    """Leader/follower coalescing queue for one app.
+    """Single-flight coalescing convoy for one app.
 
     ``execute`` is the vectorized predict: ``execute(X) ->
     (predictions, meta)`` where ``meta`` is a dict (at least ``model``
     and ``model_version``); the queue adds ``batch_rows`` /
-    ``batch_requests`` before handing each request its slice.
+    ``batch_requests`` and each request's own ``waited`` seconds
+    (arrival to the start of the flush that answered it) before handing
+    the request its slice.
     """
 
     def __init__(
@@ -175,77 +89,80 @@ class BatchQueue:
         *,
         window: float = 0.0,
         max_batch: int = 64,
-        controller: Optional[AdaptiveBatchController] = None,
         on_flush: Optional[Callable[..., None]] = None,
     ) -> None:
         self._execute = execute
-        self._fixed_window = float(window)
-        self._fixed_max_batch = int(max_batch)
-        self.controller = controller
+        self.window = float(window)
+        self.max_batch = int(max_batch)
         self._on_flush = on_flush
         self._lock = threading.Lock()
-        self._entries: List[_Entry] = []
-        self._pending_rows = 0
-        self._leader_active = False
+        self._parked: List[_Entry] = []
+        self._parked_rows = 0
+        #: True from the moment a leader is chosen until its flush has
+        #: finished and found nobody parked behind it.
+        self._in_flight = False
         self._full = threading.Event()
-
-    @property
-    def window(self) -> float:
-        c = self.controller
-        return c.window if c is not None else self._fixed_window
-
-    @property
-    def max_batch(self) -> int:
-        c = self.controller
-        return c.max_batch if c is not None else self._fixed_max_batch
+        self._last_flush_seconds = 0.0
 
     def submit(
         self, X: np.ndarray
     ) -> Tuple[np.ndarray, Dict[str, Any]]:
-        """Park ``X`` (one request's rows) and return its predictions.
+        """Answer ``X`` (one request's rows) with its predictions.
 
         Called from the request's own thread (both HTTP frontends give
-        each infer request one); the thread either leads the flush or
-        parks until a leader answers for it.
+        each infer request one); the thread leads a flush at once when
+        the app is idle, else parks until a flush answers it or hands
+        it the lead.
         """
         entry = _Entry(X)
         with self._lock:
-            leader = not self._leader_active
-            if leader:
-                self._leader_active = True
-                self._full.clear()
-            self._entries.append(entry)
-            self._pending_rows += len(X)
-            if not leader and self._pending_rows >= self.max_batch:
-                self._full.set()  # enough rows: end the window early
-        if not leader:
-            if not entry.ready.wait(timeout=FOLLOWER_TIMEOUT):
-                raise RuntimeError(
-                    "coalesced infer batch was never flushed (leader "
-                    "thread lost); retry the request"
+            if len(self._parked) >= MAX_PARKED:
+                raise ApiError(
+                    ApiErrorCode.QUOTA_EXCEEDED,
+                    f"infer queue is full ({MAX_PARKED} requests parked "
+                    "behind a running predict); retry shortly",
+                    parked=len(self._parked),
+                    retry_after=round(self._last_flush_seconds, 3),
                 )
-            if entry.error is not None:
-                raise entry.error
-            meta = dict(entry.meta or {})
-            return entry.result, meta
-        return self._lead(entry)
+            self._parked.append(entry)
+            self._parked_rows += len(X)
+            lead = not self._in_flight
+            if lead:
+                self._in_flight = True
+            elif self._parked_rows >= self.max_batch:
+                self._full.set()  # enough rows: end a timer wait early
+        if lead:
+            return self._lead(entry)
+        if not entry.ready.wait(timeout=FOLLOWER_TIMEOUT):
+            with self._lock:
+                # Handing over the lead happens under this lock, so an
+                # unset event here means nobody is counting on us.
+                if not entry.ready.is_set():
+                    if entry in self._parked:
+                        self._parked.remove(entry)
+                        self._parked_rows -= len(X)
+                    raise ApiError(
+                        ApiErrorCode.INTERNAL,
+                        "coalesced infer batch was not flushed within "
+                        f"{FOLLOWER_TIMEOUT:g}s; retry the request",
+                    )
+        if entry.error is not None:
+            raise _own_copy(entry.error)
+        if entry.lead:
+            return self._lead(entry)
+        return entry.result, entry.meta
 
     def _lead(
         self, own: _Entry
     ) -> Tuple[np.ndarray, Dict[str, Any]]:
-        window = self.window
-        if window > 0.0:
-            with self._lock:
-                full = self._pending_rows >= self.max_batch
-            if not full:
-                self._full.wait(timeout=window)
+        if self.window > 0.0:
+            remaining = own.arrived + self.window - time.perf_counter()
+            if remaining > 0.0 and self._parked_rows < self.max_batch:
+                self._full.wait(timeout=remaining)
         with self._lock:
-            batch = self._entries
-            self._entries = []
-            self._pending_rows = 0
-            # From here on the next arrival leads the next flush; its
-            # window wait overlaps this flush's predict.
-            self._leader_active = False
+            batch, self._parked = self._parked, []
+            self._parked_rows = 0
+            self._full.clear()
         started = time.perf_counter()
         try:
             if len(batch) == 1:
@@ -255,28 +172,40 @@ class BatchQueue:
             predictions, meta = self._execute(X_all)
         except BaseException as exc:
             for e in batch:
-                e.error = exc
-                e.ready.set()
+                if e is not own:
+                    e.error = exc
+                    e.ready.set()
             raise
+        finally:
+            # Whatever execute did, the app must not stay marked busy:
+            # the first rider parked meanwhile leads the next flush.
+            with self._lock:
+                if self._parked:
+                    self._parked[0].lead = True
+                    self._parked[0].ready.set()
+                else:
+                    self._in_flight = False
         duration = time.perf_counter() - started
-        meta = dict(meta)
-        meta["batch_rows"] = int(len(X_all))
-        meta["batch_requests"] = len(batch)
-        meta["window"] = window
-        if self.controller is not None:
-            self.controller.observe(duration, len(batch))
+        self._last_flush_seconds = duration
+        waits = [started - e.arrived for e in batch]
+        offset = 0
+        for e, waited in zip(batch, waits):
+            k = len(e.rows)
+            e.result = predictions[offset:offset + k]
+            e.meta = dict(
+                meta,
+                batch_rows=len(X_all),
+                batch_requests=len(batch),
+                waited=waited,
+            )
+            offset += k
+            if e is not own:
+                e.ready.set()
         if self._on_flush is not None:
             self._on_flush(
                 rows=len(X_all),
                 requests=len(batch),
-                window=window,
                 seconds=duration,
+                waits=waits,
             )
-        offset = 0
-        for e in batch:
-            k = len(e.rows)
-            e.result = predictions[offset:offset + k]
-            e.meta = meta
-            e.ready.set()
-            offset += k
-        return own.result, dict(meta)
+        return own.result, own.meta

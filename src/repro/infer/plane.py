@@ -1,13 +1,12 @@
 """The inference data plane: cache -> admission -> coalescing queue.
 
 One :class:`InferPlane` hangs off the service gateway and owns, per
-app, a :class:`~repro.infer.batching.BatchQueue` (with an adaptive
-controller tuned to the owning tenant's SLO objective) plus one shared
-:class:`~repro.infer.cache.PredictionCache` and per-tenant
-:class:`~repro.infer.limits.TokenBucket` rate limits.  The gateway's
-``_infer`` hands it validated ``(B, n)`` batches; everything below —
-hit splitting, window waits, the single vectorized predict under the
-gateway lock — happens here.
+app, a :class:`~repro.infer.batching.BatchQueue` (the work-conserving
+convoy) plus one shared :class:`~repro.infer.cache.PredictionCache`
+and per-tenant :class:`~repro.infer.limits.TokenBucket` rate limits.
+The gateway's ``_infer`` hands it validated ``(B, n)`` batches;
+everything below — hit splitting, parking behind a running flush, the
+single vectorized predict under the gateway lock — happens here.
 
 The plane is configured once at construction and reconfigured whole
 (:meth:`ServiceGateway.configure_infer_plane`) rather than mutated
@@ -25,7 +24,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ApiError, ApiErrorCode
-from repro.infer.batching import AdaptiveBatchController, BatchQueue
+from repro.infer.batching import BatchQueue
 from repro.infer.cache import PredictionCache
 from repro.infer.limits import TokenBucket
 from repro.obs.tracing import add_span
@@ -36,9 +35,11 @@ __all__ = ["InferPlane", "InferPlaneConfig", "parse_batch_window"]
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 #: Requests coalesced per flush.
 QUEUE_DEPTH_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
-#: Coalescing-window bounds (sub-millisecond matters here).
-WINDOW_BUCKETS = (
+#: Queue-wait bounds (sub-millisecond matters here; the top end is a
+#: request parked behind a slow predict).
+QUEUE_WAIT_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
+    0.1, 0.5,
 )
 
 
@@ -46,15 +47,15 @@ WINDOW_BUCKETS = (
 class InferPlaneConfig:
     """Operator-facing knobs for the inference data plane."""
 
-    #: ``"adaptive"`` (GACER-style controller), ``"fixed"`` (constant
-    #: window), or ``"off"`` (vectorized predict, no cross-request
-    #: coalescing).
+    #: ``"adaptive"`` (the work-conserving convoy: batch whatever
+    #: arrived while the previous predict ran, never wait on a clock),
+    #: ``"fixed"`` (an explicit timer in front of the same convoy), or
+    #: ``"off"`` (vectorized predict, no cross-request coalescing).
     mode: str = "adaptive"
-    #: Fixed-mode window, and the adaptive controller's starting point.
+    #: Fixed-mode timer: how old a leader's request gets before it
+    #: flushes.  Ignored in the other modes.
     window: float = 0.002
-    #: Ceiling the adaptive controller may widen the window to.
-    max_window: float = 0.02
-    #: Early-flush row target (adaptive start / fixed value).
+    #: Fixed-mode early-flush row target (ends the timer early).
     max_batch: int = 64
     #: Prediction-cache capacity in rows; 0 disables the cache.
     cache_rows: int = 4096
@@ -67,11 +68,8 @@ class InferPlaneConfig:
             raise ValueError(
                 f"mode must be adaptive/fixed/off, got {self.mode!r}"
             )
-        if self.window < 0 or self.max_window < self.window:
-            raise ValueError(
-                "need 0 <= window <= max_window, got "
-                f"{self.window}/{self.max_window}"
-            )
+        if self.window < 0:
+            raise ValueError(f"window must be >= 0, got {self.window}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.cache_rows < 0:
@@ -81,8 +79,9 @@ class InferPlaneConfig:
 def parse_batch_window(text: str) -> Tuple[str, float]:
     """Parse a ``--infer-batch-window`` value into ``(mode, window)``.
 
-    Accepts ``"off"``, ``"adaptive"``, or a window in seconds (fixed
-    mode); raises ``ValueError`` with a pointed message otherwise.
+    Accepts ``"off"``, ``"adaptive"`` (the convoy; the window is then
+    unused), or a timer in seconds (fixed mode); raises ``ValueError``
+    with a pointed message otherwise.
     """
     text = str(text).strip().lower()
     if text in ("off", "none", "0"):
@@ -134,15 +133,15 @@ class InferPlane:
                 "Requests coalesced into one flush.",
                 buckets=QUEUE_DEPTH_BUCKETS,
             )
-            self._m_window = metrics.histogram(
-                "infer_batch_window_seconds",
-                "Coalescing window in force at each flush.",
-                buckets=WINDOW_BUCKETS,
+            self._m_queue_wait = metrics.histogram(
+                "infer_queue_wait_seconds",
+                "Per request: arrival at the coalescing queue to the "
+                "start of the flush that answered it.",
+                buckets=QUEUE_WAIT_BUCKETS,
             )
             self._m_flush_seconds = metrics.histogram(
                 "infer_batch_seconds",
-                "Latency of one vectorized predict flush (the "
-                "adaptive controller's input).",
+                "Latency of one vectorized predict flush.",
             )
             self._m_rate_limited = metrics.counter(
                 "infer_rate_limited_total",
@@ -152,7 +151,7 @@ class InferPlane:
             )
         else:
             self._m_batch_size = self._m_queue_depth = None
-            self._m_window = self._m_flush_seconds = None
+            self._m_queue_wait = self._m_flush_seconds = None
             self._m_rate_limited = None
 
     # -- admission -----------------------------------------------------
@@ -203,7 +202,6 @@ class InferPlane:
         execute: Callable[[np.ndarray], Tuple[np.ndarray, Dict[str, Any]]],
         *,
         peek: Optional[Callable[[], Tuple[Any, Any]]] = None,
-        objective_ms: float = 1000.0,
     ) -> Tuple[np.ndarray, Dict[str, Any], int]:
         """Answer one validated ``(B, n)`` batch.
 
@@ -252,13 +250,14 @@ class InferPlane:
             self._observe_flush(
                 rows=len(X_miss),
                 requests=1,
-                window=0.0,
                 seconds=time.perf_counter() - flush_started,
+                waits=(0.0,),
             )
             meta = dict(meta)
         else:
-            queue = self._queue_for(app, execute, objective_ms)
-            miss_predictions, meta = queue.submit(X_miss)
+            miss_predictions, meta = self._queue_for(
+                app, execute
+            ).submit(X_miss)
 
         version = meta.get("model_version")
         if hits and version != version0:
@@ -289,45 +288,37 @@ class InferPlane:
             cached=int(len(hits)),
             batch_rows=int(meta.get("batch_rows", len(miss_idx))),
             batch_requests=int(meta.get("batch_requests", 1)),
+            waited_ms=round(1e3 * meta.get("waited", 0.0), 3),
         )
         return predictions, meta, len(hits)
 
-    def _queue_for(
-        self, app: str, execute, objective_ms: float
-    ) -> BatchQueue:
+    def _queue_for(self, app: str, execute) -> BatchQueue:
         queue = self._queues.get(app)
         if queue is not None:
             return queue
         with self._lock:
             queue = self._queues.get(app)
             if queue is None:
-                controller = None
-                if self.config.mode == "adaptive":
-                    controller = AdaptiveBatchController(
-                        objective_ms=objective_ms,
-                        window=self.config.window,
-                        max_window=self.config.max_window,
-                        max_batch=self.config.max_batch,
-                    )
+                fixed = self.config.mode == "fixed"
                 queue = BatchQueue(
                     execute,
-                    window=self.config.window,
+                    window=self.config.window if fixed else 0.0,
                     max_batch=self.config.max_batch,
-                    controller=controller,
                     on_flush=self._observe_flush,
                 )
                 self._queues[app] = queue
             return queue
 
     def _observe_flush(
-        self, *, rows: int, requests: int, window: float, seconds: float
+        self, *, rows: int, requests: int, seconds: float, waits
     ) -> None:
         if self._m_batch_size is None:
             return
         self._m_batch_size.observe(rows)
         self._m_queue_depth.observe(requests)
-        self._m_window.observe(window)
         self._m_flush_seconds.observe(seconds)
+        for waited in waits:
+            self._m_queue_wait.observe(waited)
 
     # -- promotion hook ------------------------------------------------
     def invalidate_app(self, app: str) -> int:

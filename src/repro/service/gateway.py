@@ -1251,8 +1251,8 @@ class ServiceGateway:
 
     def _infer(self, tenant: Tenant, request: InferRequest) -> InferResponse:
         # Runs on the lock-free path (like job polls): validation, the
-        # cache, admission, and the coalescing window all happen
-        # outside the gateway lock; only the flush itself — one
+        # cache, admission, and parking behind a running flush all
+        # happen outside the gateway lock; only the flush itself — one
         # vectorized predict + one INFER event — takes it, inside
         # _predict_batch.  Running infer *under* the outer lock would
         # deadlock the convoy (a parked follower would hold the lock
@@ -1275,22 +1275,12 @@ class ServiceGateway:
             ),
             len(X),
         )
-        try:
-            prediction_rows, meta, _cached = self.infer_plane.predict(
-                request.app,
-                X,
-                lambda X_flush: self._predict_batch(app, X_flush),
-                peek=lambda: (app.best_candidate, self._model_version(app)),
-                objective_ms=self.slo.objective_for(
-                    tenant.name
-                ).latency_ms,
-            )
-        except RuntimeError as exc:
-            raise ApiError(
-                ApiErrorCode.FAILED_PRECONDITION,
-                f"{exc}; submit training and poll the job handle first",
-                app=request.app,
-            ) from None
+        prediction_rows, meta, _cached = self.infer_plane.predict(
+            request.app,
+            X,
+            lambda X_flush: self._predict_batch(app, X_flush),
+            peek=lambda: (app.best_candidate, self._model_version(app)),
+        )
         predictions = tuple(int(p) for p in prediction_rows)
         return InferResponse(
             app=request.app,
@@ -1372,7 +1362,15 @@ class ServiceGateway:
         refuses out-of-order timestamps).
         """
         with self._lock:
-            predictions = app.infer_rows(X)
+            try:
+                predictions = app.infer_rows(X)
+            except RuntimeError as exc:
+                raise ApiError(
+                    ApiErrorCode.FAILED_PRECONDITION,
+                    f"{exc}; submit training and poll the job handle "
+                    "first",
+                    app=app.name,
+                ) from None
             return predictions, {
                 "model": app.best_candidate,
                 "model_version": self._model_version(app),

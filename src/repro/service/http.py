@@ -1129,7 +1129,7 @@ class AsyncServiceHTTPServer:
             return gateway.handle(request)
         if isinstance(request, (JobStatusRequest, InferRequest)):
             # May advance the shared cluster, park in a long-poll, or
-            # (infer) park in a coalescing window — a worker thread
+            # (infer) park behind a running predict — a worker thread
             # takes that hit, never the loop.  Both bypass the
             # per-tenant command queue on purpose: a parked wait must
             # not block the same tenant's mutations, and infer through

@@ -2,6 +2,7 @@
 cross-request coalescing, the prediction cache, and rate limits."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,8 +14,16 @@ from service_helpers import (
 )
 
 from repro.engine.events import EventKind
-from repro.infer import InferPlane, InferPlaneConfig
+from repro.cli import _build_parser, _infer_plane_config
+from repro.infer import (
+    InferPlane,
+    InferPlaneConfig,
+    batching,
+    parse_batch_window,
+)
 from repro.obs import MetricsRegistry
+from repro.obs.context import RequestContext, bind_request, clear_request
+from repro.obs.tracing import TraceState
 from repro.service.api import (
     ApiError,
     ApiErrorCode,
@@ -302,6 +311,71 @@ class TestCoalescing:
         sizes = gateway.metrics.get("infer_batch_size")
         assert sizes is not None
         assert sizes.percentile(50) > 0
+        # One queue-wait sample per request, and the old per-flush
+        # window histogram (a constant 0 under the convoy) is gone.
+        waits = gateway.metrics.get("infer_queue_wait_seconds")
+        assert waits.labels().total == 1
+        assert gateway.metrics.get("infer_batch_window_seconds") is None
+
+    def test_coalesce_span_says_how_long_the_request_waited(
+        self, trained
+    ):
+        gateway, token, inputs = trained
+        context = bind_request(RequestContext(request_id="req-1"))
+        context.trace = TraceState("req-1")
+        try:
+            infer(gateway, token, inputs[:3])
+        finally:
+            clear_request()
+        coalesce = next(
+            s for s in context.trace.spans if s["name"] == "batch.coalesce"
+        )
+        assert coalesce["attrs"]["batch_requests"] == 1
+        assert 0.0 <= coalesce["attrs"]["waited_ms"] <= (
+            coalesce["duration_ms"]
+        )
+
+    def test_queue_fault_is_internal_not_a_training_hint(
+        self, trained, monkeypatch
+    ):
+        """A rider abandoned by its flush gets 500, not the 4xx advice
+        that belongs to an untrained model."""
+        gateway, token, inputs = trained
+        gateway.configure_infer_plane(InferPlaneConfig(cache_rows=0))
+        monkeypatch.setattr(batching, "FOLLOWER_TIMEOUT", 0.05)
+        outcome = {}
+
+        def lead():
+            outcome["leader"] = infer(gateway, token, inputs[:2])
+
+        # Holding the gateway lock stalls the leader's flush inside
+        # _predict_batch for as long as the test wants.
+        with gateway._lock:
+            leader = threading.Thread(target=lead)
+            leader.start()
+            deadline = time.monotonic() + 30.0
+            while not (
+                gateway.infer_plane._queues
+                and gateway.infer_plane._queues["moons"]._in_flight
+            ):
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            with pytest.raises(ApiError) as err:
+                infer(gateway, token, inputs[2:4])
+        leader.join(30.0)
+        assert not leader.is_alive()
+        assert err.value.code is ApiErrorCode.INTERNAL
+        assert err.value.http_status == 500
+        assert "submit training" not in str(err.value)
+        assert len(outcome["leader"].predictions) == 2
+
+    def test_full_queue_sheds_with_429(self, trained, monkeypatch):
+        gateway, token, inputs = trained
+        monkeypatch.setattr(batching, "MAX_PARKED", 0)
+        with pytest.raises(ApiError) as err:
+            infer(gateway, token, inputs[:2])
+        assert err.value.code is ApiErrorCode.QUOTA_EXCEEDED
+        assert "retry_after" in err.value.details
 
     def test_adaptive_mode_answers_correctly(self, gateway):
         gateway.configure_infer_plane(
@@ -313,6 +387,47 @@ class TestCoalescing:
         )).prediction
         batch = infer(gateway, token, inputs[:1])
         assert batch.predictions == (single,)
+
+
+class TestBatchWindowSpellings:
+    """``--infer-batch-window`` keeps its three spellings."""
+
+    def config_for(self, *flags):
+        args = _build_parser().parse_args(["serve", *flags])
+        return _infer_plane_config(args)
+
+    def queue_for(self, config):
+        plane = InferPlane(config=config)
+        return plane._queue_for("app", lambda X: (X, {}))
+
+    def test_default_is_the_convoy_without_a_timer(self):
+        config = self.config_for()
+        assert config.mode == "adaptive"
+        assert self.queue_for(config).window == 0.0
+
+    def test_seconds_put_a_timer_in_front_of_the_convoy(self):
+        config = self.config_for("--infer-batch-window", "0.004")
+        assert (config.mode, config.window) == ("fixed", 0.004)
+        assert self.queue_for(config).window == 0.004
+
+    def test_off_bypasses_the_queue(self):
+        config = self.config_for("--infer-batch-window", "off")
+        assert config.mode == "off"
+        plane = InferPlane(config=config)
+        plane.predict(
+            "app",
+            np.array([[1.0, 2.0]]),
+            lambda X: (np.zeros(len(X), dtype=np.int64), {}),
+        )
+        assert not plane._queues
+
+    def test_bad_values_are_refused(self):
+        with pytest.raises(ValueError, match="'off', 'adaptive'"):
+            parse_batch_window("soon")
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            parse_batch_window("2.5")
+        with pytest.raises(ValueError, match="window must be >= 0"):
+            InferPlaneConfig(mode="fixed", window=-0.001)
 
 
 class TestQuotaValidation:

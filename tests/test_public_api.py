@@ -44,3 +44,16 @@ def test_subpackages_importable():
     assert repro.obs.__doc__
     assert repro.platform.__doc__
     assert repro.service.__doc__
+
+
+def test_infer_surface():
+    import repro.infer
+
+    for name in repro.infer.__all__:
+        assert hasattr(repro.infer, name), name
+    # The benchmark's trace wraps these by name.
+    assert callable(repro.infer.BatchQueue.submit)
+    assert callable(repro.infer.InferPlane.predict)
+    assert callable(repro.infer.PredictionCache.lookup)
+    assert callable(repro.infer.PredictionCache.store)
+    assert not hasattr(repro.infer, "AdaptiveBatchController")
