@@ -34,11 +34,12 @@ Commands
     Topology and per-member replication lag for a running serving
     plane (reads the plane's ``cluster.json``, scrapes each member).
 ``state {inspect,compact}``
-    Operator tools over a ``--state-dir``: summarise the journal /
-    snapshots (and print tenant tokens), or replay-verify and compact
-    the history into a fresh snapshot.  ``inspect`` derives its
-    journal summary (record counts by type, bytes, commit lag) from
-    the same metrics registry primitives the live server exposes.
+    Operator tools over a ``--state-dir``: summarise the journal and
+    its last checkpoint (and print tenant tokens), or replay-verify
+    the history and append a fresh checkpoint.  ``inspect`` derives
+    its journal summary (record counts by type, bytes, records since
+    the checkpoint) from the same metrics registry primitives the live
+    server exposes.
 ``metrics``
     Scrape a running server's metrics endpoint and print it —
     Prometheus text by default (families sorted, histogram
@@ -231,8 +232,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--snapshot-every", type=int, default=None, metavar="N",
-        help="compact the journal into a snapshot every N records "
-        "(default 256; 0 disables automatic snapshots)",
+        help="append a state-digest checkpoint record to the journal "
+        "every N records (default 256; 0 disables automatic "
+        "checkpoints)",
     )
     srv.add_argument(
         "--in-flight", default="requeue",
@@ -340,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     state_sub = st.add_subparsers(dest="state_command", required=True)
     inspect = state_sub.add_parser(
         "inspect",
-        help="summarise a state directory (snapshots, journal, "
+        help="summarise a state directory (journal, last checkpoint, "
         "tenants and their tokens, job handles)",
     )
     inspect.add_argument("--state-dir", required=True, metavar="DIR")
@@ -350,8 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compact = state_sub.add_parser(
         "compact",
-        help="replay-verify the history and compact it into a fresh "
-        "snapshot (truncates the journal)",
+        help="replay-verify the history and append a fresh checkpoint "
+        "(the journal is never rewritten or truncated)",
     )
     compact.add_argument("--state-dir", required=True, metavar="DIR")
 
@@ -1384,19 +1386,20 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 def _cmd_state(args: argparse.Namespace) -> int:
     import json
+    from pathlib import Path
 
     from repro.persist import (
         JOURNAL_NAME,
         JournalError,
         has_state,
-        list_snapshots,
-        load_latest_snapshot,
         journal_metrics,
+        last_checkpoint,
         read_config,
         read_journal,
         recover_gateway,
+        refuse_legacy_layout,
+        state_digest,
     )
-    from repro.persist.digest import state_digest
 
     state_dir = args.state_dir
     if not has_state(state_dir):
@@ -1409,38 +1412,32 @@ def _cmd_state(args: argparse.Namespace) -> int:
     if args.state_command == "compact":
         try:
             gateway, report = recover_gateway(state_dir)
-            path = gateway.store.snapshot(state_digest(gateway))
+            mark = gateway.store.snapshot(state_digest(gateway))
             gateway.store.close()
         except JournalError as exc:
             print(f"cannot compact {state_dir}: {exc}", file=sys.stderr)
             return 2
         print(report.describe())
         print(
-            f"compacted {report.final_seq} record(s) into {path.name}; "
-            "journal truncated"
+            f"replay verified {report.final_seq} record(s); appended "
+            f"checkpoint at seq {mark.seq} "
+            f"(digest {mark.payload['state_digest'][:16]})"
         )
         return 0
 
     # inspect: summarise without replaying (cheap, read-only).
     try:
         config = read_config(state_dir)
-        snapshot = load_latest_snapshot(state_dir)
-        from pathlib import Path
-
-        journal_records, dropped = read_journal(
-            Path(state_dir) / JOURNAL_NAME
-        )
+        refuse_legacy_layout(state_dir)
+        records, dropped = read_journal(Path(state_dir) / JOURNAL_NAME)
     except JournalError as exc:
         print(f"cannot inspect {state_dir}: {exc}", file=sys.stderr)
         return 2
-    snap_seq = snapshot.seq if snapshot else 0
-    records = (snapshot.records if snapshot else []) + [
-        r for r in journal_records if r.seq > snap_seq
-    ]
+    mark = last_checkpoint(records)
     # Record counts / bytes / commit lag come from the same registry
     # primitives the live server scrapes through /metrics, so the
     # offline and online views share one vocabulary.
-    mdict = journal_metrics(records, snapshot_seq=snap_seq).to_dict()
+    mdict = journal_metrics(records).to_dict()
     record_types = {
         s["labels"]["type"]: int(s["value"])
         for s in mdict["journal_records_total"]["series"]
@@ -1448,7 +1445,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
     journal_bytes = int(
         sum(s["value"] for s in mdict["journal_bytes_total"]["series"])
     )
-    commit_lag = int(
+    since_checkpoint = int(
         mdict["journal_commit_lag_records"]["series"][0]["value"]
     )
     tenants: dict = {}
@@ -1472,14 +1469,16 @@ def _cmd_state(args: argparse.Namespace) -> int:
     summary = {
         "state_dir": str(state_dir),
         "config": config,
-        "snapshots": [p.name for p in list_snapshots(state_dir)],
-        "snapshot_seq": snap_seq,
-        "n_journal_records": len(journal_records),
+        "last_checkpoint_seq": mark.seq if mark else 0,
+        "checkpoint_digest": (
+            mark.payload["state_digest"][:16] if mark else None
+        ),
+        "records_since_checkpoint": since_checkpoint,
+        "n_journal_records": len(records),
         "dropped_tail": dropped,
-        "last_seq": records[-1].seq if records else snap_seq,
+        "last_seq": records[-1].seq if records else 0,
         "record_types": dict(sorted(record_types.items())),
         "journal_bytes": journal_bytes,
-        "commit_lag_records": commit_lag,
         "tenants": tenants,
         "jobs": jobs,
     }
@@ -1487,11 +1486,11 @@ def _cmd_state(args: argparse.Namespace) -> int:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
     rows = [
-        ["snapshots", ", ".join(summary["snapshots"]) or "(none)"],
-        ["snapshot seq", snap_seq],
-        ["journal records", len(journal_records)],
+        ["last checkpoint seq", summary["last_checkpoint_seq"]],
+        ["checkpoint digest", summary["checkpoint_digest"] or "(none)"],
+        ["records since checkpoint", since_checkpoint],
+        ["journal records", len(records)],
         ["journal bytes", journal_bytes],
-        ["commit lag (records)", commit_lag],
         ["last seq", summary["last_seq"]],
         ["tenants", len(tenants)],
         ["job handles", len(jobs)],

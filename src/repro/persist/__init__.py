@@ -1,4 +1,4 @@
-"""The durable control plane: journal, snapshots, crash recovery.
+"""The durable control plane: journal, checkpoints, crash recovery.
 
 ``repro serve`` keeps all control-plane state — tenants, tokens,
 quotas, app tables, job handles, scheduler histories — in process
@@ -6,25 +6,27 @@ memory; this package makes it survive a restart:
 
 * :mod:`repro.persist.journal` — an append-only, fsync-disciplined
   JSONL write-ahead log with sequenced, checksummed records drawn from
-  a closed type registry;
-* :mod:`repro.persist.snapshot` — periodic compacted snapshots with
-  atomic rename-into-place, after which the journal is truncated past
-  the snapshot's sequence number;
+  a closed type registry; never rewritten or truncated, and the only
+  durable artefact besides the config;
 * :mod:`repro.persist.recovery` — rebuilds a
   :class:`~repro.service.gateway.ServiceGateway` by replaying the
-  latest valid snapshot plus the journal tail, re-admitting tenants
-  into the live scheduler and re-queueing (or marking lost) in-flight
-  jobs with an explicit disposition on each handle;
+  journal (verifying the newest checkpoint's state digest on the way),
+  re-admitting tenants into the live scheduler and re-queueing (or
+  marking lost) in-flight jobs with an explicit disposition on each
+  handle;
 * :mod:`repro.persist.store` — the per-directory orchestrator
-  (config, snapshot cadence, journal truncation);
-* :mod:`repro.persist.digest` — the replay-determinism tripwire.
+  (config, writer lock, checkpoint cadence: an O(1) ``checkpoint``
+  record every ``snapshot_every`` records);
+* :mod:`repro.persist.digest` — the replay-determinism tripwire the
+  checkpoints carry.
 
 Everything here is deterministic by construction: replaying the same
-journal twice yields byte-identical recovered snapshots.
+journal twice yields the same state digest.
 """
 
 from repro.persist.digest import state_digest, state_view
 from repro.persist.journal import (
+    CHECKPOINT,
     EFFECT_TYPES,
     JOURNAL_NAME,
     Journal,
@@ -33,10 +35,10 @@ from repro.persist.journal import (
     JournalRecord,
     RECORD_TYPES,
     canonical_json,
+    last_checkpoint,
     read_journal,
     read_records_from,
     record_checksum,
-    rewrite_journal,
 )
 from repro.persist.metrics import journal_metrics
 from repro.persist.recovery import (
@@ -49,27 +51,17 @@ from repro.persist.recovery import (
     recover_gateway,
     replay_records,
 )
-from repro.persist.snapshot import (
-    COMPACTION_POINTER_NAME,
-    Snapshot,
-    SnapshotError,
-    compact_records,
-    list_snapshots,
-    load_latest_snapshot,
-    read_compaction_pointer,
-    write_compaction_pointer,
-    write_snapshot,
-)
 from repro.persist.store import (
     StateStore,
     acquire_lock,
     has_state,
     read_config,
+    refuse_legacy_layout,
     write_config,
 )
 
 __all__ = [
-    "COMPACTION_POINTER_NAME",
+    "CHECKPOINT",
     "EFFECT_TYPES",
     "IN_FLIGHT_POLICIES",
     "JOURNAL_NAME",
@@ -80,30 +72,23 @@ __all__ = [
     "RECORD_TYPES",
     "RecoveryError",
     "RecoveryReport",
-    "Snapshot",
-    "SnapshotError",
     "StateStore",
     "acquire_lock",
     "build_follower_gateway",
     "cancel_in_flight",
     "canonical_json",
-    "compact_records",
     "has_state",
     "journal_metrics",
-    "list_snapshots",
-    "load_latest_snapshot",
+    "last_checkpoint",
     "open_gateway",
-    "read_compaction_pointer",
     "read_config",
     "read_journal",
     "read_records_from",
     "record_checksum",
     "recover_gateway",
+    "refuse_legacy_layout",
     "replay_records",
-    "rewrite_journal",
     "state_digest",
     "state_view",
-    "write_compaction_pointer",
     "write_config",
-    "write_snapshot",
 ]

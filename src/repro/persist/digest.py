@@ -1,10 +1,11 @@
 """A digest of the gateway's replay-reproducible state.
 
-Snapshots embed this digest; recovery recomputes it after replaying
-the snapshot's records and refuses to proceed on a mismatch — the
-determinism tripwire that catches journal tampering, a drifted
-environment (different numpy producing different accuracies), or a
-replay bug, *before* the diverged state serves traffic.
+Every ``checkpoint`` record carries this digest; recovery (and every
+tailing replica) recomputes it on reaching the newest checkpoint and
+refuses to proceed on a mismatch — the determinism tripwire that
+catches journal tampering, a drifted environment (different numpy
+producing different accuracies), or a replay bug, *before* the
+diverged state serves traffic.
 
 Only state the journal can reproduce is digested.  Deliberately
 excluded: the event log (read-only operations append INFER/REFINE
@@ -17,10 +18,11 @@ recovered.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import asdict
 
-from repro.persist.journal import canonical_json
+from repro.errors import jsonify
 
 
 def state_view(gateway) -> dict:
@@ -43,7 +45,9 @@ def state_view(gateway) -> dict:
             "closed": app.closed,
             "n_examples": len(app.store),
             "n_enabled": app.store.n_enabled,
-            "history": [asdict(outcome) for outcome in app.history],
+            # vars(), not asdict(): outcomes are flat, and a deep copy
+            # per finished job is most of what a checkpoint costs.
+            "history": [vars(outcome) for outcome in app.history],
             "best_accuracy": (
                 None if math.isinf(app.best_accuracy) else app.best_accuracy
             ),
@@ -92,6 +96,17 @@ def state_view(gateway) -> dict:
 
 
 def state_digest(gateway) -> str:
-    """SHA-256 over the canonical JSON of :func:`state_view`."""
-    blob = canonical_json(state_view(gateway))
+    """SHA-256 over the canonical JSON of :func:`state_view`.
+
+    Taken under the gateway lock at every checkpoint, over a document
+    with a row per job ever submitted: the C encoder walks it, and
+    ``jsonify`` runs only on the numpy scalars it cannot encode — the
+    same bytes as ``canonical_json`` without its Python-level pre-walk.
+    """
+    blob = json.dumps(
+        state_view(gateway),
+        sort_keys=True,
+        separators=(",", ":"),
+        default=jsonify,
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -23,14 +23,27 @@ the full WAL guarantee (nothing is acked before a covering fsync)
 while paying one fsync per *convoy* instead of one per record.  The
 trade-offs are measured in ``benchmarks/bench_persist_overhead.py``.
 
+Append-only for life
+--------------------
+The file is never rewritten, rotated or compacted: it starts at seq 1
+and only grows, so a reader holding a byte offset (a replica's WAL
+tailer) can trust that offset forever.  Every ``snapshot_every``
+records the writer appends a ``checkpoint`` record carrying the
+``state_digest`` of the state the records before it produce — a
+constant-size mark replay *verifies* and never applies.  The one
+in-place edit is shedding a torn tail (below), which only ever removes
+bytes no reader consumed.
+
 Crash tolerance on read
 -----------------------
 A *torn tail* — the final line is incomplete or unparseable because the
 process died mid-write — is expected and silently dropped (the request
-it belonged to was never acked).  Anything else — a bad checksum, an
-out-of-order sequence number, an unknown record type — means the file
-was corrupted after the fact, and :func:`read_journal` refuses to load
-it with a :class:`JournalCorruptionError` naming the offending line.
+it belonged to was never acked); the next writer truncates the file
+back to its last complete record before appending.  Anything else — a
+bad checksum, an out-of-order sequence number, an unknown record type —
+means the file was corrupted after the fact, and :func:`read_journal`
+refuses to load it with a :class:`JournalCorruptionError` naming the
+offending line.
 """
 
 from __future__ import annotations
@@ -50,6 +63,12 @@ from repro.obs.tracing import add_span
 
 #: File name of the live journal inside a state directory.
 JOURNAL_NAME = "journal.jsonl"
+
+#: The mark the writer appends every ``snapshot_every`` records at an
+#: operation-group boundary: ``{"state_digest": ...}`` of the state
+#: that replaying every record before it produces.  Replay verifies
+#: it and never applies it.
+CHECKPOINT = "checkpoint"
 
 #: The closed registry of record types the journal accepts.  Primary
 #: records are written by the gateway's mutating operations; *effect*
@@ -77,6 +96,7 @@ RECORD_TYPES = frozenset(
         # server's admit/retire hooks).
         "app_admitted",
         "app_retired",
+        CHECKPOINT,
     }
 )
 
@@ -103,7 +123,7 @@ class JournalCorruptionError(JournalError):
 
 
 def canonical_json(value: Any) -> str:
-    """The one serialisation used for checksums and snapshots.
+    """The one serialisation used for checksums and digests.
 
     Sorted keys and minimal separators make the byte form a pure
     function of the value, so equal records always hash equal.
@@ -170,7 +190,7 @@ class JournalRecord:
                 f"journal line {line_no} (seq {seq}, type {rtype!r}) "
                 f"fails its checksum: recorded {crc}, computed "
                 f"{expected} — the file was modified or damaged after "
-                "it was written; restore from a snapshot"
+                "it was written; restore from a backup"
             )
         return cls(seq=seq, type=rtype, payload=payload)
 
@@ -349,11 +369,7 @@ class Journal:
         frontier without taking the writer's flock — appends are
         whole-line writes, so a concurrent reader only ever sees
         complete records plus at most one torn final line, which is
-        skipped exactly like crash recovery skips it.  Raises
-        :class:`JournalCorruptionError` when the file does not
-        contain ``since_seq + 1`` onward (the journal was compacted
-        past the caller's frontier — re-seed from the snapshot the
-        compaction pointer names).
+        skipped exactly like crash recovery skips it.
         """
         return read_records_from(self.path, since_seq)
 
@@ -373,46 +389,74 @@ class Journal:
                     self._handle = None
 
 
+def parse_line(line: bytes, line_no: int) -> JournalRecord:
+    """One journal line -> its validated record.
+
+    Raises :class:`ValueError` when the line is not a JSON object (what
+    a torn write looks like) and :class:`JournalCorruptionError` when it
+    is one but fails record validation.
+    """
+    data = json.loads(line.decode("utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError("not a JSON object")
+    return JournalRecord.from_wire(data, line_no=line_no)
+
+
+def truncate_journal(path: Union[str, Path], size: int) -> None:
+    """Cut the journal back to ``size`` bytes in place, durably.
+
+    Only ever used to shed a torn tail before a new writer appends:
+    the bytes removed were never a complete record, so no reader's
+    offset can point past ``size``, and the inode stays the same.
+    """
+    with open(path, "r+b") as handle:
+        handle.truncate(int(size))
+        os.fsync(handle.fileno())
+
+
 def read_journal(
-    path: Union[str, Path]
+    path: Union[str, Path], *, shed_torn_tail: bool = False
 ) -> Tuple[List[JournalRecord], int]:
     """Load and validate a journal file.
 
     Returns ``(records, dropped)`` where ``dropped`` counts torn tail
     lines discarded (0 or 1 — only the final line may legally be
-    torn).  Raises :class:`JournalCorruptionError` for anything worse.
+    torn; a final line without its newline was never acked and counts
+    as torn even when it parses).  With ``shed_torn_tail`` the torn
+    bytes are also truncated off the file, so the caller (who must
+    hold the directory's writer lock) can append after the last
+    record.  Raises :class:`JournalCorruptionError` for anything worse.
     """
     path = Path(path)
     records: List[JournalRecord] = []
     if not path.exists():
         return records, 0
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    dropped = 0
+    lines = path.read_bytes().split(b"\n")
+    dropped = 1 if lines.pop() else 0  # bytes past the last newline
+    valid_bytes = 0
     for line_no, line in enumerate(lines, start=1):
         try:
-            data = json.loads(line)
-            if not isinstance(data, dict):
-                raise ValueError("not a JSON object")
+            record = parse_line(line, line_no)
         except ValueError:
-            if line_no == len(lines):
+            if line_no == len(lines) and not dropped:
                 dropped = 1  # torn tail: the process died mid-write
                 break
             raise JournalCorruptionError(
                 f"journal line {line_no} is not valid JSON but is not "
                 "the final line — the file is damaged beyond a torn "
-                "tail; restore from a snapshot"
+                "tail; restore from a backup"
             ) from None
-        record = JournalRecord.from_wire(data, line_no=line_no)
-        if records and record.seq != records[-1].seq + 1:
+        previous = records[-1].seq if records else 0
+        if record.seq != previous + 1:
             raise JournalCorruptionError(
                 f"journal line {line_no} has seq {record.seq} but the "
-                f"previous record was seq {records[-1].seq}; records "
-                "must be contiguous"
+                f"previous record was seq {previous}; records must be "
+                "contiguous from seq 1 (the journal is never truncated)"
             )
         records.append(record)
+        valid_bytes += len(line) + 1
+    if dropped and shed_torn_tail:
+        truncate_journal(path, valid_bytes)
     return records, dropped
 
 
@@ -421,76 +465,20 @@ def read_records_from(
 ) -> Iterator[JournalRecord]:
     """Yield validated records with seq > ``since_seq`` from a journal.
 
-    Tolerates what a *live* journal legally exhibits under a
-    concurrent writer: a torn (incomplete or half-flushed) final line
-    is skipped, and records at or below ``since_seq`` (pre-snapshot
-    overlap after a crash mid-compaction) are passed over.  A journal
-    whose first surviving record is *past* ``since_seq + 1`` raises
-    :class:`JournalCorruptionError` — the file was compacted beyond
-    the caller's frontier and the caller must re-seed from a snapshot
-    (see the compaction pointer in :mod:`repro.persist.snapshot`).
+    Safe against a *live* journal: appends are whole-line writes, so a
+    concurrent reader sees complete records plus at most one torn
+    final line, which is skipped exactly like crash recovery skips it.
     """
-    path = Path(path)
     since_seq = int(since_seq)
-    if not path.exists():
-        return
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    lines = blob.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    previous = None
-    for line_no, line in enumerate(lines, start=1):
-        last_line = line_no == len(lines)
-        try:
-            data = json.loads(line.decode("utf-8"))
-            if not isinstance(data, dict):
-                raise ValueError("not a JSON object")
-            record = JournalRecord.from_wire(data, line_no=line_no)
-        except (ValueError, UnicodeDecodeError):
-            if last_line:
-                return  # torn tail: the writer is (or died) mid-append
-            raise JournalCorruptionError(
-                f"journal line {line_no} is not valid JSON but is not "
-                "the final line — the file is damaged beyond a torn "
-                "tail; restore from a snapshot"
-            ) from None
-        except JournalCorruptionError:
-            if last_line:
-                return  # half-flushed final line: not yet a record
-            raise
-        if previous is not None and record.seq != previous + 1:
-            raise JournalCorruptionError(
-                f"journal line {line_no} has seq {record.seq} but the "
-                f"previous record was seq {previous}; records must be "
-                "contiguous"
-            )
-        if previous is None and record.seq > since_seq + 1:
-            raise JournalCorruptionError(
-                f"journal starts at seq {record.seq} but the caller's "
-                f"frontier is {since_seq}; records "
-                f"{since_seq + 1}..{record.seq - 1} were compacted "
-                "away — re-seed from the latest snapshot"
-            )
-        previous = record.seq
+    for record in read_journal(path)[0]:
         if record.seq > since_seq:
             yield record
 
 
-def rewrite_journal(
-    path: Union[str, Path], records: List[JournalRecord]
-) -> None:
-    """Atomically replace the journal with exactly ``records``.
-
-    Used to truncate past a snapshot's sequence number and to shed a
-    torn tail after recovery: write a temp file, fsync, rename into
-    place (the same atomic-publish discipline snapshots use).
-    """
-    path = Path(path)
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(record.to_line() + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+def last_checkpoint(
+    records: List[JournalRecord],
+) -> Optional[JournalRecord]:
+    """The newest ``checkpoint`` record in ``records``, or None."""
+    return next(
+        (r for r in reversed(records) if r.type == CHECKPOINT), None
+    )

@@ -1,13 +1,13 @@
 """Offline journal metrics: the ``state inspect`` view of a directory.
 
-Builds a :class:`~repro.obs.metrics.MetricsRegistry` from a record
-basis read off disk, using the *same* family names and primitives the
-live journal reports through ``/metrics`` — so an operator inspecting
-a cold state directory and one scraping a running server read the
-same vocabulary (``journal_records_total{type=...}``,
+Builds a :class:`~repro.obs.metrics.MetricsRegistry` from the
+records read off disk, using the *same* family names and primitives
+the live journal reports through ``/metrics`` — so an operator
+inspecting a cold state directory and one scraping a running server
+read the same vocabulary (``journal_records_total{type=...}``,
 ``journal_bytes_total``), plus a commit-lag gauge only the offline
-view can compute (how far the journal tail has run past the last
-snapshot).
+view can compute (how far the journal has run past its last
+checkpoint).
 """
 
 from __future__ import annotations
@@ -15,25 +15,22 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.persist.journal import JournalRecord
+from repro.persist.journal import CHECKPOINT, JournalRecord
 
 
 def journal_metrics(
     records: Iterable[JournalRecord],
     *,
-    snapshot_seq: int = 0,
     registry: Optional[MetricsRegistry] = None,
 ) -> MetricsRegistry:
-    """Populate a registry from journal/snapshot records.
+    """Populate a registry from journal records.
 
     Parameters
     ----------
     records:
-        The record basis, in order (snapshot records + journal tail).
-    snapshot_seq:
-        Sequence number the latest snapshot covers through; the
-        commit-lag gauge reports how many records the tail holds past
-        it (what a crash right now would have to replay).
+        The journal's records, in order.  The commit-lag gauge
+        reports how many follow the newest ``checkpoint`` among them
+        (state no verified digest covers yet).
     registry:
         Populate this registry instead of a fresh one (family
         re-registration makes sharing safe).
@@ -50,15 +47,16 @@ def journal_metrics(
     )
     m_lag = registry.gauge(
         "journal_commit_lag_records",
-        "Records in the journal tail past the last snapshot "
-        "(replay work after a crash right now).",
+        "Records journaled past the last checkpoint (not yet "
+        "covered by a verified state digest).",
     )
-    last_seq = int(snapshot_seq)
+    last_seq = checkpoint_seq = 0
     for record in records:
         m_records.labels(record.type).inc()
         # +1 for the newline the on-disk framing appends per record.
         m_bytes.inc(len(record.to_line().encode("utf-8")) + 1)
-        if record.seq > last_seq:
-            last_seq = record.seq
-    m_lag.set(last_seq - int(snapshot_seq))
+        last_seq = record.seq
+        if record.type == CHECKPOINT:
+            checkpoint_seq = record.seq
+    m_lag.set(last_seq - checkpoint_seq)
     return registry

@@ -1,15 +1,20 @@
 """Crash recovery: rebuild a live ServiceGateway from a state directory.
 
-Recovery loads the latest valid snapshot, replays its records through
-a freshly-built gateway (verifying the snapshot's state digest at the
-boundary), then replays the journal tail past the snapshot's sequence
-number.  Because the whole control plane is deterministic — randomness
-flows through the server's seeded generator in operation order, the
-cluster is a discrete-event kernel, and tokens are journaled rather
-than regenerated — replay rebuilds the *identical* state the dead
-process had: tenants re-admitted into the live
+Recovery reads the one journal, replays every record through a
+freshly-built gateway, and at the newest ``checkpoint`` record
+verifies the state digest the live process took there.  Why command
+history and not serialised object state?  The control plane's state
+includes trained estimators, GP posteriors, a discrete-event queue and
+closures wired through callbacks — an object graph that cannot be
+serialised faithfully.  But the whole control plane is deterministic —
+randomness flows through the server's seeded generator in operation
+order, the cluster is a discrete-event kernel, and tokens are
+journaled rather than regenerated — so replay rebuilds the *identical*
+state the dead process had: tenants re-admitted into the live
 :class:`~repro.core.multitenant.TenantRegistry`, trained models
-reconstructed, terminal job results intact.
+reconstructed, terminal job results intact.  Every record must be
+kept for that to hold (dropping one would change every draw after
+it), which is why the journal is never compacted.
 
 Jobs that were still in flight when the process died get an explicit
 disposition on their handle:
@@ -33,21 +38,21 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from repro.engine.jobs import JobState
 from repro.persist.digest import state_digest
 from repro.persist.journal import (
+    CHECKPOINT,
     EFFECT_TYPES,
     JOURNAL_NAME,
-    JournalCorruptionError,
     JournalError,
     JournalRecord,
     canonical_json,
+    last_checkpoint,
     read_journal,
-    rewrite_journal,
 )
-from repro.persist.snapshot import load_latest_snapshot
 from repro.persist.store import (
     StateStore,
     acquire_lock,
     has_state,
     read_config,
+    refuse_legacy_layout,
     write_config,
 )
 from repro.service.api import (
@@ -74,25 +79,26 @@ class RecoveryReport:
     """What recovery found and did; ``describe()`` renders it."""
 
     state_dir: str
-    snapshot_seq: int
-    n_snapshot_records: int
+    checkpoint_seq: int
     n_journal_records: int
     final_seq: int
     dropped_tail: int
-    skipped_snapshots: List[str] = field(default_factory=list)
     tenants: List[str] = field(default_factory=list)
     n_jobs: int = 0
     recovered: List[str] = field(default_factory=list)
     lost: List[str] = field(default_factory=list)
-    digest_verified: bool = False
+
+    @property
+    def digest_verified(self) -> bool:
+        """Did replay reach a checkpoint and match its state digest?"""
+        return self.checkpoint_seq > 0
 
     def describe(self) -> str:
         lines = [
             f"recovered control plane from {self.state_dir}",
-            f"  snapshot: seq {self.snapshot_seq} "
-            f"({self.n_snapshot_records} records"
-            + (", digest verified)" if self.digest_verified else ")"),
-            f"  journal tail: {self.n_journal_records} records"
+            f"  checkpoint: seq {self.checkpoint_seq} (digest "
+            + ("verified)" if self.digest_verified else "absent)"),
+            f"  journal: {self.n_journal_records} records"
             + (
                 f" ({self.dropped_tail} torn tail record dropped)"
                 if self.dropped_tail
@@ -102,8 +108,6 @@ class RecoveryReport:
             f"  job handles: {self.n_jobs} "
             f"({len(self.recovered)} requeued, {len(self.lost)} lost)",
         ]
-        for skipped in self.skipped_snapshots:
-            lines.append(f"  skipped invalid snapshot: {skipped}")
         return "\n".join(lines)
 
 
@@ -303,12 +307,46 @@ def _replay_feed(gateway: ServiceGateway, record: JournalRecord) -> None:
         )
 
 
+def _verify_checkpoint(
+    gateway: ServiceGateway, record: JournalRecord, *, digest: bool
+) -> None:
+    """A checkpoint is verified against the replay, never applied."""
+    if gateway._pending_effects:
+        raise RecoveryError(
+            f"seq {record.seq}: checkpoint splits an operation group "
+            f"({len(gateway._pending_effects)} unconsumed effect(s) "
+            "at the mark)"
+        )
+    if not digest:
+        return
+    expected = record.payload.get("state_digest")
+    actual = state_digest(gateway)
+    if actual != expected:
+        raise RecoveryError(
+            f"seq {record.seq}: replayed state digest {actual[:16]}… "
+            f"does not match the checkpoint's {str(expected)[:16]}… — "
+            "refusing to serve diverged state (journal tampering, a "
+            "changed environment, or a replay bug)"
+        )
+
+
 def _replay_records(
     gateway: ServiceGateway, records: List[JournalRecord]
-) -> None:
+) -> Optional[JournalRecord]:
+    """Replay ``records``; returns the checkpoint whose digest held.
+
+    Every checkpoint must sit on an operation-group boundary; the
+    digest (O(jobs) to compute) is verified at the newest one in
+    ``records`` only.
+    """
+    newest = last_checkpoint(records)
     for record in records:
         try:
-            if record.type in EFFECT_TYPES:
+            if record.type == CHECKPOINT:
+                _verify_checkpoint(
+                    gateway, record, digest=record is newest
+                )
+            elif record.type in EFFECT_TYPES:
                 if gateway._pending_effects:
                     _consume_effect(gateway, record)
                 elif record.type == "job_completed":
@@ -353,6 +391,7 @@ def _replay_records(
                 f"seq {record.seq} ({record.type}): replay failed with "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
+    return newest
 
 
 # ----------------------------------------------------------------------
@@ -389,8 +428,9 @@ def replay_records(
 
     The follower-mode apply path: primaries re-run their real
     handlers, effect records are byte-verified against the effects the
-    replay fired (buffered in the gateway while ``_replaying``), and a
-    mismatch raises :class:`RecoveryError` rather than serving
+    replay fired (buffered in the gateway while ``_replaying``), the
+    newest checkpoint in the batch has its state digest verified, and
+    a mismatch raises :class:`RecoveryError` rather than serving
     diverged state.  A record group may arrive split across calls — a
     tailer can observe a primary before its effect records land — so
     unconsumed effects legally carry over between calls; they are
@@ -434,8 +474,8 @@ def recover_gateway(
     rebuilt gateway — it is observability plumbing, not backend shape,
     so it is never journaled and never conflicts with the stored
     config (ignored when ``gateway_factory`` owns construction).
-    Raises :class:`RecoveryError` (or a journal / snapshot corruption
-    error) rather than serving diverged state.
+    Raises :class:`RecoveryError` (or a journal corruption error)
+    rather than serving diverged state.
     """
     if in_flight not in IN_FLIGHT_POLICIES:
         raise ValueError(
@@ -479,42 +519,18 @@ def _recover_locked(
     gateway_factory,
     metrics=None,
 ) -> Tuple[ServiceGateway, RecoveryReport]:
-    snapshot = load_latest_snapshot(state_dir)
-    journal_records, dropped = read_journal(state_dir / JOURNAL_NAME)
-    snap_seq = snapshot.seq if snapshot else 0
-    snap_records = snapshot.records if snapshot else []
-    overlap = [r for r in journal_records if r.seq <= snap_seq]
-    tail = [r for r in journal_records if r.seq > snap_seq]
-    if tail and tail[0].seq != snap_seq + 1:
-        raise JournalCorruptionError(
-            f"journal tail starts at seq {tail[0].seq} but the "
-            f"snapshot covers through seq {snap_seq}; records "
-            f"{snap_seq + 1}..{tail[0].seq - 1} are missing"
-        )
+    refuse_legacy_layout(state_dir)
+    # We hold the writer lock, so the torn tail (if any) is shed in
+    # place here: appends resume right after the last whole record.
+    records, dropped = read_journal(
+        state_dir / JOURNAL_NAME, shed_torn_tail=True
+    )
 
     gateway = _build_gateway(config, gateway_factory, metrics=metrics)
     gateway._recovering = True
     gateway._replaying = True
-    digest_verified = False
     try:
-        _replay_records(gateway, snap_records)
-        if snapshot is not None and snapshot.state_digest:
-            if gateway._pending_effects:
-                raise RecoveryError(
-                    "snapshot boundary splits an operation group "
-                    "(unconsumed effects at the digest checkpoint)"
-                )
-            actual = state_digest(gateway)
-            if actual != snapshot.state_digest:
-                raise RecoveryError(
-                    f"replayed state digest {actual[:16]}… does not "
-                    f"match the snapshot's "
-                    f"{snapshot.state_digest[:16]}… — refusing to "
-                    "serve diverged state (journal tampering, a "
-                    "changed environment, or a replay bug)"
-                )
-            digest_verified = True
-        _replay_records(gateway, tail)
+        checkpoint = _replay_records(gateway, records)
         # Effects fired by the final operation may have been torn off
         # the journal tail with the crash.  State already reflects
         # them, so they are not re-verified — but they MUST be
@@ -538,11 +554,8 @@ def _recover_locked(
         else:
             lost.append(handle)
 
-    last_seq = tail[-1].seq if tail else snap_seq
-    if dropped or overlap:
-        # Shed the torn tail / pre-snapshot overlap so appends resume
-        # on a clean file.
-        rewrite_journal(state_dir / JOURNAL_NAME, tail)
+    last_seq = records[-1].seq if records else 0
+    checkpoint_seq = checkpoint.seq if checkpoint else 0
     store = StateStore(
         state_dir,
         sync=sync if sync is not None else config.get("sync", "fsync"),
@@ -551,9 +564,8 @@ def _recover_locked(
             if snapshot_every is not None
             else int(config.get("snapshot_every", 256))
         ),
-        history=snap_records + tail,
         start_seq=last_seq,
-        snapshot_seq=snap_seq,
+        checkpoint_seq=checkpoint_seq,
         lock_handle=lock_handle,
     )
     gateway.attach_store(store)
@@ -571,17 +583,14 @@ def _recover_locked(
 
     report = RecoveryReport(
         state_dir=str(state_dir),
-        snapshot_seq=snap_seq,
-        n_snapshot_records=len(snap_records),
-        n_journal_records=len(tail),
+        checkpoint_seq=checkpoint_seq,
+        n_journal_records=len(records),
         final_seq=store.last_seq,
         dropped_tail=dropped,
-        skipped_snapshots=list(snapshot.skipped) if snapshot else [],
         tenants=sorted(gateway._tenant_names),
         n_jobs=len(gateway._jobs),
         recovered=recovered,
         lost=lost,
-        digest_verified=digest_verified,
     )
     return gateway, report
 

@@ -1,18 +1,18 @@
-"""StateStore: one state directory = config + journal + snapshots.
+"""StateStore: one state directory = config + one append-only journal.
 
 The store owns the on-disk layout::
 
     <state_dir>/
         config.json            backend shape (placement, seed, zoo, ...)
-        journal.jsonl          the live write-ahead journal tail
-        snapshot-<seq>.json    compacted history up to <seq> (newest
-                               plus one fallback retained)
+        journal.jsonl          every record since seq 1, never rewritten
 
-and the snapshot cadence: every ``snapshot_every`` appended records —
-checked only at operation-group boundaries, so a snapshot never splits
-a primary record from its effect records — the full history is
-compacted, snapshotted with a digest of the live gateway state, and
-the journal is truncated past the snapshot's sequence number.
+and the checkpoint cadence: every ``snapshot_every`` appended records —
+checked only at operation-group boundaries, so a checkpoint never
+splits a primary record from its effect records — a ``checkpoint``
+record carrying a digest of the live gateway state is appended to the
+journal.  That is all a "snapshot" is: one constant-size record, so the
+write path costs the same at record 10 and at record 10 million, and
+the store keeps nothing per record in memory.
 
 The config document pins everything recovery needs to rebuild an
 identical backend: replaying the journal against a differently-shaped
@@ -27,21 +27,17 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.obs.metrics import NULL_REGISTRY
 from repro.persist.journal import (
+    CHECKPOINT,
     JOURNAL_NAME,
     Journal,
     JournalError,
     JournalRecord,
     SYNC_MODES,
     canonical_json,
-)
-from repro.persist.snapshot import (
-    compact_records,
-    write_compaction_pointer,
-    write_snapshot,
 )
 
 CONFIG_NAME = "config.json"
@@ -85,6 +81,23 @@ def has_state(state_dir: Union[str, Path]) -> bool:
     return (Path(state_dir) / CONFIG_NAME).exists()
 
 
+def refuse_legacy_layout(state_dir: Union[str, Path]) -> None:
+    """Refuse a directory written by the snapshot-file format.
+
+    That format truncated ``journal.jsonl`` past every
+    ``snapshot-<seq>.json``, so its journal alone is not the history;
+    replaying it would silently rebuild the wrong state.
+    """
+    legacy = sorted(Path(state_dir).glob("snapshot-*.json"))
+    if legacy:
+        raise JournalError(
+            f"{state_dir} holds {legacy[-1].name}: it was written by "
+            "the snapshot-file format (journal truncated past each "
+            "snapshot), which this build does not read — start a "
+            "fresh state directory"
+        )
+
+
 def acquire_lock(state_dir: Union[str, Path]):
     """Take the directory's exclusive single-writer lock.
 
@@ -121,14 +134,14 @@ class StateStore:
         Journal durability mode (``"fsync"``, ``"buffered"``, or
         ``"group"`` — deferred fsync shared per commit convoy).
     snapshot_every:
-        Take a snapshot (and truncate the journal) after this many
-        appended records.  ``0`` disables automatic snapshots —
-        ``repro state compact`` still takes manual ones.
-    history:
-        The full record basis (snapshot records + journal tail) when
-        reopening after recovery; empty for a fresh directory.
+        Append a checkpoint after this many records.  ``0`` disables
+        automatic checkpoints — ``repro state compact`` still appends
+        manual ones.
     start_seq:
         Sequence number the journal continues from.
+    checkpoint_seq:
+        Sequence number of the newest checkpoint already in the
+        journal (0 when there is none).
     """
 
     def __init__(
@@ -137,9 +150,8 @@ class StateStore:
         *,
         sync: str = "fsync",
         snapshot_every: int = 256,
-        history: Optional[List[JournalRecord]] = None,
         start_seq: int = 0,
-        snapshot_seq: int = 0,
+        checkpoint_seq: int = 0,
         lock_handle=None,
     ) -> None:
         if sync not in SYNC_MODES:
@@ -154,8 +166,7 @@ class StateStore:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.sync = sync
         self.snapshot_every = int(snapshot_every)
-        self.snapshot_seq = int(snapshot_seq)
-        self._history: List[JournalRecord] = list(history or [])
+        self.checkpoint_seq = int(checkpoint_seq)
         # Single-writer guard: two processes appending to one journal
         # interleave sequence numbers and corrupt the directory beyond
         # recovery, so the second opener must fail fast (this also
@@ -171,31 +182,25 @@ class StateStore:
             self.journal_path, sync=sync, start_seq=start_seq
         )
         self.bind_metrics(NULL_REGISTRY)
-        try:  # best-effort: tokens live in these files
+        try:  # best-effort: tokens live in this file
             os.chmod(self.journal_path, _PRIVATE_MODE)
         except OSError:  # pragma: no cover - permissions are advisory
             pass
 
     def bind_metrics(self, registry) -> None:
-        """Report journal/snapshot activity into ``registry``.
+        """Report journal/checkpoint activity into ``registry``.
 
-        The gateway calls this from ``attach_store``; the binding
-        survives :meth:`snapshot` recreating the journal (the fresh
-        journal is re-bound to the same registry).
+        The gateway calls this from ``attach_store``.
         """
-        self._metrics = registry
         self.journal.bind_metrics(registry)
         self._m_snapshots = registry.counter(
             "journal_snapshots_total",
-            "Snapshots taken (automatic cadence plus manual compacts).",
+            "Checkpoints appended (automatic cadence plus manual "
+            "`state compact` runs).",
         )
         self._m_snapshot_seconds = registry.histogram(
             "journal_snapshot_seconds",
-            "Latency of one snapshot (compact + publish + truncate).",
-        )
-        self._m_compaction_dropped = registry.counter(
-            "journal_compaction_dropped_total",
-            "Records removed from history by snapshot compaction.",
+            "Latency of appending one checkpoint record.",
         )
 
     @property
@@ -206,15 +211,8 @@ class StateStore:
     def last_seq(self) -> int:
         return self.journal.last_seq
 
-    @property
-    def history(self) -> List[JournalRecord]:
-        """The full record basis (snapshot + live journal), in order."""
-        return list(self._history)
-
     def append(self, rtype: str, payload: Dict[str, Any]) -> JournalRecord:
-        record = self.journal.append(rtype, payload)
-        self._history.append(record)
-        return record
+        return self.journal.append(rtype, payload)
 
     def commit(self) -> None:
         """Group-commit barrier (see :meth:`Journal.commit`).
@@ -226,47 +224,31 @@ class StateStore:
         self.journal.commit()
 
     @property
-    def records_since_snapshot(self) -> int:
-        return self.last_seq - self.snapshot_seq
+    def records_since_checkpoint(self) -> int:
+        return self.last_seq - self.checkpoint_seq
 
     def due_for_snapshot(self) -> bool:
         return (
             self.snapshot_every > 0
-            and self.records_since_snapshot >= self.snapshot_every
+            and self.records_since_checkpoint >= self.snapshot_every
         )
 
-    def snapshot(self, state_digest: Optional[str] = None) -> Path:
-        """Compact history, publish a snapshot, truncate the journal."""
+    def snapshot(self, state_digest: str) -> JournalRecord:
+        """Append a checkpoint: the digest of the state so far.
+
+        O(1) whatever the history: one journal record, riding the
+        journal's own fsync / group-commit discipline — so the mark
+        can never be durable ahead of the records it covers, and
+        tailing replicas see it in order like any other record.
+        """
         started = time.perf_counter()
-        records = compact_records(self._history)
-        self._m_compaction_dropped.inc(len(self._history) - len(records))
-        path = write_snapshot(
-            self.state_dir,
-            self.last_seq,
-            records,
-            state_digest=state_digest,
+        record = self.journal.append(
+            CHECKPOINT, {"state_digest": state_digest}
         )
-        self._history = records
-        self.snapshot_seq = self.last_seq
-        # Published after the snapshot but before the truncation below:
-        # a concurrent WAL tailer that observes the journal shrinking
-        # past its frontier follows this pointer to the snapshot that
-        # now covers the records it lost (a clean re-seed signal
-        # instead of a checksum/gap error).
-        write_compaction_pointer(self.state_dir, self.last_seq, path.name)
-        # The snapshot now covers every journaled record: restart the
-        # journal empty (crash between the rename above and this
-        # rewrite is safe — recovery skips journal records at or below
-        # the snapshot's seq).
-        self.journal.close()
-        self.journal_path.write_text("", encoding="utf-8")
-        self.journal = Journal(
-            self.journal_path, sync=self.sync, start_seq=self.last_seq
-        )
-        self.journal.bind_metrics(self._metrics)
+        self.checkpoint_seq = record.seq
         self._m_snapshots.inc()
         self._m_snapshot_seconds.observe(time.perf_counter() - started)
-        return path
+        return record
 
     def close(self) -> None:
         self.journal.close()

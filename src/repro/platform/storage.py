@@ -30,6 +30,9 @@ class ExampleStore:
     def __init__(self, name: str = "") -> None:
         self.name = name
         self._examples: List[Example] = []
+        #: Maintained by ``add`` / ``set_enabled`` (the only writers
+        #: of ``Example.enabled``), so reading it is O(1).
+        self.n_enabled = 0
 
     def add(self, x: np.ndarray, y: np.ndarray) -> int:
         """Store one pair; returns its id."""
@@ -39,6 +42,7 @@ class ExampleStore:
             y=np.asarray(y, dtype=float),
         )
         self._examples.append(example)
+        self.n_enabled += 1
         return example.example_id
 
     def add_pairs(
@@ -62,11 +66,9 @@ class ExampleStore:
 
     def set_enabled(self, example_id: int, enabled: bool) -> None:
         """The ``refine`` toggle."""
-        self.get(example_id).enabled = bool(enabled)
-
-    @property
-    def n_enabled(self) -> int:
-        return sum(1 for e in self._examples if e.enabled)
+        example = self.get(example_id)
+        self.n_enabled += bool(enabled) - example.enabled
+        example.enabled = bool(enabled)
 
     def enabled_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Stacked (X, Y) of the enabled examples.

@@ -19,9 +19,10 @@ them there.  Reads beyond the configured staleness bound come back
 ``UNAVAILABLE_RECOVERING`` instead of silently stale.
 
 :meth:`ReadReplica.promote` is recovery's end-game re-used: take the
-flock (the dead writer's OS-released lock), drain the tail, shed the
-torn tail off the journal, attach a live :class:`StateStore`, give
-every in-flight job an explicit disposition, and start journaling.
+flock (the dead writer's OS-released lock), drain the tail, cut the
+torn tail off the journal in place, attach a live :class:`StateStore`
+that appends to the *same file* at this replica's frontier, give every
+in-flight job an explicit disposition, and start journaling.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ApiError, ApiErrorCode
-from repro.persist.journal import (
-    JOURNAL_NAME,
-    JournalError,
-    JournalRecord,
-    rewrite_journal,
-)
+from repro.persist.journal import JournalError, truncate_journal
 from repro.persist.recovery import (
     IN_FLIGHT_POLICIES,
     _LIVE_STATES,
@@ -121,10 +117,7 @@ class ReadReplica:
         self.promoted = False
         self.applied_seq = 0
         self._target_seq = 0
-        self._snapshot_seq = 0
-        self._history: List[JournalRecord] = []
         self._behind_since: Optional[float] = None
-        self._reseeds_seen = 0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._bind_metrics(self.gateway.metrics)
@@ -142,11 +135,6 @@ class ReadReplica:
             "replica_lag_seconds",
             "Seconds this replica has been behind the observed tail "
             "(0 when caught up).",
-        )
-        self._m_reseeds = registry.counter(
-            "replica_reseeds_total",
-            "Times the tailer re-seeded from a snapshot (journal "
-            "compactions survived).",
         )
         self._m_is_writer = registry.gauge(
             "replica_is_writer",
@@ -219,38 +207,16 @@ class ReadReplica:
 
     def _apply(self, batch: TailBatch) -> None:
         """Apply one batch through the recovery replay path."""
-        if self.tailer.reseeds > self._reseeds_seen:
-            self._m_reseeds.inc(self.tailer.reseeds - self._reseeds_seen)
-            self._reseeds_seen = self.tailer.reseeds
-        if batch.records or batch.reseeded:
-            self._target_seq = max(
-                self._target_seq, self.tailer.emitted_seq
-            )
+        if not batch.records:
+            return
+        self._target_seq = self.tailer.emitted_seq
         self._publish_lag()
-        if batch.reseeded and batch.snapshot_records is not None:
-            # Swap the history basis to the writer's compacted one,
-            # keeping any tail records we already applied past it.
-            snapshot_seq = batch.snapshot_seq or 0
-            tail = [
-                r
-                for r in self._history
-                if r.seq > snapshot_seq and r.seq <= self.applied_seq
-            ]
-            self._history = list(batch.snapshot_records) + tail
-            self._snapshot_seq = max(self._snapshot_seq, snapshot_seq)
-        if batch.records:
-            apply_started = time.perf_counter()
-            with self.gateway._lock:
-                replay_records(self.gateway, batch.records)
-            apply_duration = time.perf_counter() - apply_started
-            self._record_apply_spans(batch.records, apply_duration)
-            self._history.extend(batch.records)
-            self.applied_seq = batch.records[-1].seq
-        elif batch.reseeded:
-            # A snapshot that covers records we already applied (all
-            # new records were compacted into it) still advances the
-            # frontier past the compaction boundary.
-            self.applied_seq = max(self.applied_seq, self.tailer.emitted_seq)
+        apply_started = time.perf_counter()
+        with self.gateway._lock:
+            replay_records(self.gateway, batch.records)
+        apply_duration = time.perf_counter() - apply_started
+        self._record_apply_spans(batch.records, apply_duration)
+        self.applied_seq = batch.records[-1].seq
         self._publish_lag()
 
     def _record_apply_spans(
@@ -297,11 +263,12 @@ class ReadReplica:
         Acquires the directory's flock (retrying up to
         ``lock_timeout`` seconds — the kernel releases the dead
         writer's lock, but not instantly), drains the remaining tail,
-        sheds the torn tail off the journal, attaches a live
-        :class:`~repro.persist.StateStore`, and gives every in-flight
-        job an explicit disposition — the same end-game as crash
-        recovery, minus the replay (this process already did it,
-        incrementally, while the writer was alive).
+        cuts the torn tail off the journal, attaches a live
+        :class:`~repro.persist.StateStore` appending to that same
+        file, and gives every in-flight job an explicit disposition —
+        the same end-game as crash recovery, minus the replay (this
+        process already did it, incrementally, while the writer was
+        alive).
         """
         if in_flight not in IN_FLIGHT_POLICIES:
             raise ValueError(
@@ -358,12 +325,10 @@ class ReadReplica:
         gateway._pending_effects.clear()
         gateway._replaying = False
 
-        # Shed the torn tail / pre-snapshot overlap: the new writer
-        # appends to a journal that contains exactly the applied tail.
-        tail = [
-            r for r in self._history if r.seq > self._snapshot_seq
-        ]
-        rewrite_journal(self.state_dir / JOURNAL_NAME, tail)
+        # Whatever lies past the last complete line is the dead
+        # writer's torn final append: cut it, so this process's first
+        # record starts on a line of its own.
+        truncate_journal(self.tailer.journal_path, self.tailer.offset)
 
         recovered: List[str] = []
         lost: List[str] = []
@@ -380,9 +345,8 @@ class ReadReplica:
             self.state_dir,
             sync=self.config.get("sync", "fsync"),
             snapshot_every=int(self.config.get("snapshot_every", 256)),
-            history=list(self._history),
             start_seq=self.applied_seq,
-            snapshot_seq=self._snapshot_seq,
+            checkpoint_seq=self.tailer.checkpoint_seq,
             lock_handle=lock_handle,
         )
         gateway.attach_store(store)

@@ -1,69 +1,45 @@
 """Incremental WAL tailer: follow a live journal without the lock.
 
 A :class:`WalTailer` reads the *writer's* state directory while the
-writer keeps appending to it.  It seeds from the newest snapshot, then
-follows ``journal.jsonl`` from a byte offset, consuming only complete
-(newline-terminated) lines — a half-flushed final line is left in
-place and picked up once the writer finishes it.
+writer keeps appending to it.  It follows ``journal.jsonl`` from a
+byte offset, consuming only complete (newline-terminated) lines — a
+half-flushed final line is left in place and picked up once the writer
+finishes it.
 
-The interesting case is compaction: the writer snapshots, publishes a
-``compaction.json`` pointer, and truncates the journal in place.  A
-tailer mid-read observes one of three anomalies — the file shrank past
-its offset, a complete line no longer parses (the bytes at its offset
-belong to the *new* journal), or the next sequence number jumps.  All
-three resolve the same way: re-seed from the latest snapshot, emitting
-only the records past the tailer's frontier (compaction is replay-safe
-— it drops only superseded ``token_rotated`` records — so the
-snapshot's gap records reproduce exactly the state evolution the
-truncated journal held).  Anomalies that re-seeding cannot explain
-(the snapshot does not cover the frontier either) surface as
-:class:`~repro.persist.journal.JournalCorruptionError` after a bounded
-number of no-progress attempts rather than spinning forever.
+The journal is append-only for the life of its directory (checkpoints
+are records in it, not rewrites of it), so the offset never goes stale:
+the only in-place edit a writer ever makes is cutting a torn tail back
+to the last complete record, which removes bytes the tailer never
+consumed.  Anything else the tailer observes — the file shorter than
+its offset, a complete line that does not parse, a sequence number that
+is not the next one — is damage, and surfaces at once as
+:class:`~repro.persist.journal.JournalCorruptionError`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Union
 
 from repro.persist.journal import (
     JOURNAL_NAME,
     JournalCorruptionError,
     JournalRecord,
+    last_checkpoint,
+    parse_line,
 )
-from repro.persist.snapshot import (
-    load_latest_snapshot,
-    read_compaction_pointer,
-)
-
-#: Consecutive re-seeds that yield no new records before the tailer
-#: concludes the anomaly is corruption, not compaction.
-_MAX_FRUITLESS_RESEEDS = 3
+from repro.persist.store import refuse_legacy_layout
 
 
 @dataclass
 class TailBatch:
-    """One poll's worth of new records, in apply order.
-
-    ``records`` holds only records *past* the tailer's previous
-    frontier — the consumer applies them incrementally regardless of
-    how they were obtained.  When ``reseeded`` is true the batch was
-    (at least partly) recovered via a snapshot after compaction
-    truncated the journal: ``snapshot_seq`` is the snapshot's covering
-    sequence and ``snapshot_records`` the snapshot's full compacted
-    record basis, so a consumer that maintains a history (for a later
-    promotion) can swap its basis to match the writer's compaction.
-    """
+    """One poll's worth of new records, in apply order."""
 
     records: List[JournalRecord] = field(default_factory=list)
-    reseeded: bool = False
-    snapshot_seq: Optional[int] = None
-    snapshot_records: Optional[List[JournalRecord]] = None
 
     def __bool__(self) -> bool:
-        return bool(self.records) or self.reseeded
+        return bool(self.records)
 
 
 class WalTailer:
@@ -79,186 +55,72 @@ class WalTailer:
         self.journal_path = self.state_dir / JOURNAL_NAME
         #: Highest sequence number handed to the consumer.
         self.emitted_seq = 0
-        #: Covering seq of the snapshot basis last seeded from.
-        self.snapshot_seq = 0
-        #: Times the tailer re-seeded from a snapshot (compactions
-        #: survived, roughly).
-        self.reseeds = 0
-        self._offset = 0  # bytes of journal consumed (complete lines)
-        self._lines = 0  # complete lines consumed (diagnostics only)
-        self._fruitless = 0
+        #: Sequence number of the newest checkpoint handed over.
+        self.checkpoint_seq = 0
+        #: Bytes of journal consumed (complete lines only): where a
+        #: promoted replica cuts the file before it starts appending.
+        self.offset = 0
         self._seeded = False
 
-    # ------------------------------------------------------------------
-    # Public surface
-    # ------------------------------------------------------------------
     def seed(self) -> TailBatch:
-        """Initial catch-up: newest snapshot plus the journal tail."""
+        """Initial catch-up: the whole journal as it stands."""
         if self._seeded:
             raise RuntimeError("seed() may only be called once")
+        refuse_legacy_layout(self.state_dir)
         self._seeded = True
-        return self._reseed(initial=True)
+        return self.poll()
 
     def poll(self) -> TailBatch:
         """Non-blocking: whatever complete new records landed since.
 
         Returns an empty (falsy) batch when nothing new arrived.
-        Raises :class:`JournalCorruptionError` when the directory is
-        damaged beyond what a snapshot re-seed explains.
+        Raises :class:`JournalCorruptionError` when the journal is
+        damaged (see the module docstring).
         """
         if not self._seeded:
             raise RuntimeError("call seed() before poll()")
         try:
             size = self.journal_path.stat().st_size
         except FileNotFoundError:
-            # Mid-compaction (or a damaged directory): the pointer
-            # tells us whether a snapshot now covers our frontier.
-            return self._maybe_reseed("journal file missing")
-        if size < self._offset:
-            return self._maybe_reseed(
+            size = 0  # the writer has not journaled anything yet
+        if size < self.offset:
+            raise JournalCorruptionError(
                 f"journal shrank to {size} bytes below the tailer's "
-                f"offset {self._offset}"
+                f"offset {self.offset} (frontier seq "
+                f"{self.emitted_seq}) — an append-only journal never "
+                "loses complete records"
             )
-        if size == self._offset:
-            self._fruitless = 0
+        if size == self.offset:
             return TailBatch()
-        records: List[JournalRecord] = []
-        try:
-            self._read_complete_lines(records)
-        except _Anomaly as exc:
-            # Lines parsed before the anomaly already advanced the
-            # frontier: they must reach the consumer ahead of whatever
-            # the re-seed recovers.
-            batch = self._maybe_reseed(str(exc), parsed=records)
-            batch.records[:0] = records
-            return batch
-        self._fruitless = 0
-        return TailBatch(records=records)
-
-    # ------------------------------------------------------------------
-    # Incremental reading
-    # ------------------------------------------------------------------
-    def _read_complete_lines(self, records: List[JournalRecord]) -> None:
-        """Parse complete lines past the offset; advance past each.
-
-        New records are appended to ``records`` (an out-parameter, so
-        progress survives a mid-read anomaly — the frontier advances
-        with each parsed line).  Raises :class:`_Anomaly` (caller
-        re-seeds) when a complete line fails to parse or the sequence
-        numbers jump — both are what a concurrent truncation looks
-        like from a stale offset.
-        """
         with open(self.journal_path, "rb") as handle:
-            handle.seek(self._offset)
+            handle.seek(self.offset)
             blob = handle.read()
-        start = 0
+        # Frontier state moves only once the whole read validated, so
+        # a damaged journal fails every poll the same way.
+        records: List[JournalRecord] = []
+        seq, start = self.emitted_seq, 0
         while True:
             newline = blob.find(b"\n", start)
             if newline < 0:
                 break  # trailing partial line: leave it unconsumed
-            line = blob[start : newline + 1]
             try:
-                data = json.loads(line.decode("utf-8"))
-                if not isinstance(data, dict):
-                    raise ValueError("not a JSON object")
-                record = JournalRecord.from_wire(
-                    dict(data), line_no=self._lines + 1
-                )
-            except (
-                ValueError,
-                UnicodeDecodeError,
-                JournalCorruptionError,
-            ) as exc:
-                # Commit what parsed before the bad line, then let the
-                # caller decide whether a snapshot explains it.
-                raise _Anomaly(
-                    f"unparseable journal line at offset "
-                    f"{self._offset + start}: {exc}"
-                ) from None
-            if record.seq > self.emitted_seq + 1:
-                raise _Anomaly(
-                    f"journal jumped from seq {self.emitted_seq} to "
-                    f"{record.seq}"
-                )
-            # seq <= emitted_seq is legal overlap (a re-read from
-            # offset 0 after a reseed): skip, but consume the bytes.
-            if record.seq == self.emitted_seq + 1:
-                records.append(record)
-                self.emitted_seq = record.seq
-            start = newline + 1
-            self._offset += len(line)
-            self._lines += 1
-
-    # ------------------------------------------------------------------
-    # Re-seeding
-    # ------------------------------------------------------------------
-    def _maybe_reseed(
-        self, why: str, parsed: Optional[List[JournalRecord]] = None
-    ) -> TailBatch:
-        batch = self._reseed(initial=False)
-        if batch.records or parsed:
-            self._fruitless = 0
-        else:
-            self._fruitless += 1
-            if self._fruitless >= _MAX_FRUITLESS_RESEEDS:
+                record = parse_line(blob[start:newline], seq + 1)
+            except ValueError as exc:
                 raise JournalCorruptionError(
-                    f"tailer anomaly ({why}) and "
-                    f"{self._fruitless} re-seeds made no progress — "
-                    f"{self.state_dir} looks corrupt, not compacted "
-                    f"(frontier seq {self.emitted_seq})"
+                    f"unparseable journal line at offset "
+                    f"{self.offset + start}: {exc}"
+                ) from None
+            if record.seq != seq + 1:
+                raise JournalCorruptionError(
+                    f"journal jumped from seq {seq} to {record.seq} "
+                    f"at offset {self.offset + start}"
                 )
-        return batch
-
-    def _reseed(self, *, initial: bool) -> TailBatch:
-        """Re-anchor on the newest snapshot, then re-read the journal.
-
-        Emits only records past the current frontier: snapshot records
-        the consumer missed, then the journal tail from offset zero
-        (overlap below the frontier is skipped by sequence number).
-        """
-        if not initial:
-            self.reseeds += 1
-        snapshot = load_latest_snapshot(self.state_dir)
-        pointer = read_compaction_pointer(self.state_dir)
-        records: List[JournalRecord] = []
-        snap_records: List[JournalRecord] = []
-        snap_seq = 0
-        if snapshot is not None:
-            snap_seq = snapshot.seq
-            snap_records = list(snapshot.records)
-            for record in snap_records:
-                # Compaction makes snapshot seqs legally non-contiguous;
-                # order is preserved, which is all replay needs.
-                if record.seq > self.emitted_seq:
-                    records.append(record)
-            if snap_seq > self.emitted_seq:
-                self.emitted_seq = snap_seq
-        elif pointer is not None and pointer["seq"] > self.emitted_seq:
-            raise JournalCorruptionError(
-                f"compaction pointer names snapshot "
-                f"{pointer['snapshot']} covering seq {pointer['seq']} "
-                f"but no snapshot in {self.state_dir} validates"
-            )
-        self.snapshot_seq = max(self.snapshot_seq, snap_seq)
-        # Re-read the whole journal: contiguity is re-anchored on the
-        # (possibly advanced) frontier.
-        self._offset = 0
-        self._lines = 0
-        try:
-            self._read_complete_lines(records)
-        except _Anomaly as exc:
-            # The journal is moving under us *during* the reseed
-            # (another compaction landed).  Surface what we have; the
-            # next poll re-anchors again.
-            if initial:
-                raise JournalCorruptionError(str(exc)) from None
-        return TailBatch(
-            records=records,
-            reseeded=True,
-            snapshot_seq=snap_seq if snapshot is not None else 0,
-            snapshot_records=snap_records,
-        )
-
-
-class _Anomaly(Exception):
-    """An observation consistent with concurrent journal truncation."""
+            records.append(record)
+            seq = record.seq
+            start = newline + 1
+        self.emitted_seq = seq
+        self.offset += start
+        mark = last_checkpoint(records)
+        if mark is not None:
+            self.checkpoint_seq = mark.seq
+        return TailBatch(records=records)

@@ -225,6 +225,13 @@ class Tenant:
     #: Immutable snapshot for the lock-free read path; republished by
     #: writers after every membership/retirement change.
     view: TenantView = field(init=False, repr=False, compare=False)
+    #: Job records that may still be in flight: appended at submit,
+    #: pruned when the quota check reads it.  A job never returns to a
+    #: live state, so that check costs O(in flight), not O(every job
+    #: the gateway ever took).
+    live_jobs: List["_JobRecord"] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.republish()
@@ -420,8 +427,8 @@ class ServiceGateway:
         #: status promptly instead of parking until its deadline.
         self._wait_aborts: List[threading.Event] = []
         # --- durable control plane (repro.persist) ------------------
-        #: The attached StateStore (journal + snapshots), or None for
-        #: an in-memory-only gateway.
+        #: The attached StateStore (journal + checkpoint cadence), or
+        #: None for an in-memory-only gateway.
         self._store: Any = None
         #: True while crash recovery replays the journal through this
         #: gateway: journaling is suppressed, side-effects are queued
@@ -518,7 +525,7 @@ class ServiceGateway:
         self._store.append(rtype, payload)
 
     def _op_boundary(self) -> None:
-        """Drain buffered effects; maybe snapshot.  Ends every op."""
+        """Drain buffered effects; maybe checkpoint.  Ends every op."""
         if self._replaying:
             return  # the recovery replayer consumes the buffer itself
         if self._store is None:
@@ -1507,12 +1514,12 @@ class ServiceGateway:
                 ApiErrorCode.INVALID_ARGUMENT,
                 f"steps must be >= 1, got {steps}",
             )
-        pending = sum(
-            1
-            for record in self._jobs.values()
-            if record.tenant == tenant.name
-            and record.job.state in _LIVE_STATES
-        )
+        tenant.live_jobs = [
+            record
+            for record in tenant.live_jobs
+            if record.job.state in _LIVE_STATES
+        ]
+        pending = len(tenant.live_jobs)
         if pending + steps > tenant.quota.max_pending_jobs:
             raise ApiError(
                 ApiErrorCode.QUOTA_EXCEEDED,
@@ -1556,6 +1563,7 @@ class ServiceGateway:
                 )
                 self._jobs[record.handle_id] = record
                 self._jobs_by_runtime_id[job.job_id] = record
+                tenant.live_jobs.append(record)
                 handles.append(self._handle_of(record))
         self._persist(
             "job_submitted",

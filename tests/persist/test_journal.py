@@ -12,7 +12,6 @@ from repro.persist import (
     RECORD_TYPES,
     read_journal,
     record_checksum,
-    rewrite_journal,
 )
 
 
@@ -125,17 +124,66 @@ class TestCrashTolerance:
             read_journal(journal_path)
 
 
-class TestRewrite:
-    def test_rewrite_replaces_atomically(self, journal_path):
-        journal = Journal(journal_path, sync="buffered")
-        for i in range(4):
-            journal.append("example_toggled", {"i": i})
+    def test_final_line_without_newline_is_torn_even_if_it_parses(
+        self, journal_path
+    ):
+        """A record is a *terminated* line: the newline was part of the
+        write the ack waited for, and appending after an unterminated
+        line would fuse two records into one corrupt line."""
+        self._write(journal_path)
+        journal_path.write_bytes(journal_path.read_bytes()[:-1])
+        records, dropped = read_journal(journal_path, shed_torn_tail=True)
+        assert dropped == 1
+        assert [r.seq for r in records] == [1, 2]
+        assert journal_path.read_bytes().endswith(b"\n")
+
+    def test_journal_must_start_at_seq_one(self, journal_path):
+        """Nothing truncates the journal any more, so a file whose
+        first record is not seq 1 has lost history."""
+        journal = Journal(journal_path, sync="buffered", start_seq=10)
+        journal.append("tenant_created", {})
         journal.close()
-        records, _ = read_journal(journal_path)
-        rewrite_journal(journal_path, records[2:])
-        kept, dropped = read_journal(journal_path)
-        assert dropped == 0
-        assert [r.seq for r in kept] == [3, 4]
+        with pytest.raises(JournalCorruptionError, match="from seq 1"):
+            read_journal(journal_path)
+
+
+class TestRewrite:
+    """Nothing rewrites the journal; the one edit is made in place."""
+
+    _write = TestCrashTolerance._write
+
+    def test_torn_tail_is_shed_in_place(self, journal_path):
+        """The one in-place edit: same inode, only torn bytes go."""
+        self._write(journal_path)
+        whole = journal_path.read_bytes()
+        inode = journal_path.stat().st_ino
+        with open(journal_path, "a", encoding="utf-8") as handle:
+            handle.write('{"seq": 4, "type": "app_clo')
+        assert read_journal(journal_path)[1] == 1  # reading sheds nothing
+        assert journal_path.read_bytes() != whole
+        records, dropped = read_journal(journal_path, shed_torn_tail=True)
+        assert dropped == 1 and len(records) == 3
+        assert journal_path.read_bytes() == whole
+        assert journal_path.stat().st_ino == inode
+        journal = Journal(journal_path, sync="buffered", start_seq=3)
+        journal.append("app_closed", {})
+        journal.close()
+        records, dropped = read_journal(journal_path)
+        assert dropped == 0 and [r.seq for r in records] == [1, 2, 3, 4]
+
+    def test_checkpoint_is_a_registered_type(self, journal_path):
+        from repro.persist import CHECKPOINT, EFFECT_TYPES, last_checkpoint
+
+        assert CHECKPOINT in RECORD_TYPES and CHECKPOINT not in EFFECT_TYPES
+        journal = Journal(journal_path, sync="buffered")
+        journal.append("tenant_created", {"name": "a"})
+        assert last_checkpoint(read_journal(journal_path)[0]) is None
+        journal.append(CHECKPOINT, {"state_digest": "d1"})
+        journal.append("app_closed", {})
+        journal.append(CHECKPOINT, {"state_digest": "d2"})
+        journal.close()
+        mark = last_checkpoint(read_journal(journal_path)[0])
+        assert (mark.seq, mark.payload) == (4, {"state_digest": "d2"})
 
     def test_record_checksum_is_payload_sensitive(self):
         a = record_checksum(1, "app_closed", {"app": "x"})

@@ -14,16 +14,19 @@ class TestJournalMetrics:
     def test_counts_bytes_and_lag(self):
         records = [
             make_record(1),
-            make_record(2, "app_registered", {"app": "m"}),
-            make_record(3, "app_registered", {"app": "n"}),
+            make_record(2, "checkpoint", {"state_digest": "d"}),
+            make_record(3, "app_registered", {"app": "m"}),
+            make_record(4, "app_registered", {"app": "n"}),
         ]
-        registry = journal_metrics(records, snapshot_seq=1)
+        registry = journal_metrics(records)
         counts = registry.get("journal_records_total")
         by_type = {
             labels[0]: child.value
             for labels, child in counts.children()
         }
-        assert by_type == {"tenant_created": 1.0, "app_registered": 2.0}
+        assert by_type == {
+            "tenant_created": 1.0, "checkpoint": 1.0, "app_registered": 2.0,
+        }
         expected_bytes = sum(
             len(r.to_line().encode("utf-8")) + 1 for r in records
         )
@@ -31,7 +34,7 @@ class TestJournalMetrics:
         assert registry.get("journal_commit_lag_records").value == 2.0
 
     def test_empty_basis(self):
-        registry = journal_metrics([], snapshot_seq=5)
+        registry = journal_metrics([])
         assert registry.get("journal_records_total").children() == []
         assert registry.get("journal_bytes_total").value == 0.0
         assert registry.get("journal_commit_lag_records").value == 0.0

@@ -15,7 +15,7 @@ from persist_helpers import (
 from repro.persist import (
     JournalError,
     RecoveryError,
-    list_snapshots,
+    last_checkpoint,
     open_gateway,
     read_journal,
     recover_gateway,
@@ -147,46 +147,35 @@ class TestDeterminism:
             copy = tmp_path / name
             shutil.copytree(state_dir, copy)
             recovered, _ = recover_gateway(copy)
-            path = recovered.store.snapshot(state_digest(recovered))
+            recovered.store.snapshot(state_digest(recovered))
             recovered.store.close()
-            copies.append(path.read_bytes())
+            copies.append((copy / "journal.jsonl").read_bytes())
+        # Same records in, same checkpoint (digest included) out.
         assert copies[0] == copies[1]
+        assert b'"checkpoint"' in copies[0].splitlines()[-1]
 
     def test_snapshot_digest_tripwire(self, state_dir):
         gateway = _fresh(state_dir, snapshot_every=2)
-        token = _onboard(gateway)  # >= 3 records: snapshot taken
-        assert list_snapshots(state_dir)
+        token = _onboard(gateway)  # >= 3 records: checkpoint taken
         gateway.store.close()
-        # Tamper with a snapshot record in a checksum-consistent way:
-        # replay then diverges from the embedded state digest.
-        path = list_snapshots(state_dir)[-1]
-        document = json.loads(path.read_text())
-        for record in document["records"]:
-            if record["type"] == "quota_changed":  # pragma: no cover
-                break
-        record = next(
-            r for r in document["records"] if r["type"] == "tenant_created"
+        journal = state_dir / "journal.jsonl"
+        records = read_journal(journal)[0]
+        mark = last_checkpoint(records)
+        assert mark is not None
+        # Tamper with a record before the mark in a checksum-consistent
+        # way: replay then diverges from the checkpoint's state digest.
+        lines = journal.read_text().splitlines()
+        index = next(
+            i for i, r in enumerate(records) if r.type == "tenant_created"
         )
+        assert records[index].seq < mark.seq
+        record = json.loads(lines[index])
         record["payload"]["quota"]["max_apps"] = 99
         record["crc"] = record_checksum(
             record["seq"], record["type"], record["payload"]
         )
-        import hashlib
-
-        hasher = hashlib.sha256()
-        from repro.persist import JournalRecord
-
-        for r in document["records"]:
-            hasher.update(
-                JournalRecord(
-                    seq=r["seq"], type=r["type"], payload=r["payload"]
-                ).to_line().encode()
-            )
-            hasher.update(b"\n")
-        document["checksum"] = hasher.hexdigest()
-        from repro.persist import canonical_json
-
-        path.write_text(canonical_json(document) + "\n")
+        lines[index] = json.dumps(record)
+        journal.write_text("\n".join(lines) + "\n")
         with pytest.raises(RecoveryError, match="digest"):
             recover_gateway(state_dir)
 

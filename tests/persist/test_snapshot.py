@@ -1,105 +1,126 @@
-"""Snapshots: atomic publish, validation, fallback, compaction."""
+"""``StateStore.snapshot``: a checkpoint is one journal record."""
+
+import json
+import shutil
 
 import pytest
 
+from persist_helpers import gateway_kwargs
+
 from repro.persist import (
-    JournalRecord,
-    Snapshot,
-    SnapshotError,
-    compact_records,
-    list_snapshots,
-    load_latest_snapshot,
-    write_snapshot,
+    CHECKPOINT,
+    RecoveryError,
+    StateStore,
+    last_checkpoint,
+    open_gateway,
+    read_journal,
+    recover_gateway,
+    state_digest,
 )
+from repro.persist.journal import record_checksum
 
 
-def _records(n=4, rtype="example_toggled"):
-    return [
-        JournalRecord(seq=i + 1, type=rtype, payload={"i": i})
-        for i in range(n)
-    ]
+def _store(path, n=4):
+    store = StateStore(path, sync="buffered", snapshot_every=0)
+    for i in range(n):
+        store.append("example_toggled", {"i": i})
+    return store
 
 
 class TestWriteAndLoad:
     def test_round_trip(self, tmp_path):
-        records = _records()
-        path = write_snapshot(tmp_path, 4, records, state_digest="abc")
-        assert path.name == "snapshot-000000000004.json"
-        snapshot = load_latest_snapshot(tmp_path)
-        assert isinstance(snapshot, Snapshot)
-        assert snapshot.seq == 4
-        assert snapshot.state_digest == "abc"
-        assert [r.payload for r in snapshot.records] == [
+        store = _store(tmp_path)
+        before = store.journal_path.stat().st_size
+        mark = store.snapshot("abc")
+        assert (mark.seq, mark.type) == (5, CHECKPOINT)
+        assert store.checkpoint_seq == 5
+        assert store.records_since_checkpoint == 0
+        store.append("example_toggled", {"i": 4})
+        assert store.records_since_checkpoint == 1
+        store.close()
+        records, dropped = read_journal(store.journal_path)
+        assert dropped == 0
+        loaded = last_checkpoint(records)
+        assert loaded == mark
+        assert loaded.payload == {"state_digest": "abc"}
+        # Nothing was rewritten: the four records are still in front.
+        assert [r.payload for r in records[:4]] == [
             {"i": i} for i in range(4)
         ]
+        assert store.journal_path.stat().st_size > before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "journal.jsonl", "lock",
+        ]
 
-    def test_no_snapshots_returns_none(self, tmp_path):
-        assert load_latest_snapshot(tmp_path) is None
-        assert load_latest_snapshot(tmp_path / "missing") is None
+    def test_no_snapshots_returns_none(self, tmp_path, state_dir):
+        store = _store(tmp_path)
+        store.close()
+        assert last_checkpoint(read_journal(store.journal_path)[0]) is None
+        assert last_checkpoint([]) is None
+        # ...and recovery of a checkpoint-free directory says so.
+        gateway, _ = open_gateway(state_dir, **gateway_kwargs())
+        gateway.create_tenant("alice")
+        gateway.store.close()
+        recovered, report = recover_gateway(state_dir)
+        assert report.checkpoint_seq == 0 and not report.digest_verified
+        assert "checkpoint: seq 0 (digest absent)" in report.describe()
+        recovered.store.close()
 
     def test_identical_records_write_identical_bytes(self, tmp_path):
-        a = write_snapshot(tmp_path / "a", 4, _records(), state_digest="d")
-        b = write_snapshot(tmp_path / "b", 4, _records(), state_digest="d")
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_prune_keeps_newest_two(self, tmp_path):
-        for seq in (2, 4, 6, 8):
-            write_snapshot(tmp_path, seq, _records(seq))
-        names = [p.name for p in list_snapshots(tmp_path)]
-        assert names == [
-            "snapshot-000000000006.json", "snapshot-000000000008.json",
-        ]
+        journals = []
+        for name in ("a", "b"):
+            store = _store(tmp_path / name)
+            store.snapshot("d")
+            store.close()
+            journals.append(store.journal_path.read_bytes())
+        assert journals[0] == journals[1]
 
 
 class TestValidation:
-    def test_corrupt_latest_falls_back_to_previous(self, tmp_path):
-        write_snapshot(tmp_path, 2, _records(2))
-        newest = write_snapshot(tmp_path, 4, _records(4))
-        newest.write_text(newest.read_text()[:-40], encoding="utf-8")
-        snapshot = load_latest_snapshot(tmp_path)
-        assert snapshot.seq == 2
-        assert len(snapshot.skipped) == 1
+    def test_corrupt_latest_falls_back_to_previous(self, state_dir, tmp_path):
+        """A crash can tear the newest mark; the one before it is then
+        the newest *complete* checkpoint and is what recovery verifies."""
+        gateway, _ = open_gateway(state_dir, **gateway_kwargs())
+        gateway.create_tenant("alice")
+        first = gateway.store.snapshot(state_digest(gateway))
+        gateway.create_tenant("bob")
+        second = gateway.store.snapshot(state_digest(gateway))
+        gateway.store.close()
 
-    def test_all_corrupt_raises(self, tmp_path):
-        path = write_snapshot(tmp_path, 2, _records(2))
-        path.write_text("{}", encoding="utf-8")
-        with pytest.raises(SnapshotError, match="no snapshot"):
-            load_latest_snapshot(tmp_path)
+        whole = tmp_path / "whole"
+        shutil.copytree(state_dir, whole)
+        recovered, report = recover_gateway(whole)
+        assert report.checkpoint_seq == second.seq and report.digest_verified
+        recovered.store.close()
 
-    def test_tampered_record_rejected(self, tmp_path):
-        path = write_snapshot(tmp_path, 2, _records(2))
-        text = path.read_text().replace('"i":0', '"i":7')
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(SnapshotError):
-            load_latest_snapshot(tmp_path)
+        journal = state_dir / "journal.jsonl"
+        journal.write_bytes(journal.read_bytes()[:-40])
+        recovered, report = recover_gateway(state_dir)
+        assert report.dropped_tail == 1
+        assert report.checkpoint_seq == first.seq and report.digest_verified
+        assert sorted(recovered._tenant_names) == ["alice", "bob"]
+        recovered.store.close()
 
-
-class TestCompaction:
-    def test_superseded_token_rotations_dropped(self):
-        records = [
-            JournalRecord(
-                seq=1, type="tenant_created",
-                payload={"name": "a", "token": "t0", "quota": {}},
-            ),
-            JournalRecord(
-                seq=2, type="token_rotated",
-                payload={"name": "a", "token": "t1"},
-            ),
-            JournalRecord(
-                seq=3, type="examples_fed", payload={"app": "m"},
-            ),
-            JournalRecord(
-                seq=4, type="token_rotated",
-                payload={"name": "a", "token": "t2"},
-            ),
-            JournalRecord(
-                seq=5, type="token_rotated",
-                payload={"name": "b", "token": "u1"},
-            ),
-        ]
-        compacted = compact_records(records)
-        assert [r.seq for r in compacted] == [1, 3, 4, 5]
-
-    def test_everything_else_kept_in_order(self):
-        records = _records(5)
-        assert compact_records(records) == records
+    def test_tampered_record_rejected(self, state_dir):
+        """The mark itself is a record: a digest edited in place (CRC
+        re-sealed, so the line still validates) is refused — and an
+        older mark that would still verify is no fallback for it."""
+        gateway, _ = open_gateway(state_dir, **gateway_kwargs())
+        gateway.create_tenant("alice")
+        gateway.store.snapshot(state_digest(gateway))
+        gateway.create_tenant("bob")
+        gateway.store.snapshot(state_digest(gateway))
+        gateway.store.close()
+        journal = state_dir / "journal.jsonl"
+        lines = journal.read_text().splitlines()
+        mark = json.loads(lines[-1])
+        assert mark["type"] == CHECKPOINT
+        mark["payload"]["state_digest"] = "0" * 64
+        mark["crc"] = record_checksum(
+            mark["seq"], mark["type"], mark["payload"]
+        )
+        lines[-1] = json.dumps(mark)
+        journal.write_text("\n".join(lines) + "\n")
+        assert read_journal(journal)[1] == 0  # the file itself is valid
+        with pytest.raises(RecoveryError, match="state digest"):
+            recover_gateway(state_dir)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.platform.storage import ExampleStore, SharedStorage
 
@@ -27,6 +29,31 @@ class TestExampleStore:
         assert not store.get(0).enabled
         store.set_enabled(0, True)
         assert store.n_enabled == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.none(),  # add a row
+                st.tuples(st.integers(0, 30), st.booleans()),  # toggle
+            ),
+            max_size=60,
+        )
+    )
+    def test_n_enabled_counter_equals_the_scan(self, ops):
+        """``n_enabled`` is a maintained counter, not a scan: it must
+        agree with one after any add/toggle sequence — including
+        re-enabling an enabled row and disabling a disabled one."""
+        store = ExampleStore()
+        for op in ops:
+            if op is None:
+                store.add(np.ones(1), np.zeros(1))
+            elif len(store):
+                store.set_enabled(op[0] % len(store), op[1])
+            assert store.n_enabled == sum(1 for e in store if e.enabled)
+            assert store.summary()["disabled"] == (
+                len(store) - store.n_enabled
+            )
 
     def test_enabled_arrays_filters(self):
         store = ExampleStore()

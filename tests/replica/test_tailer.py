@@ -1,4 +1,4 @@
-"""WalTailer: seeding, following, torn tails, compaction re-seeds."""
+"""WalTailer: seeding, following, torn tails, checkpoints, damage."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.persist import (
     JOURNAL_NAME,
     Journal,
     JournalCorruptionError,
-    read_compaction_pointer,
+    JournalError,
     read_records_from,
 )
 from repro.persist.digest import state_digest
@@ -49,15 +49,6 @@ class TestReadRecordsFrom:
         with pytest.raises(JournalCorruptionError):
             list(read_records_from(path, 0))
 
-    def test_compacted_past_frontier_raises_reseed_signal(self, tmp_path):
-        journal = Journal(
-            tmp_path / JOURNAL_NAME, sync="buffered", start_seq=10
-        )
-        journal.append("tenant_created", {})
-        journal.close()
-        with pytest.raises(JournalCorruptionError, match="re-seed"):
-            list(read_records_from(tmp_path / JOURNAL_NAME, 3))
-
     def test_missing_file_is_empty(self, tmp_path):
         assert list(read_records_from(tmp_path / "nope.jsonl", 0)) == []
 
@@ -78,7 +69,7 @@ class TestTailerFollow:
             )
         )
         batch = tailer.poll()
-        assert batch.records and not batch.reseeded
+        assert batch.records
         assert tailer.emitted_seq == gateway.store.last_seq
         assert not tailer.poll()  # idle poll is falsy
         gateway.store.close()
@@ -110,48 +101,30 @@ class TestTailerFollow:
 
 
 class TestCompactionRace:
-    """Regression: compaction mid-tail must re-seed, not corrupt."""
+    """What used to be a race: a snapshot landing mid-tail truncated
+    the journal under the tailer.  A checkpoint is now one more record
+    in the same file, so there is nothing to re-seed from — and
+    anything that is not a clean append is damage, reported at once."""
 
-    def test_reseed_after_compaction_past_frontier(self, state_dir):
+    def test_checkpoint_mid_tail_is_just_another_record(self, state_dir):
         gateway, token = open_writer(state_dir)
         tailer = WalTailer(state_dir)
         tailer.seed()
+        inode = (state_dir / JOURNAL_NAME).stat().st_ino
+        offset = tailer.offset
 
-        # Writer appends, then compacts: the journal is truncated past
-        # everything the tailer has not read yet.
         for _ in range(6):
             gateway.rotate_token("acme")
-        gateway.store.snapshot(state_digest(gateway))
-        assert read_compaction_pointer(state_dir) is not None
+        mark = gateway.store.snapshot(state_digest(gateway))
+        gateway.rotate_token("acme")
 
         batch = tailer.poll()
-        assert batch.reseeded
-        assert tailer.reseeds == 1
+        assert [r.seq for r in batch.records] == list(range(2, 10))
+        assert batch.records[-2] == mark
+        assert tailer.checkpoint_seq == mark.seq == 8
         assert tailer.emitted_seq == gateway.store.last_seq
-        # The re-seed hands over the compacted basis for promotion use.
-        assert batch.snapshot_seq == gateway.store.snapshot_seq
-        assert batch.snapshot_records
-        # Compaction dropped the superseded rotations: the emitted gap
-        # records may skip seqs but stay ordered.
-        seqs = [r.seq for r in batch.records]
-        assert seqs == sorted(seqs)
-        gateway.store.close()
-
-    def test_applied_state_converges_after_reseed(self, state_dir):
-        gateway, token = open_writer(state_dir)
-
-        from repro.replica import ReadReplica
-
-        replica = ReadReplica(state_dir)
-        replica._apply(replica.tailer.seed())
-
-        for _ in range(5):
-            gateway.rotate_token("acme")
-        gateway.store.snapshot(state_digest(gateway))
-        while replica.step():
-            pass
-        assert replica.applied_seq == gateway.store.last_seq
-        assert state_digest(replica.gateway) == state_digest(gateway)
+        assert tailer.offset > offset
+        assert (state_dir / JOURNAL_NAME).stat().st_ino == inode
         gateway.store.close()
 
     def test_truly_corrupt_journal_raises(self, state_dir):
@@ -164,7 +137,24 @@ class TestCompactionRace:
         lines = path.read_text().splitlines()
         lines[1] = lines[1].replace("token_rotated", "token_rotatex")
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(JournalCorruptionError, match="no progress"):
-            for _ in range(10):
+        for _ in range(2):  # the same answer every time, no progress
+            with pytest.raises(JournalCorruptionError, match="line 2"):
                 tailer.poll()
+            assert tailer.emitted_seq == 1
         gateway.store.close()
+
+    def test_shrunk_journal_raises(self, state_dir):
+        gateway, token = open_writer(state_dir)
+        gateway.rotate_token("acme")
+        tailer = WalTailer(state_dir)
+        tailer.seed()
+        gateway.store.close()
+        (state_dir / JOURNAL_NAME).write_text("")
+        with pytest.raises(JournalCorruptionError, match="shrank"):
+            tailer.poll()
+
+    def test_legacy_snapshot_directory_is_refused(self, state_dir):
+        open_writer(state_dir)[0].store.close()
+        (state_dir / "snapshot-000000000004.json").write_text("{}")
+        with pytest.raises(JournalError, match="snapshot-file format"):
+            WalTailer(state_dir).seed()

@@ -248,6 +248,13 @@ class TestQuotas:
             SubmitTrainingRequest(auth_token=token, app="moons", steps=2)
         )
         assert len(again.handles) == 2
+        # The count comes from a per-tenant list pruned on read, not a
+        # scan of every job ever submitted: the finished pair is gone.
+        tenant = gateway._tenant_names["alice"]
+        assert [r.handle_id for r in tenant.live_jobs] == [
+            h.job_id for h in again.handles
+        ]
+        assert len(gateway._jobs) == 4
 
     def test_invalid_quota_rejected(self):
         with pytest.raises(ValueError, match="max_apps"):

@@ -228,12 +228,46 @@ class TestStateCommands:
 
         summary = json.loads(capsys.readouterr().out)
         assert summary["tenants"]["alice"]["token"] == tokens["alice"]
+        assert summary["last_checkpoint_seq"] == 0
+        assert summary["checkpoint_digest"] is None
+        assert summary["records_since_checkpoint"] == 1
+        assert "snapshots" not in summary
 
+        # compact = replay-verify + one appended checkpoint record.
         assert main(["state", "compact", "--state-dir", state]) == 0
         out = capsys.readouterr().out
-        assert "compacted" in out
+        assert "checkpoint: seq 0 (digest absent)" in out
+        assert "appended checkpoint at seq 2" in out
+        assert main(
+            ["state", "inspect", "--state-dir", state, "--json"]
+        ) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["last_checkpoint_seq"] == summary["last_seq"] == 2
+        assert summary["records_since_checkpoint"] == 0
+        assert out.rstrip().endswith(f"(digest {summary['checkpoint_digest']})")
         assert main(["state", "inspect", "--state-dir", state]) == 0
-        assert "snapshot-" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "last checkpoint seq" in out and "checkpoint: 1" in out
+        assert sorted(p.name for p in (tmp_path / "state").iterdir()) == [
+            "config.json", "journal.jsonl", "lock",
+        ]
+        # A second compact verifies the digest the first one left.
+        assert main(["state", "compact", "--state-dir", state]) == 0
+        assert "checkpoint: seq 2 (digest verified)" in (
+            capsys.readouterr().out
+        )
+
+    def test_legacy_snapshot_directory_is_refused(self, capsys, tmp_path):
+        state = tmp_path / "state"
+        gateway, _, server, _ = build_service(
+            self._serve_args(str(state), ["--tenant", "alice"])
+        )
+        server.server_close()
+        gateway.store.close()
+        (state / "snapshot-000000000001.json").write_text("{}")
+        for command in ("inspect", "compact"):
+            assert main(["state", command, "--state-dir", str(state)]) == 2
+            assert "snapshot-file format" in capsys.readouterr().err
 
     def test_inspect_rejects_non_state_dir(self, capsys, tmp_path):
         assert main(
