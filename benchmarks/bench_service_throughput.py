@@ -9,12 +9,9 @@ periodic async submit+poll training cycle).  Reports aggregate
 requests/sec and per-request latency percentiles — the serving-path
 numbers later PRs optimize against.
 
-Four comparison races ride along:
+Three comparison races ride along:
 
-* **frontends** — the same read-only mix against ``threading`` (one
-  OS thread per connection) and ``asyncio`` (event loop; reads served
-  inline from the gateway's lock-free snapshots);
-* **metrics overhead** — the read-only mix with the metrics registry
+* **metrics overhead** — a read-only mix with the metrics registry
   enabled (default instrumentation) versus disabled
   (``repro serve --no-metrics``), the observability plane's ~5%
   overhead guard;
@@ -77,9 +74,9 @@ def _onboard(server, gateway, index):
 def _drive(client, app, probe, n_requests, latencies, read_only=False):
     """One tenant's measured request loop; appends per-request seconds.
 
-    ``read_only`` restricts the mix to the endpoints served under
-    per-tenant shard locks (app-status / refine / events), which is the
-    apples-to-apples workload for comparing locking disciplines.
+    ``read_only`` restricts the mix to the snapshot-read endpoints
+    (app-status / refine / events): no predict, no training, so the
+    overhead races measure the serving path and not the model.
     """
     for i in range(n_requests):
         start = time.perf_counter()
@@ -109,8 +106,8 @@ def _drive(client, app, probe, n_requests, latencies, read_only=False):
             latencies.append(time.perf_counter() - start)
 
 
-def _make_gateway(n_gpus, seed, *, shard_read_locks=True, state_dir=None,
-                  sync=None, metrics=None):
+def _make_gateway(n_gpus, seed, *, state_dir=None, sync=None,
+                  metrics=None):
     quota = TenantQuota(
         max_apps=2, max_pending_jobs=8,
         max_store_bytes=64 * 1024 * 1024,
@@ -121,7 +118,6 @@ def _make_gateway(n_gpus, seed, *, shard_read_locks=True, state_dir=None,
         seed=seed,
         zoo=default_zoo().subset(ZOO),
         default_quota=quota,
-        shard_read_locks=shard_read_locks,
     )
     if metrics is not None:
         kwargs["metrics"] = metrics
@@ -136,15 +132,12 @@ def _make_gateway(n_gpus, seed, *, shard_read_locks=True, state_dir=None,
 
 
 def run_benchmark(n_clients=4, n_requests=100, n_gpus=4, seed=0,
-                  *, shard_read_locks=True, read_only=False,
-                  frontend="threading", metrics=None, tracer=None):
+                  *, read_only=False, metrics=None, tracer=None):
     """Returns the report rows; prints nothing."""
-    gateway = _make_gateway(
-        n_gpus, seed, shard_read_locks=shard_read_locks, metrics=metrics
-    )
+    gateway = _make_gateway(n_gpus, seed, metrics=metrics)
     if tracer is not None:
         gateway.tracer = tracer
-    server, _ = serve_background(gateway, frontend=frontend)
+    server, _ = serve_background(gateway)
     try:
         tenants = [
             _onboard(server, gateway, i) for i in range(n_clients)
@@ -193,39 +186,6 @@ def render(rows):
         ["metric", "value"],
         rows,
         title="Service throughput (HTTP frontend, v1 API)",
-    )
-
-
-def run_frontend_comparison(n_clients=4, n_requests=100, n_gpus=4, seed=0):
-    """Race the two HTTP frontends on the read-only mix.
-
-    Same server shape, same request mix (app-status / refine / events);
-    the only variable is the transport: one OS thread per connection
-    versus the asyncio event loop serving reads inline from the
-    gateway's lock-free snapshots.
-    """
-    rows = []
-    for frontend in ("threading", "asyncio"):
-        result = run_benchmark(
-            n_clients=n_clients, n_requests=n_requests, n_gpus=n_gpus,
-            seed=seed, read_only=True, frontend=frontend,
-        )
-        by_name = {name: value for name, value in result}
-        rows.append([
-            frontend,
-            by_name["requests/sec"],
-            by_name["latency p50 (ms)"],
-            by_name["latency p99 (ms)"],
-        ])
-    return rows
-
-
-def render_frontend_comparison(rows, n_clients):
-    return ascii_table(
-        ["frontend", "requests/sec", "p50 (ms)", "p99 (ms)"],
-        rows,
-        title=f"Read-only mix: HTTP frontend "
-        f"({n_clients} concurrent tenants)",
     )
 
 
@@ -568,12 +528,6 @@ def main(argv=None):
         n_gpus=args.n_gpus,
         seed=args.seed,
     )
-    frontends = run_frontend_comparison(
-        n_clients=args.clients,
-        n_requests=args.requests,
-        n_gpus=args.n_gpus,
-        seed=args.seed,
-    )
     overhead = run_metrics_overhead(
         n_clients=args.clients,
         n_requests=args.requests,
@@ -594,8 +548,6 @@ def main(argv=None):
     )
     report = (
         render(rows)
-        + "\n\n"
-        + render_frontend_comparison(frontends, args.clients)
         + "\n\n"
         + render_metrics_overhead(overhead, args.clients)
         + "\n\n"

@@ -19,10 +19,9 @@ Commands
     the determinism debugging tool.
 ``serve``
     Start the multi-tenant HTTP service (the versioned v1 API) and
-    print the created tenant tokens.  ``--frontend asyncio`` swaps the
-    thread-per-connection server for the event-loop frontend (reads
-    never block, mutations drain per-tenant command queues, and
-    ``GET /v1/jobs/{id}?wait=`` long-polls instead of spinning).  With
+    print the created tenant tokens.  One event-loop frontend serves
+    it: reads never block, mutations drain per-tenant command queues,
+    and ``GET /v1/jobs/{id}?wait=`` long-polls instead of spinning.  With
     ``--state-dir`` the control plane is durable: every mutation is
     journaled before it is acked (``--sync group`` shares one fsync
     per commit convoy), and a restart from the same directory recovers
@@ -191,14 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8080,
                      help="listen port (0 picks a free one)")
-    srv.add_argument(
-        "--frontend", default="threading",
-        choices=["threading", "asyncio"],
-        help="HTTP frontend: 'threading' (one OS thread per "
-        "connection) or 'asyncio' (event loop; reads served inline "
-        "from lock-free snapshots, mutations through per-tenant "
-        "command queues, long-polls on worker threads)",
-    )
     srv.add_argument(
         "--placement", default="partition",
         choices=sorted(PLACEMENT_POLICIES),
@@ -816,7 +807,7 @@ def build_service(args: argparse.Namespace):
         gateway = ServiceGateway(**kwargs)
     # Applied as attribute overrides so the durable path works too:
     # open_gateway only forwards the backend-shape kwargs, and the
-    # frontends read gateway.tracer at bind time, below.
+    # frontend reads gateway.tracer at bind time, below.
     if tracer is not None:
         gateway.tracer = tracer
     if slo is not None:
@@ -835,7 +826,6 @@ def build_service(args: argparse.Namespace):
         gateway,
         host=args.host,
         port=args.port,
-        frontend=getattr(args, "frontend", "threading"),
         access_log=access_log,
         metrics_token=getattr(args, "metrics_token", None),
     )
@@ -862,7 +852,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server.access_log.event(
         "serve_started",
         url=server.url,
-        frontend=getattr(args, "frontend", "threading"),
         tenants=sorted(tokens),
     )
     try:
@@ -889,12 +878,6 @@ def _cmd_serve_plane(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if getattr(args, "frontend", "threading") != "threading":
-        print(
-            "note: --frontend is per-process; the serving plane "
-            "always uses the threading frontend",
-            file=sys.stderr,
-        )
     plane = ServingPlane(
         args.state_dir,
         host=args.host,

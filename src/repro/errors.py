@@ -94,7 +94,7 @@ class ApiError(Exception):
     instead of parsing messages.
 
     ``request_id`` correlates a failure with one traced request: the
-    HTTP frontends stamp it before writing the error body, it rides
+    HTTP frontend stamps it before writing the error body, it rides
     the wire inside the error dict, and the client restores it on the
     reconstructed exception — so an operator can grep the server's
     access log (or journal) for the exact request that failed.

@@ -39,7 +39,7 @@ __all__ = ["BatchQueue"]
 FOLLOWER_TIMEOUT = 60.0
 
 #: Requests one app may have parked (the leader included) before
-#: ``submit`` sheds load; far above what the frontends' worker pools
+#: ``submit`` sheds load; far above what the frontend's worker pools
 #: can park, so only a stalled model reaches it.
 MAX_PARKED = 256
 
@@ -48,7 +48,7 @@ def _own_copy(exc: BaseException) -> BaseException:
     """A rider's own instance of the flush's failure.
 
     N threads re-raising one object would race on its traceback and on
-    the ``request_id`` the frontends stamp on an :class:`ApiError`.
+    the ``request_id`` the frontend stamps on an :class:`ApiError`.
     """
     clone = type(exc).__new__(type(exc))
     clone.args = exc.args
@@ -109,7 +109,7 @@ class BatchQueue:
     ) -> Tuple[np.ndarray, Dict[str, Any]]:
         """Answer ``X`` (one request's rows) with its predictions.
 
-        Called from the request's own thread (both HTTP frontends give
+        Called from the request's own thread (the HTTP frontend gives
         each infer request one); the thread leads a flush at once when
         the app is idle, else parks until a flush answers it or hands
         it the lead.

@@ -160,7 +160,7 @@ class InferPlane:
 
         ``rate_limit`` is ``(rows_per_second, burst_rows)`` off the
         tenant's quota (either may be None).  Raises ``QUOTA_EXCEEDED``
-        with a ``retry_after`` detail — the HTTP frontends turn that
+        with a ``retry_after`` detail — the HTTP frontend turns that
         into a 429 with a ``Retry-After`` header.
         """
         rate, burst = rate_limit

@@ -7,7 +7,7 @@ installable with nothing but Python.  Five pieces:
   (counters / gauges / fixed-bucket latency histograms, labelable,
   cardinality-guarded) with Prometheus-text and JSON exposition;
 * :mod:`repro.obs.context` — the per-request :class:`RequestContext`
-  (``request_id`` minted at the frontends, echoed as ``X-Request-ID``,
+  (``request_id`` minted at the frontend, echoed as ``X-Request-ID``,
   propagated through the command queue into journal records);
 * :mod:`repro.obs.tracing` — span-level tracing over the same
   contextvar (``trace_id`` = ``request_id``): head-sampled per

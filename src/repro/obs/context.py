@@ -1,16 +1,15 @@
 """Request tracing context: one ``request_id`` from socket to WAL.
 
-Both HTTP frontends mint (or accept) a request id per request, bind a
-:class:`RequestContext` for the duration of handling, and echo the id
+The HTTP frontend mints (or accepts) a request id per request, binds a
+:class:`RequestContext` for the duration of handling, and echoes the id
 back as ``X-Request-ID``.  Everything downstream — gateway handlers,
 the per-tenant command-queue drainers, journal appends, error bodies,
 access-log lines — reads the ambient context instead of threading the
 id through every signature.
 
 The carrier is a :mod:`contextvars` variable, which follows the
-request across ``await`` points on the asyncio frontend and stays
-thread-local on the threading frontend.  Two hops do NOT propagate it
-automatically and must capture it explicitly:
+request across ``await`` points on the frontend's event loop.  Two
+hops do NOT propagate it automatically and must capture it explicitly:
 
 * ``loop.run_in_executor`` starts the callable in an *empty* context —
   wrap it with ``contextvars.copy_context().run(...)`` at submit time;
@@ -40,7 +39,7 @@ __all__ = [
 
 T = TypeVar("T")
 
-#: Header both frontends read (client-supplied id) and always write.
+#: Header the frontend reads (client-supplied id) and always writes.
 REQUEST_ID_HEADER = "X-Request-ID"
 
 #: Request ids the server will accept from clients must stay modest:
@@ -76,8 +75,8 @@ class RequestContext:
     request_id: str = field(default_factory=new_request_id)
     #: Monotonic start, for duration math in access logs.
     started: float = field(default_factory=time.perf_counter)
-    #: Which frontend accepted the request ("threading" | "asyncio"
-    #: | "cli" | ...), for log lines.
+    #: Which frontend accepted the request ("asyncio" | "cli" | ...),
+    #: for log lines.
     frontend: str = ""
     #: The span accumulator (:class:`repro.obs.tracing.TraceState`)
     #: when head sampling kept this request; None when dropped —

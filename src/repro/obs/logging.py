@@ -1,7 +1,6 @@
-"""Structured access/event logging for the service frontends.
+"""Structured access/event logging for the service frontend.
 
-:class:`AccessLogger` replaces the hard-silenced
-``BaseHTTPRequestHandler.log_message``: off by default (a benchmark
+:class:`AccessLogger` is off by default (a benchmark
 harness hammering the server should not pay for I/O per request),
 enabled with ``repro serve --access-log`` (human-readable lines) or
 ``repro serve --log-json`` (one JSON object per line, machine-
@@ -53,7 +52,7 @@ class AccessLogger:
         Emit one JSON object per line instead of human-readable text.
     enabled:
         A disabled logger's methods are no-ops after one cheap check —
-        the default state, so instrumented frontends cost nothing
+        the default state, so the instrumented frontend costs nothing
         unless the operator opts in.
     """
 
@@ -149,5 +148,5 @@ class AccessLogger:
             self._emit(f"{_utc_stamp(now)} [{kind}] {detail}".rstrip())
 
 
-#: Shared disabled logger — the default for both frontends.
+#: Shared disabled logger — the frontend's default.
 NULL_ACCESS_LOG = AccessLogger(enabled=False)

@@ -131,7 +131,6 @@ def _build_gateway(
         "preemption_overhead",
         "seed",
         "min_examples",
-        "shard_read_locks",
     ):
         if config.get(key) is not None:
             kwargs[key] = config[key]

@@ -11,7 +11,7 @@ writer's effect records — a replica that diverges fails loudly instead
 of serving wrong answers.
 
 :class:`ReplicaGateway` is the serving facade: it exposes the exact
-duck type the HTTP frontends drive (``handle`` / ``is_read`` /
+duck type the HTTP frontend drives (``handle`` / ``is_read`` /
 ``submit_command`` / ``add_wait_abort`` / ``metrics``), serves every
 read route from the follower gateway, and answers mutations with
 ``NOT_WRITER`` carrying the writer's address so the SDK can re-issue
@@ -372,7 +372,7 @@ class ReadReplica:
 
 
 class ReplicaGateway:
-    """The serving facade frontends drive instead of a ServiceGateway.
+    """The serving facade the frontend drives instead of a ServiceGateway.
 
     Reads flow to the follower gateway (subject to the staleness
     bound); mutations come back ``NOT_WRITER`` with the writer's
@@ -396,7 +396,7 @@ class ReplicaGateway:
 
     # -- staleness contract -------------------------------------------
     def extra_response_headers(self) -> Dict[str, str]:
-        """Stamped on every HTTP response by the frontends."""
+        """Stamped on every HTTP response by the frontend."""
         return {REPLICA_LAG_HEADER: str(self.replica.lag_records)}
 
     def _check_staleness(self) -> None:

@@ -4,9 +4,8 @@ This package is the canonical way to talk to the platform: a typed
 request/response API with a structured error model
 (:mod:`repro.service.api`), a transport-agnostic gateway enforcing
 tenancy and quotas over async job handles
-(:mod:`repro.service.gateway`), two HTTP frontends — threading and
-asyncio event-loop — behind one route table
-(:mod:`repro.service.http`), and the Python SDK
+(:mod:`repro.service.gateway`), the event-loop HTTP frontend and its
+route table (:mod:`repro.service.http`), and the Python SDK
 (:mod:`repro.service.client`).
 
 The error taxonomy itself is defined in the layer-neutral
@@ -33,9 +32,7 @@ from repro.service.gateway import (
     TenantView,
 )
 from repro.service.http import (
-    FRONTENDS,
     AsyncServiceHTTPServer,
-    ServiceHTTPServer,
     serve,
     serve_background,
 )
@@ -49,14 +46,12 @@ __all__ = [
     "Response",
     "to_wire",
     "from_wire",
-    "FRONTENDS",
     "MAX_WAIT_SECONDS",
     "ServiceGateway",
     "Tenant",
     "TenantQuota",
     "TenantView",
     "AsyncServiceHTTPServer",
-    "ServiceHTTPServer",
     "serve",
     "serve_background",
     "AmbiguousMutationError",

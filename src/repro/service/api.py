@@ -169,8 +169,8 @@ class EventsRequest(Request):
 
     ``stream`` asks for a live Server-Sent Events subscription instead
     of a snapshot (``GET /v1/events?stream=1``).  Streaming is a
-    transport feature of the asyncio frontend; the typed handler
-    answers ``UNSUPPORTED`` so other transports fail loudly.
+    transport feature of the HTTP frontend; the typed handler
+    answers ``UNSUPPORTED`` so in-process callers fail loudly.
     """
 
     kinds: Optional[Tuple[str, ...]] = None

@@ -499,7 +499,7 @@ class EaseMLClient:
         "job_completed" | "model_promoted", ...}`` — until the server
         closes the stream, ``timeout`` seconds pass with no event
         (None = wait forever), or the caller abandons the generator.
-        Requires the asyncio frontend; other transports answer
+        A server that publishes no stream (a read replica) answers
         ``UNSUPPORTED``, surfaced as an :class:`ApiError`.
 
         The subscription rides its own connection (the persistent

@@ -25,17 +25,19 @@ directly — everything in and out is a typed message from
 :mod:`repro.service.api`, and every failure is an
 :class:`~repro.service.api.ApiError`.
 
-Request handling is split into two paths so an event-loop frontend
-never parks on the scheduler lock:
+Request handling is split into two paths, by request type alone, so
+the event-loop frontend never parks on the scheduler lock:
 
 * the **read path** (``_READ_REQUESTS``) takes no lock at all —
   handlers consume immutable :class:`TenantView` snapshots that
   writers republish before acking, plus GIL-atomic snapshots of
-  append-only shared structures;
-* the **write path** serialises on the gateway lock; frontends that
-  must not block enqueue mutations through :meth:`ServiceGateway.
-  submit_command`, a per-tenant FIFO command queue drained by worker
-  threads.
+  append-only shared structures; the HTTP frontend runs it inline on
+  its loop;
+* the **write path** serialises on the gateway lock; the HTTP frontend
+  enqueues mutations through :meth:`ServiceGateway.submit_command`, a
+  per-tenant FIFO command queue drained by worker threads, and
+  in-process callers reach the same handlers through
+  :meth:`ServiceGateway.handle`.
 
 ``JobStatusRequest.wait`` long-polls server-side: the handler drives
 the cluster toward the handle's completion and parks on the handle's
@@ -125,7 +127,7 @@ _LIVE_STATES = (JobState.PENDING, JobState.RUNNING, JobState.PREEMPTED)
 #: consume only immutable :class:`TenantView` snapshots (published by
 #: writers under the gateway lock) plus GIL-atomic snapshots of
 #: append-only shared structures, so they never take a lock at all and
-#: an asyncio event loop can run them inline.  Anything that mutates
+#: the event loop runs them inline.  Anything that mutates
 #: shared state — registration, feeds, submits, closes, and the
 #: runtime advance inside a live job poll — still runs under the
 #: global lock (a live ``JobStatusRequest`` upgrades internally).
@@ -138,6 +140,16 @@ _READ_REQUESTS = (
     RefineRequest,
     ServerInfoRequest,
 )
+
+#: Request types ``handle`` runs without the outer gateway lock: the
+#: read path plus infer.  A job poll is lock-free until it must advance
+#: the cluster (then it takes the global lock itself) — a long-poll
+#: that parked *holding* the global lock would stall every tenant for
+#: up to MAX_WAIT_SECONDS.  Infer is the same shape: its coalescing
+#: convoy parks request threads, so only the flush inside
+#: _predict_batch may hold the lock — an infer running under the outer
+#: lock would deadlock its own followers.
+_LOCK_FREE_REQUESTS = _READ_REQUESTS + (InferRequest,)
 
 #: Hard ceiling on one server-side long-poll (``JobStatusRequest.wait``);
 #: clients re-issue the poll to wait longer.
@@ -285,14 +297,6 @@ class ServiceGateway:
         Backend shape used only when ``server`` is None.
     default_quota:
         Quota applied to tenants created without an explicit one.
-    shard_read_locks:
-        Serve read-only requests on the lock-free snapshot read path
-        (see ``_READ_REQUESTS`` and :class:`TenantView`) instead of
-        under the gateway-wide lock.  On by default; the switch exists
-        so the throughput benchmark can race the two disciplines, and
-        the name is historical — PR 3's per-tenant shard locks were
-        this path's ancestor, and the config key is pinned by every
-        existing durable state directory.
     metrics:
         The :class:`~repro.obs.MetricsRegistry` this gateway reports
         into (default: a fresh enabled registry).  Pass a disabled
@@ -312,7 +316,6 @@ class ServiceGateway:
         seed: int = 0,
         min_examples: int = 10,
         default_quota: Optional[TenantQuota] = None,
-        shard_read_locks: bool = True,
         zoo=None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Any] = None,
@@ -337,13 +340,12 @@ class ServiceGateway:
             )
         self.server = server
         self.default_quota = default_quota or TenantQuota()
-        self.shard_read_locks = bool(shard_read_locks)
         # --- observability ------------------------------------------
         #: The metrics registry every layer below reports into (the
-        #: HTTP frontends read it for GET /metrics; attach_store binds
+        #: HTTP frontend reads it for GET /metrics; attach_store binds
         #: it to the journal; _ensure_app_scheduled to the scheduler).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: The span tracer the frontends start/finish traces through;
+        #: The span tracer the frontend starts/finishes traces through;
         #: deep layers (journal, scheduler) emit via the ambient
         #: context instead.  ``--no-metrics`` disables tracing too.
         self.tracer = tracer if tracer is not None else (
@@ -360,7 +362,7 @@ class ServiceGateway:
         self.infer_plane = InferPlane(
             config=infer_config, metrics=self.metrics
         )
-        #: Server-push notifications (SSE on the asyncio frontend):
+        #: Server-push notifications (SSE on the HTTP frontend):
         #: job completions and model promotions, the infer plane's
         #: companions.
         self.events_broker = EventBroker()
@@ -456,7 +458,6 @@ class ServiceGateway:
                 "seed": int(seed),
                 "min_examples": int(min_examples),
                 "default_quota": asdict(self.default_quota),
-                "shard_read_locks": self.shard_read_locks,
                 "zoo_names": None if zoo is None else list(zoo.names()),
             }
         )
@@ -827,19 +828,7 @@ class ServiceGateway:
             # Traces and access-log lines read the tenant on the way
             # out; the auth token is the first place it is known.
             context.tenant = tenant.name
-        # Job polls never take the outer lock in either discipline:
-        # the handler is lock-free until it must advance the cluster
-        # (then it takes the global lock itself), and a long-poll that
-        # parked *holding* the global lock would stall every tenant
-        # for up to MAX_WAIT_SECONDS.  Infer is the same shape: its
-        # coalescing convoy parks request threads, so only the flush
-        # inside _predict_batch may hold the lock — an infer running
-        # under the outer lock would deadlock its own followers.
-        lock_free = isinstance(
-            request, (JobStatusRequest, InferRequest)
-        ) or (
-            self.shard_read_locks and isinstance(request, _READ_REQUESTS)
-        )
+        lock_free = isinstance(request, _LOCK_FREE_REQUESTS)
         # Ack barrier: only paths that may have journaled pay it — a
         # pure snapshot read must never become the group-commit convoy
         # leader (it could be running inline on an event loop, and an
@@ -931,9 +920,7 @@ class ServiceGateway:
         live handle advances the shared cluster, and a ``wait`` may
         block for seconds.
         """
-        if not self.shard_read_locks or not isinstance(
-            request, _READ_REQUESTS
-        ):
+        if not isinstance(request, _READ_REQUESTS):
             return False
         if isinstance(request, JobStatusRequest):
             if float(request.wait or 0.0) > 0:
@@ -1835,8 +1822,8 @@ class ServiceGateway:
             raise ApiError(
                 ApiErrorCode.UNSUPPORTED,
                 "event streaming (stream=1) is a transport feature of "
-                "the asyncio HTTP frontend (serve --frontend asyncio); "
-                "this transport only answers snapshot reads",
+                "the HTTP frontend; the in-process gateway only answers "
+                "snapshot reads",
             )
         kinds = None
         if request.kinds is not None:

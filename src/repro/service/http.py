@@ -1,20 +1,16 @@
-"""HTTP frontends: the typed API over REST-ish JSON routes.
+"""The HTTP frontend: the typed API over REST-ish JSON routes.
 
-Two interchangeable transports sit over
-:class:`~repro.service.gateway.ServiceGateway`, selected by the
-``frontend`` argument to :func:`serve` / :func:`serve_background`:
+One transport sits over
+:class:`~repro.service.gateway.ServiceGateway`: an event-loop server
+(``asyncio.start_server`` plus a small HTTP/1.1 codec, keep-alive
+preserved).  Read-path requests run inline on the loop (the gateway
+serves them lock-free from immutable snapshots), job polls, long-polls
+and infers run on worker threads, and mutations flow through the
+gateway's per-tenant command queue — the loop never parks on the
+scheduler lock.
 
-* ``"threading"`` — the stdlib ``ThreadingHTTPServer``: one OS thread
-  per connection, every request a blocking ``gateway.handle`` call;
-* ``"asyncio"`` — an event-loop server (``asyncio.start_server`` plus
-  a small HTTP/1.1 codec, keep-alive preserved): read-path requests
-  run inline on the loop (the gateway serves them lock-free from
-  immutable snapshots), job polls and long-polls run on worker
-  threads, and mutations flow through the gateway's per-tenant
-  command queue — the loop never parks on the scheduler lock.
-
-Both share one route table (:func:`route_request`): each route builds
-one typed request, dispatches it, and writes the response's wire
+One route table (:func:`route_request`) maps each exchange onto one
+typed request; the server dispatches it and writes the response's wire
 form.  Errors — including anything unexpected — come back as a JSON
 ``{"error": {code, message, details}}`` body with the matching HTTP
 status; a raw traceback never crosses the socket.
@@ -36,9 +32,10 @@ Routes (all under ``/v1``)::
                                               (``wait`` long-polls)
     GET    /v1/events[?kinds=a,b&since=T]     event-log slice
     GET    /v1/events?stream=1                live Server-Sent Events
-                                              (asyncio frontend only)
 
-Authentication is ``Authorization: Bearer <token>``.
+Authentication is ``Authorization: Bearer <token>``.  Request bodies
+are framed by ``Content-Length`` only; a request carrying
+``Transfer-Encoding`` is refused with 400.
 """
 
 from __future__ import annotations
@@ -53,8 +50,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.client import responses as _HTTP_REASONS
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs import (
@@ -65,9 +61,7 @@ from repro.obs import (
     add_span,
     bind_request,
     clear_request,
-    current_request,
     new_request_id,
-    span,
 )
 from repro.obs.context import REQUEST_ID_HEADER, sanitize_client_id
 from repro.service.api import (
@@ -95,14 +89,11 @@ from repro.service.stream import sse_frame
 
 _PREFIX = f"/{API_VERSION}"
 
-#: The selectable HTTP frontends.
-FRONTENDS = ("threading", "asyncio")
-
-#: Header-count cap for the asyncio codec (mirrors the stdlib
-#: server's _MAXHEADERS guard against unbounded header streams).
+#: Header-count cap for the codec: a single connection must not grow
+#: the header dict without bound.
 _MAX_HEADERS = 100
 
-#: Body-size cap for the asyncio codec: a declared Content-Length is
+#: Body-size cap for the codec: a declared Content-Length is
 #: attacker-controlled and buffered before auth, so it must be
 #: bounded.  64 MiB comfortably covers the largest legitimate feed
 #: batch (the default example-store quota is 16 MiB per tenant).
@@ -110,9 +101,9 @@ _MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 # ----------------------------------------------------------------------
-# The shared transport-neutral router
+# The transport-neutral router
 # ----------------------------------------------------------------------
-#: Operator endpoints served by the frontends themselves, before
+#: Operator endpoints served by the frontend itself, before
 #: routing and before auth (a scrape agent holds no tenant token):
 #: Prometheus text and the JSON equivalent.  Both read the registry
 #: lock-free (families snapshot their children per read).
@@ -166,7 +157,7 @@ def route_template(method: str, path: str) -> str:
 
 
 def _register_http_metrics(gateway: ServiceGateway):
-    """The per-route request metric families (shared by both frontends)."""
+    """The per-route request metric families."""
     registry = gateway.metrics
     return (
         registry.counter(
@@ -199,8 +190,8 @@ def metrics_endpoint(
 
     Returns ``(status, body, content_type)`` or ``None`` when the path
     is not an operator endpoint.  Exposition is read-only over
-    snapshot copies, so both frontends serve it inline on the
-    lock-free path.
+    snapshot copies, so the frontend serves it inline on the lock-free
+    path.
 
     By default scrapes are unauthenticated (a scrape agent holds no
     tenant token), which exposes tenant names and per-tenant traffic
@@ -427,268 +418,10 @@ def _build_request(method, rest, body, query, common, path) -> Request:
 
 
 # ----------------------------------------------------------------------
-# The threading frontend (stdlib ThreadingHTTPServer)
-# ----------------------------------------------------------------------
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the gateway for its handlers."""
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address,
-        gateway: ServiceGateway,
-        *,
-        access_log: Optional[AccessLogger] = None,
-        metrics_token: Optional[str] = None,
-        reuse_port: bool = False,
-    ) -> None:
-        if reuse_port and not hasattr(socket, "SO_REUSEPORT"):
-            raise ValueError(
-                "SO_REUSEPORT is not available on this platform"
-            )
-        # Bind deferred so the socket option lands before bind() —
-        # SO_REUSEPORT lets N server processes share one listening
-        # port (the kernel balances connections across them), which is
-        # how the replica front tier stacks processes behind one
-        # address.
-        super().__init__(address, _Handler, bind_and_activate=False)
-        if reuse_port:
-            self.socket.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-            )
-        try:
-            self.server_bind()
-            self.server_activate()
-        except BaseException:
-            self.socket.close()
-            raise
-        self.gateway = gateway
-        self.access_log = access_log or NULL_ACCESS_LOG
-        self.metrics_token = metrics_token
-        self.tracer = getattr(gateway, "tracer", NULL_TRACER)
-        #: Optional per-response header hook: a gateway (the replica
-        #: facade) exposing ``extra_response_headers()`` gets its
-        #: headers (e.g. ``X-Replica-Lag``) attached to every reply.
-        self.extra_headers = getattr(
-            gateway, "extra_response_headers", None
-        )
-        (
-            self.m_requests,
-            self.m_latency,
-            self.m_errors,
-        ) = _register_http_metrics(gateway)
-        #: Set on shutdown so in-flight long-polls return promptly
-        #: instead of parking until their deadline.
-        self._closing = threading.Event()
-        gateway.add_wait_abort(self._closing)
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host = self.server_address[0]
-        return f"http://{host}:{self.port}"
-
-    def shutdown(self) -> None:
-        self._closing.set()  # wake parked long-polls first
-        super().shutdown()
-
-    def server_close(self) -> None:
-        self._closing.set()
-        self.gateway.remove_wait_abort(self._closing)
-        self.gateway.shutdown_commands()
-        super().server_close()
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Maps routes onto typed gateway requests."""
-
-    protocol_version = "HTTP/1.1"
-    #: Nagle + delayed-ACK stalls keep-alive round trips by ~40ms;
-    #: responses are single small JSON writes, so push them at once.
-    disable_nagle_algorithm = True
-
-    # -- plumbing ------------------------------------------------------
-    def log_request(self, code="-", size="-") -> None:
-        # The stdlib per-request line is superseded by the structured
-        # access line _dispatch emits (which carries the request id
-        # and duration); suppress it so enabling the access log does
-        # not double-report every exchange.
-        pass
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        # Formerly hard-silenced; now routed through the structured
-        # access logger (stdlib calls land here for transport-level
-        # errors, e.g. a malformed request line).  Still a no-op
-        # unless the operator enabled --access-log / --log-json.
-        self.server.access_log.event(
-            "http_log",
-            frontend="threading",
-            client=self.address_string(),
-            message=format % args,
-        )
-
-    log_error = log_message
-
-    @property
-    def gateway(self) -> ServiceGateway:
-        return self.server.gateway
-
-    def _body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length == 0:
-            return {}
-        return decode_body(self.rfile.read(length))
-
-    def _write(
-        self,
-        status: int,
-        payload: Dict[str, Any],
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._write_raw(status, body, "application/json", headers)
-
-    def _write_raw(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        context = current_request()
-        if context is not None:
-            self.send_header(REQUEST_ID_HEADER, context.request_id)
-        if self.server.extra_headers is not None:
-            for name, value in self.server.extra_headers().items():
-                self.send_header(name, value)
-        if headers:
-            for name, value in headers.items():
-                self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _dispatch(self, method: str) -> None:
-        context = bind_request(
-            request_id=sanitize_client_id(
-                self.headers.get(REQUEST_ID_HEADER)
-            ),
-            frontend="threading",
-        )
-        self.server.tracer.start(context)
-        status = 500
-        try:
-            # Read the body before any routing decision — for EVERY
-            # method, not just POST: an unread body (say a DELETE sent
-            # with one) would desync this keep-alive connection (the
-            # next request would be parsed out of the leftover bytes).
-            with span("frontend.decode"):
-                body = self._body()
-            served = (
-                metrics_endpoint(
-                    self.gateway,
-                    self.path,
-                    auth_header=self.headers.get("Authorization", ""),
-                    metrics_token=self.server.metrics_token,
-                )
-                if method == "GET"
-                else None
-            )
-            if served is not None:
-                status, raw, content_type = served
-                self._write_raw(status, raw, content_type)
-                return
-            token = bearer_token(self.headers.get("Authorization", ""))
-            request = route_request(method, self.path, body, token)
-            response = self.gateway.handle(request)
-            status = 200
-            self._write(200, to_wire(response))
-        except ApiError as exc:
-            exc.request_id = exc.request_id or context.request_id
-            status = exc.http_status
-            self.server.m_errors.labels(
-                "threading",
-                route_template(method, self.path),
-                exc.code.value,
-            ).inc()
-            self._write(
-                status,
-                {"api_version": API_VERSION, "error": exc.to_dict()},
-                error_headers(exc),
-            )
-        except Exception as exc:  # noqa: BLE001 - transport boundary
-            # The request stream may be in an unknown state; don't let
-            # a keep-alive reuse parse leftover bytes as a request.
-            self.close_connection = True
-            error = ApiError(
-                ApiErrorCode.INTERNAL,
-                f"unexpected {type(exc).__name__} in the HTTP frontend",
-                error_type=type(exc).__name__,
-            )
-            error.request_id = context.request_id
-            status = error.http_status
-            self.server.m_errors.labels(
-                "threading",
-                route_template(method, self.path),
-                error.code.value,
-            ).inc()
-            self._write(
-                status,
-                {"api_version": API_VERSION, "error": error.to_dict()},
-            )
-        finally:
-            duration = context.elapsed()
-            route = route_template(method, self.path)
-            self.server.m_requests.labels(
-                "threading", method, route, status
-            ).inc()
-            self.server.m_latency.labels("threading", route).observe(
-                duration
-            )
-            # After the latency observation (so the histogram can pick
-            # up this trace as an exemplar), before the access line.
-            self.server.tracer.finish(
-                context,
-                route=route,
-                status=status,
-                tenant=context.tenant,
-                frontend="threading",
-            )
-            self.server.access_log.access(
-                method=method,
-                path=self.path,
-                status=status,
-                duration=duration,
-                request_id=context.request_id,
-                client=self.address_string(),
-                frontend="threading",
-                tenant=context.tenant or None,
-                route=route,
-            )
-            clear_request()
-
-    # -- verbs ---------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("DELETE")
-
-
-# ----------------------------------------------------------------------
-# The asyncio frontend (event loop + HTTP/1.1 codec)
+# The server (event loop + HTTP/1.1 codec)
 # ----------------------------------------------------------------------
 class AsyncServiceHTTPServer:
-    """Event-loop HTTP frontend (``frontend="asyncio"``).
+    """The event-loop HTTP frontend.
 
     One OS thread runs the asyncio loop; every connection is a
     coroutine speaking a minimal HTTP/1.1 with keep-alive.  Requests
@@ -704,8 +437,8 @@ class AsyncServiceHTTPServer:
       so one tenant's writes apply in submission order while the loop
       keeps serving everyone else's reads.
 
-    The public surface mirrors ``ThreadingHTTPServer`` where the CLI
-    and tests need it: :meth:`serve_forever`, :meth:`shutdown`,
+    The public surface is the ``socketserver`` one the CLI and tests
+    drive: :meth:`serve_forever`, :meth:`shutdown`,
     :meth:`server_close`, ``port``, ``url``.  The listening socket is
     bound in the constructor, so ``port`` is valid before the loop
     starts.
@@ -724,8 +457,9 @@ class AsyncServiceHTTPServer:
         self.access_log = access_log or NULL_ACCESS_LOG
         self.metrics_token = metrics_token
         self.tracer = getattr(gateway, "tracer", NULL_TRACER)
-        #: See ServiceHTTPServer.extra_headers: replica facades attach
-        #: staleness headers (X-Replica-Lag) to every response.
+        #: Optional per-response header hook: a gateway (the replica
+        #: facade) exposing ``extra_response_headers()`` gets its
+        #: headers (e.g. ``X-Replica-Lag``) attached to every reply.
         self.extra_headers = getattr(
             gateway, "extra_response_headers", None
         )
@@ -759,7 +493,7 @@ class AsyncServiceHTTPServer:
             max_workers=16, thread_name_prefix="easeml-aio-wait"
         )
 
-    # -- ThreadingHTTPServer-compatible surface ------------------------
+    # -- the socketserver-style surface --------------------------------
     @property
     def port(self) -> int:
         return self._socket.getsockname()[1]
@@ -781,12 +515,12 @@ class AsyncServiceHTTPServer:
         """Block until the loop is accepting connections."""
         if not self._started.wait(timeout):
             raise RuntimeError(
-                "the asyncio frontend did not start within "
+                "the HTTP frontend did not start within "
                 f"{timeout}s; is another serve_forever running?"
             )
         if self._stopped.is_set() and not self._closing.is_set():
             raise RuntimeError(
-                "the asyncio frontend exited before accepting "
+                "the HTTP frontend exited before accepting "
                 "connections (see the server thread's traceback)"
             )
 
@@ -896,24 +630,21 @@ class AsyncServiceHTTPServer:
                     break
                 n_header_lines += 1
                 if n_header_lines > _MAX_HEADERS:
-                    # Same guard the stdlib server applies: a single
-                    # connection must not grow the header dict without
-                    # bound.
-                    error = ApiError(
-                        ApiErrorCode.INVALID_ARGUMENT,
-                        f"got more than {_MAX_HEADERS} headers",
-                    )
-                    await self._write_response(
-                        writer, error.http_status,
-                        {
-                            "api_version": API_VERSION,
-                            "error": error.to_dict(),
-                        },
-                        closing=True,
+                    await self._refuse(
+                        writer, f"got more than {_MAX_HEADERS} headers"
                     )
                     return
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
+            if "transfer-encoding" in headers:
+                # Chunk bytes read as Content-Length framing would be
+                # parsed as the next request line.
+                await self._refuse(
+                    writer,
+                    "Transfer-Encoding is not supported; send "
+                    "Content-Length",
+                )
+                return
             try:
                 length = int(headers.get("content-length") or 0)
                 if length < 0:
@@ -921,18 +652,10 @@ class AsyncServiceHTTPServer:
                 if length > _MAX_BODY_BYTES:
                     raise ValueError("oversized Content-Length")
             except ValueError:
-                # Malformed or abusive framing: answer 400 like every
-                # other bad input, then close (the body can't be — or
-                # must not be — buffered).
-                error = ApiError(
-                    ApiErrorCode.INVALID_ARGUMENT,
+                await self._refuse(
+                    writer,
                     f"malformed Content-Length header (bodies are "
                     f"capped at {_MAX_BODY_BYTES} bytes)",
-                )
-                await self._write_response(
-                    writer, error.http_status,
-                    {"api_version": API_VERSION, "error": error.to_dict()},
-                    closing=True,
                 )
                 return
             raw = await reader.readexactly(length) if length else b""
@@ -1036,6 +759,18 @@ class AsyncServiceHTTPServer:
                 clear_request()
             if closing:
                 return
+
+    async def _refuse(self, writer, message: str) -> None:
+        """Malformed or abusive framing: answer 400 like every other
+        bad input, then close (the body can't be — or must not be —
+        buffered, so the connection cannot be reused)."""
+        error = ApiError(ApiErrorCode.INVALID_ARGUMENT, message)
+        await self._write_response(
+            writer,
+            error.http_status,
+            {"api_version": API_VERSION, "error": error.to_dict()},
+            closing=True,
+        )
 
     @staticmethod
     async def _write_response(
@@ -1241,9 +976,6 @@ def _wants_stream(method: str, target: str) -> bool:
     return raw.lower() in ("1", "true", "yes")
 
 
-AnyServiceServer = Union[ServiceHTTPServer, AsyncServiceHTTPServer]
-
-
 # ----------------------------------------------------------------------
 # Construction helpers
 # ----------------------------------------------------------------------
@@ -1257,35 +989,22 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    frontend: str = "threading",
     access_log: Optional[AccessLogger] = None,
     metrics_token: Optional[str] = None,
     reuse_port: bool = False,
-) -> AnyServiceServer:
-    """Bind (but do not start) an HTTP server for ``gateway``.
+) -> AsyncServiceHTTPServer:
+    """Bind (but do not start) the HTTP server for ``gateway``.
 
-    ``port=0`` picks a free port.  ``frontend`` selects the transport
-    (see :data:`FRONTENDS`); both expose the same ``serve_forever`` /
-    ``shutdown`` / ``server_close`` / ``port`` / ``url`` surface.
-    ``access_log`` enables per-request structured logging (default:
-    disabled).  ``metrics_token`` gates the otherwise-unauthenticated
-    ``/metrics`` endpoints behind a bearer token (default: open).
-    ``reuse_port`` binds with ``SO_REUSEPORT`` so multiple server
-    processes (the replica front tier) can share one listening port.
-    Call ``serve_forever()`` to block, or :func:`serve_background`
-    to run it on a daemon thread.
+    ``port=0`` picks a free port.  ``access_log`` enables per-request
+    structured logging (default: disabled).  ``metrics_token`` gates
+    the otherwise-unauthenticated ``/metrics`` endpoints behind a
+    bearer token (default: open).  ``reuse_port`` binds with
+    ``SO_REUSEPORT`` so multiple server processes (the replica front
+    tier) can share one listening port — the kernel balances
+    connections across them.  Call ``serve_forever()`` to block, or
+    :func:`serve_background` to run it on a daemon thread.
     """
-    if frontend not in FRONTENDS:
-        raise ValueError(
-            f"frontend must be one of {FRONTENDS}, got {frontend!r}"
-        )
-    if frontend == "asyncio":
-        return AsyncServiceHTTPServer(
-            (host, port), gateway,
-            access_log=access_log, metrics_token=metrics_token,
-            reuse_port=reuse_port,
-        )
-    return ServiceHTTPServer(
+    return AsyncServiceHTTPServer(
         (host, port), gateway,
         access_log=access_log, metrics_token=metrics_token,
         reuse_port=reuse_port,
@@ -1297,14 +1016,13 @@ def serve_background(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    frontend: str = "threading",
     access_log: Optional[AccessLogger] = None,
     metrics_token: Optional[str] = None,
     reuse_port: bool = False,
-) -> Tuple[AnyServiceServer, threading.Thread]:
+) -> Tuple[AsyncServiceHTTPServer, threading.Thread]:
     """Start the HTTP server on a daemon thread; returns (server, thread)."""
     server = serve(
-        gateway, host, port, frontend=frontend,
+        gateway, host, port,
         access_log=access_log, metrics_token=metrics_token,
         reuse_port=reuse_port,
     )
@@ -1312,6 +1030,5 @@ def serve_background(
         target=server.serve_forever, name="easeml-http", daemon=True
     )
     thread.start()
-    if isinstance(server, AsyncServiceHTTPServer):
-        server.wait_started()
+    server.wait_started()
     return server, thread

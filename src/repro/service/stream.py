@@ -7,11 +7,9 @@ bounded queue; a slow consumer loses its *oldest* pending events
 (counted per subscription) rather than stalling the publisher, which
 may be holding the gateway lock.
 
-Transport lives elsewhere: the asyncio HTTP frontend drains a
+Transport lives elsewhere: the HTTP frontend drains a
 :class:`Subscription` from a worker thread and writes
-``text/event-stream`` frames (``GET /v1/events?stream=1``); the
-threading frontend does not offer streaming (one thread per
-connection cannot afford open-ended subscribers).
+``text/event-stream`` frames (``GET /v1/events?stream=1``).
 """
 
 from __future__ import annotations

@@ -22,16 +22,16 @@ MOONS = "{input: {[Tensor[2]], []}, output: {[Tensor[2]], []}}"
 BLOBS = "{input: {[Tensor[2]], []}, output: {[Tensor[3]], []}}"
 
 
-@pytest.fixture(scope="module", params=["threading", "asyncio"])
-def stack(request):
-    """The full service stack, parametrized over both HTTP frontends."""
+@pytest.fixture(scope="module")
+def stack():
+    """The full service stack behind the HTTP frontend."""
     gateway = ServiceGateway(
         placement="partition",
         n_gpus=4,
         zoo=default_zoo().subset(["naive-bayes", "ridge", "tree-d4"]),
         seed=0,
     )
-    server, _ = serve_background(gateway, frontend=request.param)
+    server, _ = serve_background(gateway)
     yield gateway, server
     server.shutdown()
     server.server_close()

@@ -26,7 +26,7 @@ def _clean_context():
 
 def finish_kwargs(**overrides):
     kwargs = dict(
-        route="/v1/jobs", status=200, tenant="acme", frontend="threading"
+        route="/v1/jobs", status=200, tenant="acme", frontend="asyncio"
     )
     kwargs.update(overrides)
     return kwargs

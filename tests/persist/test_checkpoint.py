@@ -185,6 +185,35 @@ def test_legacy_snapshot_directory_is_refused(state_dir):
     recover_gateway(state_dir)[0].store.close()
 
 
+@pytest.mark.parametrize("stored", [True, False])
+def test_stored_shard_read_locks_key_is_ignored(state_dir, stored):
+    """Every directory written before the lock-discipline toggle was
+    removed carries its key in config.json: recovery and a follower
+    ignore it — same history, same digest."""
+    build_history(state_dir, "buffered")
+    gateway, report = recover_gateway(state_dir)
+    gateway.store.close()
+    before = state_digest(gateway)
+    assert report.digest_verified
+
+    path = state_dir / "config.json"
+    config = json.loads(path.read_text())
+    assert "shard_read_locks" not in config
+    config["shard_read_locks"] = stored
+    path.write_text(json.dumps(config))
+
+    gateway, report = recover_gateway(state_dir)
+    gateway.store.close()
+    assert "digest verified" in report.describe()
+    assert state_digest(gateway) == before
+
+    from repro.replica import ReadReplica
+
+    replica = ReadReplica(state_dir)
+    replica._apply(replica.tailer.seed())
+    assert state_digest(replica.gateway) == before
+
+
 def test_a_mark_behind_every_operation_group_verifies_on_a_follower(
     state_dir,
 ):

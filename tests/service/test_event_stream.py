@@ -1,4 +1,4 @@
-"""Server-push notifications: the broker, SSE framing, both frontends."""
+"""Server-push notifications: the broker, SSE framing, the HTTP stream."""
 
 import json
 import threading
@@ -96,7 +96,7 @@ class TestAsyncioStream:
     @pytest.fixture
     def service(self):
         gateway = make_gateway()
-        server, _ = serve_background(gateway, frontend="asyncio")
+        server, _ = serve_background(gateway)
         yield gateway, server
         server.shutdown()
         server.server_close()
@@ -147,38 +147,3 @@ class TestAsyncioStream:
         assert response.status == 200
         assert response.headers["Content-Type"] == "text/event-stream"
         connection.close()
-
-
-class TestThreadingFrontendUnsupported:
-    def test_stream_refused_with_pointer_to_asyncio(self):
-        gateway = make_gateway()
-        server, _ = serve_background(gateway, frontend="threading")
-        try:
-            token = gateway.create_tenant("alice")
-            connection = HTTPConnection(
-                "127.0.0.1", server.port, timeout=10.0
-            )
-            connection.request(
-                "GET", "/v1/events?stream=1",
-                headers={"Authorization": f"Bearer {token}"},
-            )
-            response = connection.getresponse()
-            body = json.loads(response.read().decode())
-            assert response.status == 422
-            assert body["error"]["code"] == "unsupported"
-            assert "asyncio" in body["error"]["message"]
-        finally:
-            connection.close()
-            server.shutdown()
-            server.server_close()
-
-    def test_plain_events_poll_still_works(self):
-        gateway = make_gateway()
-        server, _ = serve_background(gateway, frontend="threading")
-        try:
-            client, _ = onboard(gateway, server)
-            response = client.events()
-            assert response is not None
-        finally:
-            server.shutdown()
-            server.server_close()

@@ -791,18 +791,7 @@ class TestModelVersion:
 
 
 class TestLockSharding:
-    def test_single_lock_mode_still_works(self):
-        gateway = make_gateway(shard_read_locks=False)
-        token = gateway.create_tenant("alice")
-        register_and_feed(gateway, token, "moons", MOONS_PROGRAM, "moons")
-        handles = gateway.handle(
-            SubmitTrainingRequest(auth_token=token, app="moons", steps=1)
-        ).handles
-        statuses = drain(gateway, token, handles)
-        assert all(s.state == "finished" for s in statuses)
-
     def test_sharded_reads_by_default(self, gateway):
-        assert gateway.shard_read_locks
         token = gateway.create_tenant("alice")
         register_and_feed(gateway, token, "moons", MOONS_PROGRAM, "moons")
         response = gateway.handle(ListAppsRequest(auth_token=token))
@@ -847,11 +836,6 @@ class TestReadWriteSplit:
         assert gateway.is_read(
             JobStatusRequest(auth_token=token, job_id="job-99999")
         )
-
-    def test_single_lock_mode_classifies_everything_as_write(self):
-        gateway = make_gateway(shard_read_locks=False)
-        token = gateway.create_tenant("alice")
-        assert not gateway.is_read(ListAppsRequest(auth_token=token))
 
     def test_submit_command_runs_tenant_fifo(self, gateway):
         """Commands with one token apply strictly in submission order."""

@@ -17,11 +17,11 @@ from repro.service.client import EaseMLClient
 from repro.service.http import serve_background
 
 
-@pytest.fixture(params=["threading", "asyncio"])
-def service(request):
-    """A live HTTP service (both frontends); yields (gateway, server)."""
+@pytest.fixture
+def service():
+    """A live HTTP service; yields (gateway, server)."""
     gateway = make_gateway()
-    server, _ = serve_background(gateway, frontend=request.param)
+    server, _ = serve_background(gateway)
     yield gateway, server
     server.shutdown()
     server.server_close()

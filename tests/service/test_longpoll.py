@@ -178,10 +178,10 @@ class TestGatewayWait:
 
 
 class TestHTTPWait:
-    @pytest.fixture(params=["threading", "asyncio"])
-    def service(self, request):
+    @pytest.fixture
+    def service(self):
         gateway = make_gateway()
-        server, _ = serve_background(gateway, frontend=request.param)
+        server, _ = serve_background(gateway)
         yield gateway, server
         server.shutdown()
         server.server_close()
@@ -358,7 +358,7 @@ class TestHardening:
     def test_asyncio_rejects_malformed_content_length(self, gateway):
         import socket as socket_module
 
-        server, _ = serve_background(gateway, frontend="asyncio")
+        server, _ = serve_background(gateway)
         try:
             with socket_module.create_connection(
                 ("127.0.0.1", server.port), timeout=10
@@ -370,6 +370,32 @@ class TestHardening:
                 reply = sock.recv(65536).decode("latin-1")
             assert reply.startswith("HTTP/1.1 400")
             assert "invalid_argument" in reply
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_asyncio_rejects_transfer_encoding(self, gateway):
+        import socket as socket_module
+
+        server, _ = serve_background(gateway)
+        try:
+            with socket_module.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            ) as sock:
+                sock.sendall(
+                    b"POST /v1/apps HTTP/1.1\r\n"
+                    b"Transfer-Encoding: chunked\r\n\r\n"
+                )
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            reply = reply.decode("latin-1")
+            # Refused on the header, and the server hung up (recv hit
+            # EOF): chunk bytes can never be parsed as a next request.
+            assert reply.startswith("HTTP/1.1 400")
+            assert "Connection: close" in reply
+            assert "invalid_argument" in reply
+            assert "Content-Length" in reply.split("\r\n\r\n", 1)[1]
         finally:
             server.shutdown()
             server.server_close()
@@ -404,8 +430,11 @@ class TestHardening:
 class TestSecondReviewHardening:
     """Round-two review regressions: locks, commits, codec, lifecycle."""
 
-    def test_single_lock_mode_long_poll_does_not_block_others(self):
-        gateway = make_gateway(shard_read_locks=False)
+    def test_single_lock_mode_long_poll_does_not_block_others(
+        self, gateway
+    ):
+        """The id predates the one lock discipline: a parked long-poll
+        must not delay a request that takes the gateway lock."""
         token = onboard(gateway)
         handle = submit(gateway, token)[0]
         stall_runtime(gateway)
@@ -420,13 +449,18 @@ class TestSecondReviewHardening:
         waiter = threading.Thread(target=park, daemon=True)
         waiter.start()
         time.sleep(0.15)  # the long-poll is parked
-        from repro.service.api import ListAppsRequest
+        from repro.service.api import SetExampleEnabledRequest
 
         start = time.monotonic()
-        # Another request must NOT queue behind the parked wait for
-        # 10s — the poll may never hold the outer lock while parked.
-        response = gateway.handle(ListAppsRequest(auth_token=token))
-        assert response.apps == ("moons",)
+        # A mutation takes the gateway lock; it must NOT queue behind
+        # the parked wait for 10s — the poll may never hold the outer
+        # lock while parked.
+        response = gateway.handle(
+            SetExampleEnabledRequest(
+                auth_token=token, app="moons", example_id=0, enabled=False
+            )
+        )
+        assert response.enabled is False
         assert time.monotonic() - start < 2.0
         gateway.retire_tenant("alice")  # wake the parked waiter
         waiter.join(timeout=5)
@@ -467,7 +501,7 @@ class TestSecondReviewHardening:
     def test_asyncio_caps_header_count(self, gateway):
         import socket as socket_module
 
-        server, _ = serve_background(gateway, frontend="asyncio")
+        server, _ = serve_background(gateway)
         try:
             with socket_module.create_connection(
                 ("127.0.0.1", server.port), timeout=10
@@ -495,7 +529,7 @@ class TestSecondReviewHardening:
     def test_shutdown_before_serve_forever_still_exits(self, gateway):
         from repro.service.http import serve
 
-        server = serve(gateway, frontend="asyncio")
+        server = serve(gateway)
         server.shutdown()  # before any loop exists
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -528,7 +562,7 @@ class TestCodecFraming:
     def test_asyncio_rejects_oversized_content_length(self, gateway):
         import socket as socket_module
 
-        server, _ = serve_background(gateway, frontend="asyncio")
+        server, _ = serve_background(gateway)
         try:
             with socket_module.create_connection(
                 ("127.0.0.1", server.port), timeout=10
@@ -548,6 +582,8 @@ class TestCodecFraming:
     def test_threading_delete_with_body_keeps_connection_usable(
         self, gateway
     ):
+        """The id predates the one frontend; the codec it pins is the
+        event loop's."""
         import json as json_module
         from http.client import HTTPConnection
 

@@ -23,10 +23,10 @@ from repro.service.http import (
 )
 
 
-@pytest.fixture(params=["threading", "asyncio"])
-def service(request):
+@pytest.fixture
+def service():
     gateway = make_gateway()
-    server, _ = serve_background(gateway, frontend=request.param)
+    server, _ = serve_background(gateway)
     yield gateway, server
     server.shutdown()
     server.server_close()
@@ -211,11 +211,10 @@ class TestMetricsEndpoints:
 
 
 class TestMetricsToken:
-    @pytest.mark.parametrize("frontend", ["threading", "asyncio"])
-    def test_gated_scrapes_require_bearer(self, frontend):
+    def test_gated_scrapes_require_bearer(self):
         gateway = make_gateway()
         server, _ = serve_background(
-            gateway, frontend=frontend, metrics_token="scrape-secret"
+            gateway, metrics_token="scrape-secret"
         )
         try:
             response, raw = raw_get(server, METRICS_PATH)

@@ -22,10 +22,10 @@ from repro.service.http import (
 )
 
 
-@pytest.fixture(params=["threading", "asyncio"])
-def service(request):
+@pytest.fixture
+def service():
     gateway = make_gateway()
-    server, _ = serve_background(gateway, frontend=request.param)
+    server, _ = serve_background(gateway)
     yield gateway, server
     server.shutdown()
     server.server_close()
@@ -120,11 +120,10 @@ class TestTracesEndpoint:
 
 
 class TestTracesToken:
-    @pytest.mark.parametrize("frontend", ["threading", "asyncio"])
-    def test_gate_covers_traces_and_echoes_request_id(self, frontend):
+    def test_gate_covers_traces_and_echoes_request_id(self):
         gateway = make_gateway()
         server, _ = serve_background(
-            gateway, frontend=frontend, metrics_token="scrape-secret"
+            gateway, metrics_token="scrape-secret"
         )
         try:
             # 401 without the bearer — and the 401 still echoes the id.
@@ -150,8 +149,7 @@ class TestTracesToken:
 
 
 class TestWriteTraceCoversTheStack:
-    @pytest.mark.parametrize("frontend", ["threading", "asyncio"])
-    def test_durable_write_spans_socket_to_wal(self, tmp_path, frontend):
+    def test_durable_write_spans_socket_to_wal(self, tmp_path):
         from repro.ml.zoo import default_zoo
         from repro.persist import open_gateway
 
@@ -164,20 +162,18 @@ class TestWriteTraceCoversTheStack:
             seed=0,
             zoo=default_zoo().subset(SMALL_ZOO),
         )
-        server, _ = serve_background(gateway, frontend=frontend)
+        server, _ = serve_background(gateway)
         try:
             onboard(gateway, server)
             traces = get_traces(server, "?route=/v1/apps")
             assert traces
             names = {s["name"] for s in traces[0]["spans"]}
-            # The acceptance bar: one trace, four layers of the stack.
+            # The acceptance bar: one trace, every layer of the stack
+            # (mutations hop the per-tenant command queue).
             assert {
-                "request", "frontend.decode", "gateway.handle",
-                "journal.append", "journal.commit",
+                "request", "frontend.decode", "queue.wait",
+                "gateway.handle", "journal.append", "journal.commit",
             } <= names
-            if frontend == "asyncio":
-                # Mutations hop the per-tenant command queue there.
-                assert "queue.wait" in names
         finally:
             server.shutdown()
             server.server_close()

@@ -180,6 +180,15 @@ class TestServe:
         with pytest.raises(SystemExit):
             _build_parser().parse_args(["serve", "--placement", "psychic"])
 
+    def test_serve_has_no_frontend_selector(self, capsys):
+        with pytest.raises(SystemExit) as helped:
+            _build_parser().parse_args(["serve", "--help"])
+        assert helped.value.code == 0
+        assert "--frontend" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as refused:
+            _build_parser().parse_args(["serve", "--frontend", "asyncio"])
+        assert refused.value.code == 2
+
     def test_build_service_durable_restart(self, tmp_path):
         """--state-dir round trip: tokens and tenants survive."""
         state = str(tmp_path / "state")
@@ -394,7 +403,7 @@ class TestSlowCommand:
         "trace_id": "req-slow1",
         "route": "/v1/jobs",
         "tenant": "acme",
-        "frontend": "threading",
+        "frontend": "asyncio",
         "status": 200,
         "error": False,
         "duration_ms": 10.0,

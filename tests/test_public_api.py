@@ -57,3 +57,19 @@ def test_infer_surface():
     assert callable(repro.infer.PredictionCache.lookup)
     assert callable(repro.infer.PredictionCache.store)
     assert not hasattr(repro.infer, "AdaptiveBatchController")
+
+
+def test_service_has_one_frontend_and_no_selector():
+    import inspect
+
+    import repro.service as service
+
+    for name in service.__all__:
+        assert hasattr(service, name), name
+    assert "ServiceHTTPServer" not in service.__all__
+    assert "FRONTENDS" not in service.__all__
+    for bind in (service.serve, service.serve_background):
+        assert "frontend" not in inspect.signature(bind).parameters
+    assert "shard_read_locks" not in inspect.signature(
+        service.ServiceGateway.__init__
+    ).parameters
