@@ -24,8 +24,10 @@ class JobState(str, Enum):
     FAILED = "failed"
 
 
-#: States from which :meth:`Job.fail` is legal.
-_FAILABLE = (JobState.PENDING, JobState.RUNNING, JobState.PREEMPTED)
+#: The non-terminal states: the job still holds or awaits cluster
+#: time, so it may yet fail, counts against the pending-jobs quota and
+#: needs a disposition when a new writer takes over.
+LIVE_STATES = (JobState.PENDING, JobState.RUNNING, JobState.PREEMPTED)
 
 
 @dataclass
@@ -97,7 +99,7 @@ class Job:
         self.work_done = self.gpu_time
 
     def fail(self, time: float, reason: str = "") -> None:
-        if self.state not in _FAILABLE:
+        if self.state not in LIVE_STATES:
             raise ValueError(f"cannot fail a job in state {self.state}")
         self.state = JobState.FAILED
         self.end_time = float(time)

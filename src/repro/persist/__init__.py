@@ -4,16 +4,20 @@
 quotas, app tables, job handles, scheduler histories — in process
 memory; this package makes it survive a restart:
 
-* :mod:`repro.persist.journal` — an append-only, fsync-disciplined
-  JSONL write-ahead log with sequenced, checksummed records drawn from
-  a closed type registry; never rewritten or truncated, and the only
-  durable artefact besides the config;
+* :mod:`repro.persist.journal` — an append-only, fsync-disciplined,
+  fail-stop JSONL write-ahead log with sequenced, checksummed records
+  drawn from a closed type registry; never rewritten, and the only
+  durable artefact besides the config.  Its one reader serves cold
+  start, replicas and ``state inspect`` under one torn-tail rule: the
+  holder of the directory's flock sheds a torn final line, everyone
+  else leaves it alone;
 * :mod:`repro.persist.recovery` — rebuilds a
-  :class:`~repro.service.gateway.ServiceGateway` by replaying the
-  journal (verifying the newest checkpoint's state digest on the way),
-  re-admitting tenants into the live scheduler and re-queueing (or
-  marking lost) in-flight jobs with an explicit disposition on each
-  handle;
+  :class:`~repro.service.gateway.ServiceGateway` in the two steps a
+  restart and a replica promotion share: replay the journal into a
+  follower gateway (verifying the newest checkpoint's state digest on
+  the way), then ``become_writer`` — re-journal torn effects, requeue
+  (or mark lost) in-flight jobs with an explicit disposition on each
+  handle, attach the store;
 * :mod:`repro.persist.store` — the per-directory orchestrator
   (config, writer lock, checkpoint cadence: an O(1) ``checkpoint``
   record every ``snapshot_every`` records);
@@ -37,7 +41,7 @@ from repro.persist.journal import (
     canonical_json,
     last_checkpoint,
     read_journal,
-    read_records_from,
+    read_journal_from,
     record_checksum,
 )
 from repro.persist.metrics import journal_metrics
@@ -45,6 +49,7 @@ from repro.persist.recovery import (
     IN_FLIGHT_POLICIES,
     RecoveryError,
     RecoveryReport,
+    become_writer,
     build_follower_gateway,
     cancel_in_flight,
     open_gateway,
@@ -74,6 +79,7 @@ __all__ = [
     "RecoveryReport",
     "StateStore",
     "acquire_lock",
+    "become_writer",
     "build_follower_gateway",
     "cancel_in_flight",
     "canonical_json",
@@ -83,7 +89,7 @@ __all__ = [
     "open_gateway",
     "read_config",
     "read_journal",
-    "read_records_from",
+    "read_journal_from",
     "record_checksum",
     "recover_gateway",
     "refuse_legacy_layout",

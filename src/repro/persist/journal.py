@@ -36,14 +36,22 @@ bytes no reader consumed.
 
 Crash tolerance on read
 -----------------------
-A *torn tail* — the final line is incomplete or unparseable because the
-process died mid-write — is expected and silently dropped (the request
-it belonged to was never acked); the next writer truncates the file
-back to its last complete record before appending.  Anything else — a
-bad checksum, an out-of-order sequence number, an unknown record type —
-means the file was corrupted after the fact, and :func:`read_journal`
-refuses to load it with a :class:`JournalCorruptionError` naming the
-offending line.
+There is one reader, :func:`read_journal_from`, behind both the
+whole-file :func:`read_journal` and a replica's incremental tailer,
+and one torn-tail rule.  A *torn tail* is the final line when it is
+incomplete (no newline yet) or not JSON (a block-level tear) — what a
+process dying mid-write leaves behind; the request it belonged to was
+never acked, so it is never a record.  What a reader does about it
+depends on which side of the directory's flock it stands: the holder
+(cold start, a promoting replica) sheds it in place so appends resume
+after the last whole record; a reader without the lock (a live
+follower, ``state inspect``) leaves it unconsumed, because it cannot
+tell a dead writer's tear from a live writer's half-flushed line — and
+refuses it the moment anything follows it.  Everything else — a bad
+checksum, an out-of-order sequence number, an unknown record type,
+damage before the final line — means the file was corrupted after the
+fact, and every reader refuses it with a
+:class:`JournalCorruptionError` naming the offending line.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import jsonify
 from repro.obs.metrics import NULL_REGISTRY
@@ -294,16 +302,18 @@ class Journal:
                 seq=self._seq + 1, type=rtype, payload=jsonify(payload)
             )
             line = record.to_line() + "\n"
-            self._handle.write(line)
-            self._handle.flush()
-            if self.sync == "fsync":
-                fsync_started = time.perf_counter()
-                os.fsync(self._handle.fileno())
-                fsync_ended = time.perf_counter()
-                self._m_fsync_seconds.observe(fsync_ended - fsync_started)
-                self._m_fsyncs.inc()
-                add_span("journal.fsync", fsync_started, fsync_ended)
-                self._flushed_seq = record.seq
+            try:
+                self._handle.write(line)
+                self._handle.flush()
+                if self.sync == "fsync":
+                    self._fsync(self._handle.fileno())
+                    self._flushed_seq = record.seq
+            except BaseException:
+                # The line may already be in the file, but it was never
+                # acked and ``_seq`` has not moved: another append would
+                # reuse its seq and poison the directory.  Fail stop.
+                self._abandon()
+                raise
             self._seq = record.seq
         ended = time.perf_counter()
         self._m_append_seconds.observe(ended - started)
@@ -349,29 +359,41 @@ class Journal:
                 # one fsync covers through the current tail — not just
                 # our own record.
                 cover = self._seq
-            fsync_started = time.perf_counter()
-            os.fsync(fd)
-            fsync_ended = time.perf_counter()
-            self._m_fsync_seconds.observe(fsync_ended - fsync_started)
-            self._m_fsyncs.inc()
-            add_span("journal.fsync", fsync_started, fsync_ended)
+            try:
+                self._fsync(fd)
+            except BaseException:
+                with self._lock:
+                    self._abandon()
+                raise
             self._flushed_seq = cover
         ended = time.perf_counter()
         self._m_commit_seconds.observe(ended - started)
         add_span("journal.commit", started, ended, rode=False)
         self._m_flush_lag.set(self._seq - self._flushed_seq)
 
-    def records_from(self, since_seq: int) -> Iterator[JournalRecord]:
-        """Validated records after ``since_seq``, read back off disk.
+    def _fsync(self, fd: int) -> None:
+        """One fsync, timed into the metrics and the ambient trace."""
+        started = time.perf_counter()
+        os.fsync(fd)
+        ended = time.perf_counter()
+        self._m_fsync_seconds.observe(ended - started)
+        self._m_fsyncs.inc()
+        add_span("journal.fsync", started, ended)
 
-        The public tailing surface: a reader (a replica's WAL tailer,
-        an operator tool) iterates records strictly greater than its
-        frontier without taking the writer's flock — appends are
-        whole-line writes, so a concurrent reader only ever sees
-        complete records plus at most one torn final line, which is
-        skipped exactly like crash recovery skips it.
+    def _abandon(self) -> None:
+        """Fail stop (caller holds ``_lock``): drop the handle for good.
+
+        After a failed write or fsync nothing is known about the tail,
+        so every later :meth:`append` / :meth:`commit` raises
+        :class:`JournalError`; whatever reached the file is an ordinary
+        un-acked tail for the next recovery.
         """
-        return read_records_from(self.path, since_seq)
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            try:
+                handle.close()
+            except OSError:
+                pass  # the failure being reported is the caller's
 
     def close(self) -> None:
         # Same lock order as commit (flush -> append), so a close
@@ -414,31 +436,54 @@ def truncate_journal(path: Union[str, Path], size: int) -> None:
         os.fsync(handle.fileno())
 
 
-def read_journal(
-    path: Union[str, Path], *, shed_torn_tail: bool = False
-) -> Tuple[List[JournalRecord], int]:
-    """Load and validate a journal file.
+def read_journal_from(
+    path: Union[str, Path],
+    offset: int,
+    after_seq: int,
+    *,
+    shed_torn_tail: bool = False,
+) -> Tuple[List[JournalRecord], int, int]:
+    """The one journal reader: validated records past a frontier.
 
-    Returns ``(records, dropped)`` where ``dropped`` counts torn tail
-    lines discarded (0 or 1 — only the final line may legally be
-    torn; a final line without its newline was never acked and counts
-    as torn even when it parses).  With ``shed_torn_tail`` the torn
-    bytes are also truncated off the file, so the caller (who must
-    hold the directory's writer lock) can append after the last
-    record.  Raises :class:`JournalCorruptionError` for anything worse.
+    Reads from byte ``offset`` — a record boundary whose last record
+    was ``after_seq``; ``(0, 0)`` is the whole file — to the end, and
+    returns ``(records, end_offset, dropped)``: the whole records
+    found, the offset just past the last of them, and whether a torn
+    tail follows (0 or 1: only the final line may legally be torn — a
+    partial line, which was never acked even when it parses, or a
+    complete line that is not JSON).  ``shed_torn_tail`` says the
+    caller holds the directory's flock, so the torn bytes are also
+    truncated off the file and appends can resume at ``end_offset``;
+    without it they are left unconsumed.  Raises
+    :class:`JournalCorruptionError` for anything worse.  Nothing the
+    caller holds moves on a raise, so a damaged journal fails every
+    read the same way.
     """
     path = Path(path)
-    records: List[JournalRecord] = []
-    if not path.exists():
-        return records, 0
-    lines = path.read_bytes().split(b"\n")
+    try:
+        size = path.stat().st_size
+    except FileNotFoundError:
+        size = 0  # the writer has not journaled anything yet
+    if size < offset:
+        raise JournalCorruptionError(
+            f"journal shrank to {size} bytes below the reader's "
+            f"offset {offset} (frontier seq {after_seq}) — an "
+            "append-only journal never loses complete records"
+        )
+    if size == offset:
+        return [], offset, 0
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        lines = handle.read().split(b"\n")
     dropped = 1 if lines.pop() else 0  # bytes past the last newline
-    valid_bytes = 0
-    for line_no, line in enumerate(lines, start=1):
+    records: List[JournalRecord] = []
+    seq, end = after_seq, offset
+    for index, line in enumerate(lines):
+        line_no = seq + 1  # contiguous from seq 1: line n holds seq n
         try:
             record = parse_line(line, line_no)
         except ValueError:
-            if line_no == len(lines) and not dropped:
+            if index == len(lines) - 1 and not dropped:
                 dropped = 1  # torn tail: the process died mid-write
                 break
             raise JournalCorruptionError(
@@ -446,33 +491,32 @@ def read_journal(
                 "the final line — the file is damaged beyond a torn "
                 "tail; restore from a backup"
             ) from None
-        previous = records[-1].seq if records else 0
-        if record.seq != previous + 1:
+        if record.seq != seq + 1:
             raise JournalCorruptionError(
                 f"journal line {line_no} has seq {record.seq} but the "
-                f"previous record was seq {previous}; records must be "
+                f"previous record was seq {seq}; records must be "
                 "contiguous from seq 1 (the journal is never truncated)"
             )
         records.append(record)
-        valid_bytes += len(line) + 1
+        seq = record.seq
+        end += len(line) + 1
     if dropped and shed_torn_tail:
-        truncate_journal(path, valid_bytes)
-    return records, dropped
+        truncate_journal(path, end)
+    return records, end, dropped
 
 
-def read_records_from(
-    path: Union[str, Path], since_seq: int
-) -> Iterator[JournalRecord]:
-    """Yield validated records with seq > ``since_seq`` from a journal.
+def read_journal(
+    path: Union[str, Path], *, shed_torn_tail: bool = False
+) -> Tuple[List[JournalRecord], int]:
+    """Load and validate a whole journal file: ``(records, dropped)``.
 
-    Safe against a *live* journal: appends are whole-line writes, so a
-    concurrent reader sees complete records plus at most one torn
-    final line, which is skipped exactly like crash recovery skips it.
+    :func:`read_journal_from` offset zero; ``shed_torn_tail`` is only
+    for a caller holding the directory's writer lock.
     """
-    since_seq = int(since_seq)
-    for record in read_journal(path)[0]:
-        if record.seq > since_seq:
-            yield record
+    records, _, dropped = read_journal_from(
+        path, 0, 0, shed_torn_tail=shed_torn_tail
+    )
+    return records, dropped
 
 
 def last_checkpoint(

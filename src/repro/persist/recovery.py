@@ -1,22 +1,29 @@
 """Crash recovery: rebuild a live ServiceGateway from a state directory.
 
-Recovery reads the one journal, replays every record through a
-freshly-built gateway, and at the newest ``checkpoint`` record
-verifies the state digest the live process took there.  Why command
-history and not serialised object state?  The control plane's state
-includes trained estimators, GP posteriors, a discrete-event queue and
-closures wired through callbacks — an object graph that cannot be
-serialised faithfully.  But the whole control plane is deterministic —
-randomness flows through the server's seeded generator in operation
-order, the cluster is a discrete-event kernel, and tokens are
-journaled rather than regenerated — so replay rebuilds the *identical*
-state the dead process had: tenants re-admitted into the live
-:class:`~repro.core.multitenant.TenantRegistry`, trained models
-reconstructed, terminal job results intact.  Every record must be
-kept for that to hold (dropping one would change every draw after
-it), which is why the journal is never compacted.
+There is one procedure, and a restart and a failover both run it: take
+the directory's flock, follow the journal to its end through a
+*follower* gateway (:func:`build_follower_gateway`,
+:func:`replay_records`), then :func:`become_writer`.
+:func:`recover_gateway` starts from offset zero;
+:meth:`repro.replica.ReadReplica.promote` starts from wherever its
+tail already is.
 
-Jobs that were still in flight when the process died get an explicit
+Why command history and not serialised object state?  The control
+plane's state includes trained estimators, GP posteriors, a
+discrete-event queue and closures wired through callbacks — an object
+graph that cannot be serialised faithfully.  But the whole control
+plane is deterministic — randomness flows through the server's seeded
+generator in operation order, the cluster is a discrete-event kernel,
+and tokens are journaled rather than regenerated — so replay rebuilds
+the *identical* state the dead process had: tenants re-admitted into
+the live :class:`~repro.core.multitenant.TenantRegistry`, trained
+models reconstructed, terminal job results intact.  Every record must
+be kept for that to hold (dropping one would change every draw after
+it), which is why the journal is never compacted; at the newest
+``checkpoint`` record replay verifies the state digest the live
+process took there.
+
+Jobs that were still in flight when the writer died get an explicit
 disposition on their handle:
 
 * ``in_flight="requeue"`` (default) — the replayed cluster still holds
@@ -25,7 +32,7 @@ disposition on their handle:
   ``cancelled`` state), journaled as a ``job_cancelled`` record so the
   *next* recovery agrees.  Disposition ``"lost"``.
 
-While replay runs, the gateway answers every request with
+While a cold start replays, the gateway answers every request with
 ``UNAVAILABLE_RECOVERING`` (HTTP 503).
 """
 
@@ -35,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.engine.jobs import JobState
+from repro.engine.jobs import LIVE_STATES, JobState
 from repro.persist.digest import state_digest
 from repro.persist.journal import (
     CHECKPOINT,
@@ -66,8 +73,6 @@ from repro.service.gateway import ServiceGateway, TenantQuota
 
 #: In-flight job policies.
 IN_FLIGHT_POLICIES = ("requeue", "mark-lost")
-
-_LIVE_STATES = (JobState.PENDING, JobState.RUNNING, JobState.PREEMPTED)
 
 
 class RecoveryError(JournalError):
@@ -111,44 +116,60 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
-def _build_gateway(
+def build_follower_gateway(
     config: Dict[str, Any],
-    gateway_factory: Optional[Callable[[Optional[dict]], ServiceGateway]],
+    *,
     metrics=None,
+    gateway_factory: Optional[
+        Callable[[Optional[dict]], ServiceGateway]
+    ] = None,
 ) -> ServiceGateway:
-    if gateway_factory is not None:
-        return gateway_factory(config)
-    kwargs: Dict[str, Any] = {}
-    if metrics is not None:
-        # Observability plumbing, not backend shape: never journaled,
-        # so the replayed gateway can report into the caller's
-        # registry without perturbing the stored config.
-        kwargs["metrics"] = metrics
-    for key in (
-        "placement",
-        "n_gpus",
-        "scaling_efficiency",
-        "preemption_overhead",
-        "seed",
-        "min_examples",
-    ):
-        if config.get(key) is not None:
-            kwargs[key] = config[key]
-    if config.get("default_quota"):
-        kwargs["default_quota"] = TenantQuota(**config["default_quota"])
-    names = config.get("zoo_names")
-    if names is not None:
-        from repro.ml.zoo import default_zoo
+    """Build the gateway shape journal records are replayed into.
 
-        try:
-            kwargs["zoo"] = default_zoo().subset(names)
-        except (KeyError, ValueError) as exc:
-            raise RecoveryError(
-                f"the state directory was written against a zoo "
-                f"({names}) this build cannot reconstruct ({exc}); "
-                "pass gateway_factory to rebuild it"
-            ) from None
-    return ServiceGateway(**kwargs)
+    The stored config pins the backend (same zoo subset, same seeded
+    RNG), and the gateway is left in *follower mode*: while
+    ``_replaying`` is set, applying records through the real handlers
+    never re-journals, and effects fired by replay are buffered for
+    byte-verification against the journal's effect records.  A replica
+    stays a follower for as long as it tails; :func:`become_writer`
+    ends the mode.  No store is attached and no flock is taken here.
+    """
+    if gateway_factory is not None:
+        gateway = gateway_factory(config)
+    else:
+        kwargs: Dict[str, Any] = {}
+        if metrics is not None:
+            # Observability plumbing, not backend shape: never
+            # journaled, so the replayed gateway can report into the
+            # caller's registry without perturbing the stored config.
+            kwargs["metrics"] = metrics
+        for key in (
+            "placement",
+            "n_gpus",
+            "scaling_efficiency",
+            "preemption_overhead",
+            "seed",
+            "min_examples",
+        ):
+            if config.get(key) is not None:
+                kwargs[key] = config[key]
+        if config.get("default_quota"):
+            kwargs["default_quota"] = TenantQuota(**config["default_quota"])
+        names = config.get("zoo_names")
+        if names is not None:
+            from repro.ml.zoo import default_zoo
+
+            try:
+                kwargs["zoo"] = default_zoo().subset(names)
+            except (KeyError, ValueError) as exc:
+                raise RecoveryError(
+                    f"the state directory was written against a zoo "
+                    f"({names}) this build cannot reconstruct ({exc}); "
+                    "pass gateway_factory to rebuild it"
+                ) from None
+        gateway = ServiceGateway(**kwargs)
+    gateway._replaying = True
+    return gateway
 
 
 # ----------------------------------------------------------------------
@@ -183,13 +204,14 @@ def _consume_effect(gateway: ServiceGateway, record: JournalRecord) -> None:
         )
 
 
-def _apply_cancellation(
+def cancel_in_flight(
     gateway: ServiceGateway,
     handles: List[str],
     *,
     seq: int,
     disposition: Optional[str] = None,
 ) -> None:
+    """Cancel ``handles``: a ``job_cancelled`` record, replayed or new."""
     runtime_oracle = gateway.server._runtime_oracle
     for handle in handles:
         record = gateway._jobs.get(handle)
@@ -329,14 +351,22 @@ def _verify_checkpoint(
         )
 
 
-def _replay_records(
+def replay_records(
     gateway: ServiceGateway, records: List[JournalRecord]
 ) -> Optional[JournalRecord]:
-    """Replay ``records``; returns the checkpoint whose digest held.
+    """Re-execute ``records`` through a follower gateway's handlers.
 
+    The one apply loop: primaries re-run their real handlers, effect
+    records are byte-verified against the effects the replay fired
+    (buffered in the gateway while ``_replaying``), and a mismatch
+    raises :class:`RecoveryError` rather than serving diverged state.
     Every checkpoint must sit on an operation-group boundary; the
     digest (O(jobs) to compute) is verified at the newest one in
-    ``records`` only.
+    ``records`` only, and that checkpoint is returned.  A record group
+    may arrive split across calls — a tailer can observe a primary
+    before its effect records land — so unconsumed effects legally
+    carry over between calls; they are matched when the rest of the
+    group arrives.
     """
     newest = last_checkpoint(records)
     for record in records:
@@ -362,11 +392,10 @@ def _replay_records(
                 elif record.type == "job_cancelled":
                     # Top-level cancellation: a previous recovery
                     # marked these handles lost.
-                    _apply_cancellation(
+                    cancel_in_flight(
                         gateway,
                         list(record.payload["handles"]),
                         seq=record.seq,
-                        disposition=None,
                     )
                 elif record.type == "app_admitted":
                     gateway.server.admit_app(record.payload["app"])
@@ -394,66 +423,75 @@ def _replay_records(
 
 
 # ----------------------------------------------------------------------
-# Follower-mode apply (the replica subsystem builds on these)
+# The end-game and its cold-start driver
 # ----------------------------------------------------------------------
-def build_follower_gateway(
-    config: Dict[str, Any],
-    *,
-    metrics=None,
-    gateway_factory: Optional[
-        Callable[[Optional[dict]], ServiceGateway]
-    ] = None,
-) -> ServiceGateway:
-    """Build the gateway shape a read replica replays records into.
-
-    Identical construction to recovery (same config keys, same zoo
-    subset, same seeded RNG), but the gateway is left in *follower
-    mode*: ``_replaying`` stays True for the process lifetime, so
-    applying records through the real handlers never re-journals and
-    effects fired by replay are buffered for byte-verification against
-    the journal's effect records — exactly the recovery discipline,
-    applied incrementally.  No store is attached and no flock is
-    taken: a follower is a pure reader of the writer's directory.
-    """
-    gateway = _build_gateway(config, gateway_factory, metrics=metrics)
-    gateway._replaying = True
-    return gateway
-
-
-def replay_records(
-    gateway: ServiceGateway, records: List[JournalRecord]
-) -> None:
-    """Re-execute journal records through the gateway's handlers.
-
-    The follower-mode apply path: primaries re-run their real
-    handlers, effect records are byte-verified against the effects the
-    replay fired (buffered in the gateway while ``_replaying``), the
-    newest checkpoint in the batch has its state digest verified, and
-    a mismatch raises :class:`RecoveryError` rather than serving
-    diverged state.  A record group may arrive split across calls — a
-    tailer can observe a primary before its effect records land — so
-    unconsumed effects legally carry over between calls; they are
-    matched when the rest of the group arrives.
-    """
-    _replay_records(gateway, records)
-
-
-def cancel_in_flight(
+def become_writer(
     gateway: ServiceGateway,
-    handles: List[str],
+    state_dir: Path,
+    config: Dict[str, Any],
+    lock_handle,
     *,
     seq: int,
-    disposition: Optional[str] = None,
-) -> None:
-    """Cancel handles recovery/promotion marked lost (public surface)."""
-    _apply_cancellation(
-        gateway, handles, seq=seq, disposition=disposition
+    checkpoint_seq: int,
+    in_flight: str,
+    sync: Optional[str] = None,
+    snapshot_every: Optional[int] = None,
+) -> Tuple[int, List[str], List[str]]:
+    """Turn a caught-up follower gateway into the directory's writer.
+
+    The caller holds the flock (``lock_handle``, handed on to the
+    store) and has replayed the journal to its shed end: ``seq`` is
+    the last record applied, ``checkpoint_seq`` the newest checkpoint
+    among them.  ``sync`` / ``snapshot_every`` default to the stored
+    ``config``.  Returns ``(final_seq, recovered, lost)`` — the last
+    sequence number once everything below is journaled, and the
+    handles given each disposition.
+    """
+    # Effects fired by the final operation may have been torn off the
+    # journal tail with the crash.  State already reflects them, so
+    # they are not re-verified — but they MUST be re-journaled below
+    # (once the store is attached), or the next recovery would find
+    # the same effects fired with no record and refuse the directory
+    # forever.
+    torn_effects = list(gateway._pending_effects)
+    gateway._pending_effects.clear()
+    gateway._replaying = False
+
+    recovered: List[str] = []
+    lost: List[str] = []
+    for handle, record in sorted(gateway._jobs.items()):
+        if record.cancelled or record.job.state not in LIVE_STATES:
+            continue
+        if in_flight == "requeue":
+            record.disposition = "recovered"
+            recovered.append(handle)
+        else:
+            lost.append(handle)
+
+    store = StateStore(
+        state_dir,
+        sync=sync if sync is not None else config.get("sync", "fsync"),
+        snapshot_every=(
+            snapshot_every
+            if snapshot_every is not None
+            else int(config.get("snapshot_every", 256))
+        ),
+        start_seq=seq,
+        checkpoint_seq=checkpoint_seq,
+        lock_handle=lock_handle,
     )
+    gateway.attach_store(store)
+    for rtype, payload in torn_effects:
+        store.append(rtype, payload)
+    if lost:
+        cancel_in_flight(gateway, lost, seq=seq, disposition="lost")
+        gateway._persist("job_cancelled", {"handles": lost})
+    # Group mode defers fsync to the commit barrier: everything
+    # re-journaled here must be durable before serving resumes.
+    store.commit()
+    return store.last_seq, recovered, lost
 
 
-# ----------------------------------------------------------------------
-# Entry points
-# ----------------------------------------------------------------------
 def recover_gateway(
     state_dir: Union[str, Path],
     *,
@@ -492,99 +530,36 @@ def recover_gateway(
     # hand us a moving journal.
     lock_handle = acquire_lock(state_dir)
     try:
-        return _recover_locked(
+        refuse_legacy_layout(state_dir)
+        records, dropped = read_journal(
+            state_dir / JOURNAL_NAME, shed_torn_tail=True
+        )
+        gateway = build_follower_gateway(
+            config, metrics=metrics, gateway_factory=gateway_factory
+        )
+        gateway._recovering = True
+        checkpoint = replay_records(gateway, records)
+        checkpoint_seq = checkpoint.seq if checkpoint else 0
+        final_seq, recovered, lost = become_writer(
+            gateway,
             state_dir,
             config,
             lock_handle,
+            seq=records[-1].seq if records else 0,
+            checkpoint_seq=checkpoint_seq,
             in_flight=in_flight,
             sync=sync,
             snapshot_every=snapshot_every,
-            gateway_factory=gateway_factory,
-            metrics=metrics,
         )
+        gateway._recovering = False
     except BaseException:
         lock_handle.close()
         raise
-
-
-def _recover_locked(
-    state_dir: Path,
-    config: Dict[str, Any],
-    lock_handle,
-    *,
-    in_flight: str,
-    sync: Optional[str],
-    snapshot_every: Optional[int],
-    gateway_factory,
-    metrics=None,
-) -> Tuple[ServiceGateway, RecoveryReport]:
-    refuse_legacy_layout(state_dir)
-    # We hold the writer lock, so the torn tail (if any) is shed in
-    # place here: appends resume right after the last whole record.
-    records, dropped = read_journal(
-        state_dir / JOURNAL_NAME, shed_torn_tail=True
-    )
-
-    gateway = _build_gateway(config, gateway_factory, metrics=metrics)
-    gateway._recovering = True
-    gateway._replaying = True
-    try:
-        checkpoint = _replay_records(gateway, records)
-        # Effects fired by the final operation may have been torn off
-        # the journal tail with the crash.  State already reflects
-        # them, so they are not re-verified — but they MUST be
-        # re-journaled below (once the store is attached), or the
-        # next recovery would find the same effects fired with no
-        # record and refuse the directory forever.
-        torn_effects = list(gateway._pending_effects)
-        gateway._pending_effects.clear()
-    finally:
-        gateway._replaying = False
-
-    # Dispositions for jobs that were in flight at the crash.
-    recovered: List[str] = []
-    lost: List[str] = []
-    for handle, record in sorted(gateway._jobs.items()):
-        if record.cancelled or record.job.state not in _LIVE_STATES:
-            continue
-        if in_flight == "requeue":
-            record.disposition = "recovered"
-            recovered.append(handle)
-        else:
-            lost.append(handle)
-
-    last_seq = records[-1].seq if records else 0
-    checkpoint_seq = checkpoint.seq if checkpoint else 0
-    store = StateStore(
-        state_dir,
-        sync=sync if sync is not None else config.get("sync", "fsync"),
-        snapshot_every=(
-            snapshot_every
-            if snapshot_every is not None
-            else int(config.get("snapshot_every", 256))
-        ),
-        start_seq=last_seq,
-        checkpoint_seq=checkpoint_seq,
-        lock_handle=lock_handle,
-    )
-    gateway.attach_store(store)
-    for rtype, payload in torn_effects:
-        store.append(rtype, payload)
-    if lost:
-        _apply_cancellation(
-            gateway, lost, seq=last_seq, disposition="lost"
-        )
-        gateway._persist("job_cancelled", {"handles": lost})
-    # Group mode defers fsync to the commit barrier: everything
-    # recovery re-journaled must be durable before serving resumes.
-    store.commit()
-    gateway._recovering = False
-
     report = RecoveryReport(
         state_dir=str(state_dir),
         checkpoint_seq=checkpoint_seq,
         n_journal_records=len(records),
-        final_seq=store.last_seq,
+        final_seq=final_seq,
         dropped_tail=dropped,
         tenants=sorted(gateway._tenant_names),
         n_jobs=len(gateway._jobs),

@@ -4,17 +4,17 @@ One process owns the write path — the flock, the journal, the
 scheduler clock.  This package adds horizontal *read* capacity without
 touching that invariant:
 
-* :mod:`repro.replica.tailer` — an incremental WAL tailer that
-  follows the append-only journal from a byte offset (the file is
-  never rewritten, so the offset never goes stale; checkpoints are
-  ordinary records it hands over in order);
+* :mod:`repro.replica.tailer` — an incremental WAL tailer: a byte
+  offset over the journal's one reader (the file is never rewritten,
+  so the offset never goes stale; checkpoints are ordinary records it
+  hands over in order);
 * :mod:`repro.replica.replica` — a read replica: replays the tail
-  through the recovery module's follower-mode apply path (real
-  handlers, effect byte-verification, never re-journaling) and serves
-  every read route; writes come back ``NOT_WRITER`` carrying the
-  writer's address.  On writer death :meth:`ReadReplica.promote`
-  acquires the flock, drains the tail, and takes over the write path
-  by appending to the same journal file;
+  through the recovery module's one apply loop (real handlers, effect
+  byte-verification, never re-journaling) and serves every read
+  route; writes come back ``NOT_WRITER`` carrying the writer's
+  address.  On writer death :meth:`ReadReplica.promote` is a cold
+  start from the replica's own frontier: acquire the flock, follow the
+  tail to its end, ``become_writer``;
 * :mod:`repro.replica.supervisor` — the process supervisor: one
   writer plus N replicas behind an ``SO_REUSEPORT`` front tier (or a
   tiny forwarding proxy where the platform lacks it), heartbeat

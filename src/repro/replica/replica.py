@@ -1,14 +1,13 @@
 """ReadReplica: serve reads off a tailed WAL; promote on writer death.
 
-A replica is recovery run *continuously*: it builds the same gateway
-shape the writer has (same config, same seeded RNG, same zoo subset)
-via :func:`~repro.persist.recovery.build_follower_gateway`, then
-applies journal records through the recovery module's replay path as
-the tailer surfaces them.  The gateway stays in follower mode
-(``_replaying`` is never cleared), so applying records never
-re-journals and replay-fired effects are byte-verified against the
-writer's effect records — a replica that diverges fails loudly instead
-of serving wrong answers.
+A replica is recovery run *continuously*: it builds the same follower
+gateway a cold start does (same config, same seeded RNG, same zoo
+subset) via :func:`~repro.persist.recovery.build_follower_gateway`,
+then applies journal records through
+:func:`~repro.persist.recovery.replay_records` as the tailer surfaces
+them.  Applying records never re-journals and replay-fired effects are
+byte-verified against the writer's effect records — a replica that
+diverges fails loudly instead of serving wrong answers.
 
 :class:`ReplicaGateway` is the serving facade: it exposes the exact
 duck type the HTTP frontend drives (``handle`` / ``is_read`` /
@@ -18,11 +17,10 @@ read route from the follower gateway, and answers mutations with
 them there.  Reads beyond the configured staleness bound come back
 ``UNAVAILABLE_RECOVERING`` instead of silently stale.
 
-:meth:`ReadReplica.promote` is recovery's end-game re-used: take the
-flock (the dead writer's OS-released lock), drain the tail, cut the
-torn tail off the journal in place, attach a live :class:`StateStore`
-that appends to the *same file* at this replica's frontier, give every
-in-flight job an explicit disposition, and start journaling.
+:meth:`ReadReplica.promote` is a cold start that skips the part this
+process already did: take the flock (the dead writer's OS-released
+lock), follow the tail to its end, and hand the gateway to
+:func:`~repro.persist.recovery.become_writer`.
 """
 
 from __future__ import annotations
@@ -35,15 +33,14 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ApiError, ApiErrorCode
-from repro.persist.journal import JournalError, truncate_journal
+from repro.persist.journal import JournalError
 from repro.persist.recovery import (
     IN_FLIGHT_POLICIES,
-    _LIVE_STATES,
+    become_writer,
     build_follower_gateway,
-    cancel_in_flight,
     replay_records,
 )
-from repro.persist.store import StateStore, acquire_lock, read_config
+from repro.persist.store import acquire_lock, read_config
 from repro.replica.tailer import TailBatch, WalTailer
 from repro.service.api import Request
 from repro.service.http import REPLICA_LAG_HEADER
@@ -61,13 +58,15 @@ class PromotionReport:
     recovered: List[str] = field(default_factory=list)
     lost: List[str] = field(default_factory=list)
     drained_records: int = 0
+    dropped_tail: int = 0
     duration_seconds: float = 0.0
 
     def describe(self) -> str:
         return (
             f"promoted replica to writer for {self.state_dir}\n"
             f"  final seq: {self.final_seq} "
-            f"({self.drained_records} records drained at promotion)\n"
+            f"({self.drained_records} records drained, "
+            f"{self.dropped_tail} torn tail dropped at promotion)\n"
             f"  job handles: {len(self.recovered)} requeued, "
             f"{len(self.lost)} lost\n"
             f"  took {self.duration_seconds * 1e3:.1f} ms"
@@ -262,13 +261,11 @@ class ReadReplica:
 
         Acquires the directory's flock (retrying up to
         ``lock_timeout`` seconds — the kernel releases the dead
-        writer's lock, but not instantly), drains the remaining tail,
-        cuts the torn tail off the journal, attaches a live
-        :class:`~repro.persist.StateStore` appending to that same
-        file, and gives every in-flight job an explicit disposition —
-        the same end-game as crash recovery, minus the replay (this
-        process already did it, incrementally, while the writer was
-        alive).
+        writer's lock, but not instantly), stops the tail thread,
+        follows the remaining tail to its end — shedding a torn final
+        line, which only the lock holder may — and becomes the writer:
+        crash recovery from this replica's frontier instead of from
+        offset zero.
         """
         if in_flight not in IN_FLIGHT_POLICIES:
             raise ValueError(
@@ -296,77 +293,33 @@ class ReadReplica:
                 and self._thread is not threading.current_thread()
             ):
                 self._thread.join(timeout=5.0)
-            drained = 0
             with self.gateway._lock:
-                # Final drain: the writer is dead and we hold its
-                # lock, so the journal is no longer moving.
-                while True:
-                    batch = self.tailer.poll()
-                    if not batch:
-                        break
-                    drained += len(batch.records)
-                    self._apply(batch)
-                return self._promote_locked(
-                    lock_handle, in_flight, drained, started
+                # The writer is dead and we hold its lock, so the
+                # journal is no longer moving: one poll reaches its end.
+                batch = self.tailer.poll(shed_torn_tail=True)
+                self._apply(batch)
+                final_seq, recovered, lost = become_writer(
+                    self.gateway,
+                    self.state_dir,
+                    self.config,
+                    lock_handle,
+                    seq=self.applied_seq,
+                    checkpoint_seq=self.tailer.checkpoint_seq,
+                    in_flight=in_flight,
                 )
         except BaseException:
             lock_handle.close()
             raise
-
-    def _promote_locked(
-        self, lock_handle, in_flight: str, drained: int, started: float
-    ) -> PromotionReport:
-        gateway = self.gateway
-        # Effects fired by the writer's final operation whose records
-        # never hit the disk before it died: state already reflects
-        # them, so they must be re-journaled once the store is live
-        # (recovery's torn-effects discipline).
-        torn_effects = list(gateway._pending_effects)
-        gateway._pending_effects.clear()
-        gateway._replaying = False
-
-        # Whatever lies past the last complete line is the dead
-        # writer's torn final append: cut it, so this process's first
-        # record starts on a line of its own.
-        truncate_journal(self.tailer.journal_path, self.tailer.offset)
-
-        recovered: List[str] = []
-        lost: List[str] = []
-        for handle, record in sorted(gateway._jobs.items()):
-            if record.cancelled or record.job.state not in _LIVE_STATES:
-                continue
-            if in_flight == "requeue":
-                record.disposition = "recovered"
-                recovered.append(handle)
-            else:
-                lost.append(handle)
-
-        store = StateStore(
-            self.state_dir,
-            sync=self.config.get("sync", "fsync"),
-            snapshot_every=int(self.config.get("snapshot_every", 256)),
-            start_seq=self.applied_seq,
-            checkpoint_seq=self.tailer.checkpoint_seq,
-            lock_handle=lock_handle,
-        )
-        gateway.attach_store(store)
-        for rtype, payload in torn_effects:
-            store.append(rtype, payload)
-        if lost:
-            cancel_in_flight(
-                gateway, lost, seq=self.applied_seq, disposition="lost"
-            )
-            gateway._persist("job_cancelled", {"handles": lost})
-        store.commit()
         self.promoted = True
         self._m_is_writer.set(1.0)
         self._publish_lag()
         return PromotionReport(
             state_dir=str(self.state_dir),
-            final_seq=store.last_seq,
+            final_seq=final_seq,
             recovered=recovered,
             lost=lost,
-            drained_records=drained,
+            drained_records=len(batch.records),
+            dropped_tail=batch.dropped,
             duration_seconds=time.perf_counter() - started,
         )
 

@@ -1,18 +1,20 @@
-"""Incremental WAL tailer: follow a live journal without the lock.
+"""Incremental WAL tailer: follow a live journal past a byte offset.
 
-A :class:`WalTailer` reads the *writer's* state directory while the
-writer keeps appending to it.  It follows ``journal.jsonl`` from a
-byte offset, consuming only complete (newline-terminated) lines — a
-half-flushed final line is left in place and picked up once the writer
-finishes it.
+A :class:`WalTailer` is the frontier — byte offset, last sequence
+number, newest checkpoint — over the journal's one reader,
+:func:`~repro.persist.journal.read_journal_from`, pointed at the
+*writer's* state directory while the writer keeps appending to it.
 
 The journal is append-only for the life of its directory (checkpoints
 are records in it, not rewrites of it), so the offset never goes stale:
-the only in-place edit a writer ever makes is cutting a torn tail back
-to the last complete record, which removes bytes the tailer never
-consumed.  Anything else the tailer observes — the file shorter than
-its offset, a complete line that does not parse, a sequence number that
-is not the next one — is damage, and surfaces at once as
+the only in-place edit a lock holder ever makes is cutting a torn tail
+back to the last complete record, which removes bytes the tailer never
+consumed.  While it follows without the flock a torn final line is
+left in place and picked up once the writer finishes it; once its
+owner holds the flock (promotion) the same poll sheds it.  Anything
+else the tailer observes — the file shorter than its offset, damage
+before the final line, a sequence number that is not the next one — is
+refused at once with
 :class:`~repro.persist.journal.JournalCorruptionError`.
 """
 
@@ -24,10 +26,9 @@ from typing import List, Union
 
 from repro.persist.journal import (
     JOURNAL_NAME,
-    JournalCorruptionError,
     JournalRecord,
     last_checkpoint,
-    parse_line,
+    read_journal_from,
 )
 from repro.persist.store import refuse_legacy_layout
 
@@ -37,6 +38,9 @@ class TailBatch:
     """One poll's worth of new records, in apply order."""
 
     records: List[JournalRecord] = field(default_factory=list)
+    #: Torn final lines past ``records`` (0 or 1): shed when the
+    #: poller holds the flock, otherwise still in the file.
+    dropped: int = 0
 
     def __bool__(self) -> bool:
         return bool(self.records)
@@ -46,8 +50,7 @@ class WalTailer:
     """Follow one state directory's journal past a moving frontier.
 
     Single-consumer: not thread-safe, call :meth:`poll` from one
-    thread.  The tailer never takes the directory's flock — it is a
-    pure reader and must stay one.
+    thread.  The tailer never takes the directory's flock itself.
     """
 
     def __init__(self, state_dir: Union[str, Path]) -> None:
@@ -57,8 +60,7 @@ class WalTailer:
         self.emitted_seq = 0
         #: Sequence number of the newest checkpoint handed over.
         self.checkpoint_seq = 0
-        #: Bytes of journal consumed (complete lines only): where a
-        #: promoted replica cuts the file before it starts appending.
+        #: Bytes of journal consumed (whole records only).
         self.offset = 0
         self._seeded = False
 
@@ -70,57 +72,28 @@ class WalTailer:
         self._seeded = True
         return self.poll()
 
-    def poll(self) -> TailBatch:
+    def poll(self, *, shed_torn_tail: bool = False) -> TailBatch:
         """Non-blocking: whatever complete new records landed since.
 
         Returns an empty (falsy) batch when nothing new arrived.
-        Raises :class:`JournalCorruptionError` when the journal is
-        damaged (see the module docstring).
+        ``shed_torn_tail`` is for a caller that holds the directory's
+        flock (the promotion drain): a torn final line is cut off the
+        file and counted in the batch instead of left for the writer
+        to finish.  Raises
+        :class:`~repro.persist.journal.JournalCorruptionError` when
+        the journal is damaged; the frontier does not move.
         """
         if not self._seeded:
             raise RuntimeError("call seed() before poll()")
-        try:
-            size = self.journal_path.stat().st_size
-        except FileNotFoundError:
-            size = 0  # the writer has not journaled anything yet
-        if size < self.offset:
-            raise JournalCorruptionError(
-                f"journal shrank to {size} bytes below the tailer's "
-                f"offset {self.offset} (frontier seq "
-                f"{self.emitted_seq}) — an append-only journal never "
-                "loses complete records"
-            )
-        if size == self.offset:
-            return TailBatch()
-        with open(self.journal_path, "rb") as handle:
-            handle.seek(self.offset)
-            blob = handle.read()
-        # Frontier state moves only once the whole read validated, so
-        # a damaged journal fails every poll the same way.
-        records: List[JournalRecord] = []
-        seq, start = self.emitted_seq, 0
-        while True:
-            newline = blob.find(b"\n", start)
-            if newline < 0:
-                break  # trailing partial line: leave it unconsumed
-            try:
-                record = parse_line(blob[start:newline], seq + 1)
-            except ValueError as exc:
-                raise JournalCorruptionError(
-                    f"unparseable journal line at offset "
-                    f"{self.offset + start}: {exc}"
-                ) from None
-            if record.seq != seq + 1:
-                raise JournalCorruptionError(
-                    f"journal jumped from seq {seq} to {record.seq} "
-                    f"at offset {self.offset + start}"
-                )
-            records.append(record)
-            seq = record.seq
-            start = newline + 1
-        self.emitted_seq = seq
-        self.offset += start
+        records, self.offset, dropped = read_journal_from(
+            self.journal_path,
+            self.offset,
+            self.emitted_seq,
+            shed_torn_tail=shed_torn_tail,
+        )
+        if records:
+            self.emitted_seq = records[-1].seq
         mark = last_checkpoint(records)
         if mark is not None:
             self.checkpoint_seq = mark.seq
-        return TailBatch(records=records)
+        return TailBatch(records=records, dropped=dropped)

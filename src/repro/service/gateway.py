@@ -67,7 +67,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.events import EventKind
-from repro.engine.jobs import Job, JobState
+from repro.engine.jobs import LIVE_STATES, Job, JobState
 from repro.errors import jsonify
 from repro.obs import (
     NULL_TRACER,
@@ -119,9 +119,6 @@ from repro.service.api import (
     SubmitTrainingRequest,
     SubmitTrainingResponse,
 )
-
-#: Job states that still count against the pending-jobs quota.
-_LIVE_STATES = (JobState.PENDING, JobState.RUNNING, JobState.PREEMPTED)
 
 #: Request types served on the lock-free read path: their handlers
 #: consume only immutable :class:`TenantView` snapshots (published by
@@ -938,7 +935,7 @@ class ServiceGateway:
             return (
                 record is None
                 or record.cancelled
-                or record.job.state not in _LIVE_STATES
+                or record.job.state not in LIVE_STATES
             )
         return True
 
@@ -1504,7 +1501,7 @@ class ServiceGateway:
         tenant.live_jobs = [
             record
             for record in tenant.live_jobs
-            if record.job.state in _LIVE_STATES
+            if record.job.state in LIVE_STATES
         ]
         pending = len(tenant.live_jobs)
         if pending + steps > tenant.quota.max_pending_jobs:
@@ -1717,12 +1714,12 @@ class ServiceGateway:
         """
         runtime = self.server._runtime_oracle.runtime
         advanced = False
-        if record.job.state in _LIVE_STATES and not record.cancelled:
+        if record.job.state in LIVE_STATES and not record.cancelled:
             # Advancing the shared cluster mutates global state, so a
             # live-job poll upgrades from the lock-free read path to
             # the gateway lock.
             with self._lock:
-                if record.job.state in _LIVE_STATES and not record.cancelled:
+                if record.job.state in LIVE_STATES and not record.cancelled:
                     # Each poll of a live job advances the simulated
                     # cluster by (at most) one completion event —
                     # possibly someone else's, which is exactly how
@@ -1736,7 +1733,7 @@ class ServiceGateway:
                     self._op_boundary()
                     advanced = bool(completed)
                     if not completed and not runtime.queue and (
-                        record.job.state in _LIVE_STATES
+                        record.job.state in LIVE_STATES
                         and not record.cancelled
                     ):
                         raise ApiError(

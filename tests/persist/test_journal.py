@@ -11,6 +11,7 @@ from repro.persist import (
     JournalRecord,
     RECORD_TYPES,
     read_journal,
+    read_journal_from,
     record_checksum,
 )
 
@@ -136,6 +137,37 @@ class TestCrashTolerance:
         assert dropped == 1
         assert [r.seq for r in records] == [1, 2]
         assert journal_path.read_bytes().endswith(b"\n")
+
+    def test_non_json_final_line_is_a_torn_tail(self, journal_path):
+        """A block-level tear: reported by any reader, shed only by the
+        one that holds the lock, damage once anything follows it."""
+        self._write(journal_path)
+        whole = journal_path.read_bytes()
+        journal_path.write_bytes(whole + b"\x00\x00 not json\n")
+        records, dropped = read_journal(journal_path)
+        assert dropped == 1 and [r.seq for r in records] == [1, 2, 3]
+        assert journal_path.read_bytes() != whole  # reading sheds nothing
+        with open(journal_path, "ab") as handle:
+            handle.write(b'{"seq": 4, "typ')
+        with pytest.raises(JournalCorruptionError, match="not the final"):
+            read_journal(journal_path, shed_torn_tail=True)
+        journal_path.write_bytes(whole + b"\x00\x00 not json\n")
+        records, dropped = read_journal(journal_path, shed_torn_tail=True)
+        assert dropped == 1 and len(records) == 3
+        assert journal_path.read_bytes() == whole
+
+    def test_read_from_a_frontier(self, journal_path):
+        self._write(journal_path, n=5)
+        lines = journal_path.read_bytes().splitlines(keepends=True)
+        offset, size = len(b"".join(lines[:3])), len(b"".join(lines))
+        records, end, dropped = read_journal_from(journal_path, offset, 3)
+        assert [r.seq for r in records] == [4, 5]
+        assert (end, dropped) == (size, 0)
+        assert read_journal_from(journal_path, size, 5) == ([], size, 0)
+        with pytest.raises(JournalCorruptionError, match="contiguous"):
+            read_journal_from(journal_path, offset, 2)
+        with pytest.raises(JournalCorruptionError, match="shrank"):
+            read_journal_from(journal_path, size + 1, 5)
 
     def test_journal_must_start_at_seq_one(self, journal_path):
         """Nothing truncates the journal any more, so a file whose

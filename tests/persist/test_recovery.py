@@ -368,6 +368,38 @@ class TestGuards:
         assert dropped == 0
         recovered.store.close()
 
+    @pytest.mark.parametrize("sync", ["fsync", "group"])
+    def test_failed_fsync_is_fail_stop(self, state_dir, sync, monkeypatch):
+        """A write the disk refused leaves an un-acked line and a
+        journal that will not append again — never a second record
+        with the same seq."""
+        import repro.persist.journal as journal_module
+
+        gateway = _fresh(state_dir, sync=sync)
+        gateway.create_tenant("alice")
+        real_fsync, armed = journal_module.os.fsync, [True]
+
+        def fsync_fails_once(fd):
+            if armed:
+                armed.clear()
+                raise OSError(5, "Input/output error")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(journal_module.os, "fsync", fsync_fails_once)
+        with pytest.raises(OSError, match="Input/output"):
+            gateway.rotate_token("alice")
+        for _ in range(2):
+            with pytest.raises(JournalError, match="closed"):
+                gateway.rotate_token("alice")
+        gateway.store.close()
+        # What reached the file is an ordinary tail for the next start.
+        records, dropped = read_journal(state_dir / "journal.jsonl")
+        assert [r.seq for r in records] == [1, 2] and dropped == 0
+        recovered, report = recover_gateway(state_dir)
+        assert report.final_seq == 2
+        recovered.rotate_token("alice")
+        recovered.store.close()
+
     def test_open_gateway_honours_journal_error_type(self, state_dir):
         gateway = _fresh(state_dir)
         gateway.store.close()

@@ -1,5 +1,7 @@
 """Replica promotion: lock arbitration, dispositions, tripwires."""
 
+import json
+import shutil
 import threading
 import time
 
@@ -8,6 +10,7 @@ import pytest
 from replica_helpers import MOONS_PROGRAM, onboard, open_writer
 from repro.persist import (
     JOURNAL_NAME,
+    JournalCorruptionError,
     JournalError,
     read_journal,
     recover_gateway,
@@ -215,3 +218,119 @@ class TestParkedWaiters:
         assert status.state == "finished"
         assert status.disposition == "recovered"
         replica.gateway.store.close()
+
+
+def _partial_line(journal):
+    with open(journal, "ab") as handle:
+        handle.write(b'{"seq": 99, "type": "app_clo')
+
+
+def _non_json_line(journal):
+    with open(journal, "ab") as handle:
+        handle.write(b"\x00\x00\x00 a block-level tear\n")
+
+
+def _mid_file_garbage(journal):
+    lines = journal.read_bytes().split(b"\n")
+    lines[2] = b"not json at all"
+    journal.write_bytes(b"\n".join(lines))
+
+
+def _rewrite_last(journal, edit):
+    lines = journal.read_bytes().split(b"\n")
+    data = json.loads(lines[-2])
+    edit(data)
+    lines[-2] = json.dumps(data).encode()
+    journal.write_bytes(b"\n".join(lines))
+
+
+def _bad_crc(journal):
+    _rewrite_last(journal, lambda data: data.update(crc="00000000"))
+
+
+def _seq_gap(journal):
+    from repro.persist import record_checksum
+
+    def skip_one(data):
+        data["seq"] += 1
+        data["crc"] = record_checksum(
+            data["seq"], data["type"], data["payload"]
+        )
+
+    _rewrite_last(journal, skip_one)
+
+
+class TestColdStartIsPromotionFromZero:
+    """One directory, both drivers: `recover_gateway` and
+    `ReadReplica.start(); promote()` must agree on what a damaged tail
+    is, what is left of the journal, and the state it rebuilds."""
+
+    @pytest.fixture(scope="class", params=["buffered", "group"])
+    def crashed(self, request, tmp_path_factory):
+        """A dead writer's directory with jobs still in flight."""
+        state_dir = tmp_path_factory.mktemp(request.param) / "state"
+        gateway, token = open_writer(state_dir, sync=request.param)
+        onboard(gateway, token)
+        handles = gateway.handle(
+            SubmitTrainingRequest(auth_token=token, app="moons", steps=3)
+        ).handles
+        poll_to_done(gateway, token, handles[0].job_id)
+        assert live_handles(gateway, token)
+        gateway.store.close()
+        return state_dir
+
+    @staticmethod
+    def _copies(crashed, tmp_path, damage):
+        copies = []
+        for name in ("cold", "promoted"):
+            shutil.copytree(crashed, tmp_path / name)
+            damage(tmp_path / name / JOURNAL_NAME)
+            copies.append(tmp_path / name)
+        return copies
+
+    @pytest.mark.parametrize(
+        "damage, dropped",
+        [
+            (lambda journal: None, 0),
+            (_partial_line, 1),
+            (_non_json_line, 1),
+            (lambda journal: journal.write_bytes(b""), 0),
+        ],
+        ids=["clean", "partial-line", "non-json-line", "empty-file"],
+    )
+    def test_damaged_tail_matrix(self, crashed, tmp_path, damage, dropped):
+        cold_dir, promoted_dir = self._copies(crashed, tmp_path, damage)
+
+        cold, cold_report = recover_gateway(cold_dir)
+        replica = ReadReplica(promoted_dir)
+        replica.start()
+        promoted_report = replica.promote()
+
+        assert state_digest(replica.gateway) == state_digest(cold)
+        for name in ("final_seq", "dropped_tail", "recovered", "lost"):
+            assert getattr(promoted_report, name) == getattr(
+                cold_report, name
+            ), name
+        assert cold_report.dropped_tail == dropped
+        cold.store.close()
+        replica.gateway.store.close()
+        assert (cold_dir / JOURNAL_NAME).read_bytes() == (
+            promoted_dir / JOURNAL_NAME
+        ).read_bytes()
+        for state_dir in (cold_dir, promoted_dir):
+            again, report = recover_gateway(state_dir)
+            assert report.dropped_tail == 0
+            assert report.final_seq == cold_report.final_seq
+            again.store.close()
+
+    @pytest.mark.parametrize(
+        "damage", [_mid_file_garbage, _bad_crc, _seq_gap]
+    )
+    def test_real_damage_is_refused_by_both(self, crashed, tmp_path, damage):
+        cold_dir, promoted_dir = self._copies(crashed, tmp_path, damage)
+        with pytest.raises(JournalCorruptionError):
+            recover_gateway(cold_dir)
+        with pytest.raises(JournalCorruptionError):
+            replica = ReadReplica(promoted_dir)
+            replica.start()
+            replica.promote()

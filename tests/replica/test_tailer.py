@@ -5,52 +5,12 @@ import pytest
 from replica_helpers import MOONS_PROGRAM, open_writer
 from repro.persist import (
     JOURNAL_NAME,
-    Journal,
     JournalCorruptionError,
     JournalError,
-    read_records_from,
+    JournalRecord,
 )
 from repro.persist.digest import state_digest
 from repro.replica import WalTailer
-
-
-def make_journal(tmp_path, n=5):
-    journal = Journal(tmp_path / JOURNAL_NAME, sync="buffered")
-    for i in range(n):
-        journal.append("tenant_created", {"i": i})
-    return journal
-
-
-class TestReadRecordsFrom:
-    """The public incremental read API on Journal."""
-
-    def test_reads_past_the_frontier(self, tmp_path):
-        journal = make_journal(tmp_path, n=5)
-        assert [r.seq for r in journal.records_from(0)] == [1, 2, 3, 4, 5]
-        assert [r.seq for r in journal.records_from(3)] == [4, 5]
-        assert [r.seq for r in journal.records_from(5)] == []
-        journal.close()
-
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        journal = make_journal(tmp_path, n=3)
-        journal.close()
-        path = tmp_path / JOURNAL_NAME
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"seq": 4, "type": "tenant_cre')
-        assert [r.seq for r in read_records_from(path, 0)] == [1, 2, 3]
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        journal = make_journal(tmp_path, n=3)
-        journal.close()
-        path = tmp_path / JOURNAL_NAME
-        lines = path.read_text().splitlines()
-        lines[1] = lines[1][:-4] + 'xxx"'
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(JournalCorruptionError):
-            list(read_records_from(path, 0))
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert list(read_records_from(tmp_path / "nope.jsonl", 0)) == []
 
 
 class TestTailerFollow:
@@ -88,6 +48,38 @@ class TestTailerFollow:
             handle.flush()
             assert not tailer.poll()  # incomplete line: no progress
         gateway.store.close()
+
+    def test_torn_final_line_waits_for_the_lock_holder(self, state_dir):
+        """A complete non-JSON final line is a block-level tear: left
+        alone without the flock, shed with it, damage once buried."""
+        gateway, token = open_writer(state_dir)
+        tailer = WalTailer(state_dir)
+        tailer.seed()
+        gateway.store.close()
+        path = state_dir / JOURNAL_NAME
+        whole = path.read_bytes()
+        path.write_bytes(whole + b"\x00\x00 not json\n")
+        for _ in range(2):
+            batch = tailer.poll()
+            assert not batch and batch.dropped == 1
+            assert tailer.offset == len(whole)
+        assert path.read_bytes() != whole  # reading sheds nothing
+        batch = tailer.poll(shed_torn_tail=True)
+        assert not batch and batch.dropped == 1
+        assert path.read_bytes() == whole
+        # Buried under a later record, the same line is plain damage.
+        record = JournalRecord(seq=2, type="app_closed", payload={})
+        path.write_bytes(
+            whole + b"not json\n" + record.to_line().encode() + b"\n"
+        )
+        with pytest.raises(JournalCorruptionError, match="not the final"):
+            tailer.poll(shed_torn_tail=True)
+        assert tailer.emitted_seq == 1
+
+    def test_missing_journal_is_empty(self, tmp_path):
+        tailer = WalTailer(tmp_path)
+        assert not tailer.seed() and not tailer.poll()
+        assert (tailer.emitted_seq, tailer.offset) == (0, 0)
 
     def test_seed_twice_rejected(self, state_dir):
         open_writer(state_dir)[0].store.close()
