@@ -24,6 +24,7 @@ experiment harness composes them.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -47,6 +48,11 @@ from repro.core.user_picking import UserPicker
 #: Initial size of the scheduler's per-tenant-id decision-cache arrays
 #: (doubled as larger ids are admitted).
 _DECISION_MIN_CAPACITY = 16
+
+#: Source of :attr:`MultiTenantScheduler.decision_epoch` values.  One
+#: process-wide sequence, so no two schedulers ever hold the same epoch
+#: and a picker's memo can never be answered by another scheduler's.
+_EPOCHS = itertools.count(1)
 
 
 @dataclass
@@ -139,6 +145,7 @@ class TenantRegistry:
     def __init__(self) -> None:
         self._states: Dict[int, TenantState] = {}
         self._active: List[int] = []  # sorted ascending
+        self._active_set: set = set()  # same ids, for O(1) membership
         self._version = 0  # bumped on every active-set change
 
     @property
@@ -187,11 +194,13 @@ class TenantRegistry:
         if not self.is_active(tenant_id):
             raise ValueError(f"tenant {tenant_id} is not active")
         self._active.remove(tenant_id)
+        self._active_set.discard(tenant_id)
         self._version += 1
         return self._states[tenant_id]
 
     def _activate(self, tenant_id: int) -> None:
         bisect.insort(self._active, tenant_id)
+        self._active_set.add(tenant_id)
         self._version += 1
 
     # -- views ---------------------------------------------------------
@@ -206,7 +215,7 @@ class TenantRegistry:
 
     def __contains__(self, tenant_id: object) -> bool:
         """``id in registry`` — is this tenant *active*?"""
-        return tenant_id in self._active
+        return tenant_id in self._active_set
 
     def __iter__(self) -> Iterator[TenantState]:
         """Active tenants, in ascending id order."""
@@ -217,7 +226,7 @@ class TenantRegistry:
         return len(self._active)
 
     def is_active(self, tenant_id: int) -> bool:
-        return tenant_id in self._active
+        return tenant_id in self._active_set
 
     def is_known(self, tenant_id: int) -> bool:
         return tenant_id in self._states
@@ -375,6 +384,10 @@ class MultiTenantScheduler:
         self._dc_best_obs = np.zeros(_DECISION_MIN_CAPACITY)
         self._dc_best_ucb = np.full(_DECISION_MIN_CAPACITY, math.inf)
         self._dc_dirty: set = set()
+        #: Changes whenever :meth:`invalidate_tenant` runs; together
+        #: with ``tenants.version`` it names one state of everything the
+        #: user-picking phase reads, so pickers may memoise against it.
+        self.decision_epoch = next(_EPOCHS)
         self._dc_active = np.empty(0, dtype=np.intp)
         self._dc_active_version = -1
         for tenant_id in sorted(initial):
@@ -505,8 +518,9 @@ class MultiTenantScheduler:
     # O(n·t²); the scheduler instead keeps them in dense arrays indexed
     # by stable tenant id, refreshed only for the tenant whose state
     # actually changed.  Every mutation path funnels through
-    # :meth:`invalidate_tenant` — ``step()``, admission, reactivation,
-    # and the async oracle's out-of-band ``absorb``.
+    # :meth:`invalidate_tenant` — :meth:`complete` (``step()`` and the
+    # async oracle's out-of-band ``absorb``), admission, reactivation —
+    # which also advances ``decision_epoch``.
 
     def _ensure_decision_capacity(self, tenant_id: int) -> None:
         capacity = self._dc_sigma.shape[0]
@@ -541,6 +555,7 @@ class MultiTenantScheduler:
         self._dc_sigma[tenant_id] = state.sigma_tilde
         self._dc_best_obs[tenant_id] = state.best_observed
         self._dc_dirty.add(tenant_id)
+        self.decision_epoch = next(_EPOCHS)
 
     def active_id_array(self) -> np.ndarray:
         """Active tenant ids as a read-only ascending numpy array.
@@ -615,23 +630,38 @@ class MultiTenantScheduler:
         self._m_pick_seconds.observe(time.perf_counter() - pick_started)
         self._m_picks.labels(user).inc()
         observation = self.oracle.observe(user, selection.arm)
-        tenant.picker.observe(selection.arm, observation.reward)
-        tenant.absorb(
-            selection,
-            observation.reward,
-            observation.cost,
-            clamp_potential=self.clamp_potential,
+        return self.complete(
+            tenant, selection, observation.reward, observation.cost
         )
-        self.invalidate_tenant(user)
 
+    def complete(
+        self,
+        tenant: TenantState,
+        selection: Selection,
+        reward: float,
+        cost: float,
+    ) -> StepRecord:
+        """Feed one finished training run back into the scheduler.
+
+        The second half of a round, shared by :meth:`step` and drivers
+        that train out of band (the async cluster oracle): picker
+        observation, the Algorithm 2 line-6 recurrence, decision-cache
+        invalidation, a :class:`StepRecord`, and the user picker's
+        ``notify`` hook.
+        """
+        tenant.picker.observe(selection.arm, reward)
+        tenant.absorb(
+            selection, reward, cost, clamp_potential=self.clamp_potential
+        )
+        self.invalidate_tenant(tenant.index)
         self.step_count += 1
-        self.total_cost += observation.cost
+        self.total_cost += cost
         record = StepRecord(
             t=self.step_count,
-            user=user,
+            user=tenant.index,
             arm=selection.arm,
-            reward=observation.reward,
-            cost=observation.cost,
+            reward=reward,
+            cost=cost,
             cumulative_cost=self.total_cost,
             ucb_value=selection.ucb_value,
             sigma_tilde=tenant.sigma_tilde,

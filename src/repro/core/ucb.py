@@ -83,11 +83,11 @@ class GPUCB:
         self.arms_played: List[int] = []
         self.rewards_seen: List[float] = []
 
-        # Memoized score vector keyed by (n_observations, t, β_t): one
-        # posterior evaluation is shared by select(), best_ucb() and
-        # the scheduler's potential_gap() within a round.
+        # Memoized score vector keyed by (n_observations, t, β
+        # schedule): one posterior evaluation is shared by select(),
+        # best_ucb() and the scheduler's potential_gap() within a round.
         self._scores_cache: Optional[
-            Tuple[int, int, float, np.ndarray]
+            Tuple[int, int, BetaSchedule, np.ndarray]
         ] = None
 
     # ------------------------------------------------------------------
@@ -101,27 +101,27 @@ class GPUCB:
     def ucb_scores(self, t: Optional[int] = None) -> np.ndarray:
         """``B_t(k) = μ_{t-1}(k) + sqrt(β_t / c_k) σ_{t-1}(k)`` for all k.
 
-        The score vector is memoized per ``(t, β_t)`` against the GP's
-        observation count, and returned as a **read-only** array:
-        ``select()``, :meth:`best_ucb` and the greedy user-picking
-        phase all share one posterior evaluation per round instead of
-        recomputing it three times.
+        The score vector is memoized per ``(t, β schedule)`` against
+        the GP's observation count, and returned as a **read-only**
+        array: ``select()``, :meth:`best_ucb` and the greedy
+        user-picking phase all share one posterior evaluation (and one
+        ``β_t``) per round instead of recomputing it three times.
         """
         t = self.t_next if t is None else int(t)
-        beta_t = self.beta(t)
         cache = self._scores_cache
         n_obs = self.gp.n_observations
         if (
             cache is not None
             and cache[0] == n_obs
             and cache[1] == t
-            and cache[2] == beta_t
+            and cache[2] is self.beta
         ):
             return cache[3]
+        beta_t = self.beta(t)
         mean, variance = self.gp.posterior()
         scores = mean + np.sqrt(beta_t / self.costs) * np.sqrt(variance)
         scores.setflags(write=False)
-        self._scores_cache = (n_obs, t, beta_t, scores)
+        self._scores_cache = (n_obs, t, self.beta, scores)
         return scores
 
     def best_ucb(self) -> float:

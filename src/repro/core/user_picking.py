@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -162,6 +162,11 @@ class GreedyPicker(UserPicker):
     scheduler budget exactly like the paper's initialisation does.  A
     tenant arriving mid-run is warm-started the same way: its first
     serve takes priority at the next pick.
+
+    The line-7 candidate set is memoised against the scheduler's
+    ``(decision_epoch, tenants.version)``: it is evaluated once per
+    scheduler state change, however many ``pick`` / ``candidate_set``
+    calls (and HYBRID ``notify`` calls) fall between two changes.
     """
 
     _RULES = ("max_gap", "max_potential", "random")
@@ -171,7 +176,10 @@ class GreedyPicker(UserPicker):
             raise ValueError(f"rule must be one of {self._RULES}, got {rule!r}")
         self.rule = rule
         self._rng = RandomState(seed)
-        self.last_candidate_set: FrozenSet[int] = frozenset()
+        # (key, (ids, mask, potentials)) — arrays only, never the
+        # scheduler: a back-reference would close a reference cycle and
+        # leave whole trials to the cyclic GC.
+        self._memo: Tuple = (None, None)
         # Ids that may still need their warm-up serve.  Entries are
         # validated lazily at pick time (a stale id — served, or no
         # longer active — is simply dropped), so steady-state picks pay
@@ -179,6 +187,7 @@ class GreedyPicker(UserPicker):
         self._unserved: Optional[set] = None
 
     def reset(self, scheduler: "MultiTenantScheduler") -> None:
+        self._memo = (None, None)
         self._unserved = {
             tenant.index for tenant in scheduler.tenants
             if tenant.serves == 0
@@ -220,26 +229,38 @@ class GreedyPicker(UserPicker):
     def _candidates(self, scheduler: "MultiTenantScheduler"):
         """``(ids, mask, potentials)`` for the line-7 candidate filter.
 
-        ``ids`` is the candidate id array; ``mask`` is the boolean
-        filter over the active set (``None`` when every active tenant
-        is a candidate), letting callers slice other aligned arrays.
+        ``ids`` is the candidate id array and ``mask`` the boolean
+        filter over the active set that produced it, letting callers
+        slice other arrays aligned with the active set.  Memoised per
+        scheduler state (see the class docstring); the computation
+        below is the memo's miss branch.
         """
+        key = (scheduler.decision_epoch, scheduler.tenants.version)
+        if self._memo[0] == key:
+            return self._memo[1]
         active = scheduler.active_id_array()
         potentials = scheduler.potentials()  # aligned with active
-        finite = np.isfinite(potentials)
-        if not finite.any():
-            return active, None, potentials
-        threshold = potentials[finite].mean()
-        mask = ~finite | (potentials >= threshold)
-        if not mask.any():
-            return active, None, potentials
-        return active[mask], mask, potentials
+        # A finite pairwise sum means every σ̃ is finite, and sum / n is
+        # bit for bit np.mean's threshold; a running Σσ̃ would not be.
+        total = float(potentials.sum())
+        if active.size and math.isfinite(total):
+            mask = potentials >= total / active.size
+        else:  # never-served tenants (σ̃ = ∞) are always candidates
+            finite = np.isfinite(potentials)
+            mask = ~finite
+            if finite.any():
+                mask |= potentials >= potentials[finite].mean()
+        ids = active[mask]
+        if not ids.size:  # equal σ̃ can round the mean above all of them
+            mask = np.ones(active.size, dtype=bool)
+            ids = active
+        self._memo = (key, (ids, mask, potentials))
+        return self._memo[1]
 
     def candidate_set(self, scheduler: "MultiTenantScheduler") -> List[int]:
         """``V_t = {i : σ̃_i ≥ mean(σ̃)}`` over active tenants
         (Algorithm 2 line 7)."""
-        ids, _, _ = self._candidates(scheduler)
-        return [int(i) for i in ids]
+        return self._candidates(scheduler)[0].tolist()
 
     def pick(self, scheduler: "MultiTenantScheduler") -> int:
         warm = self._next_unserved(scheduler)
@@ -247,14 +268,12 @@ class GreedyPicker(UserPicker):
             return warm
 
         ids, mask, potentials = self._candidates(scheduler)
-        self.last_candidate_set = frozenset(int(i) for i in ids)
         if self.rule == "random":
-            return int(self._rng.choice([int(i) for i in ids]))
+            return int(self._rng.choice(ids.tolist()))
         if self.rule == "max_potential":
-            scores = potentials if mask is None else potentials[mask]
+            scores = potentials[mask]
         else:  # max_gap
-            gaps = scheduler.decision_gaps()  # aligned with active
-            scores = gaps if mask is None else gaps[mask]
+            scores = scheduler.decision_gaps()[mask]  # aligned with active
         return int(ids[int(np.argmax(scores))])
 
 
@@ -265,12 +284,12 @@ class HybridPicker(UserPicker):
     the greedy candidate set did not change *and* the global progress
     signal (Σ_i best accuracy so far) did not improve.  After the
     switch the picker behaves exactly like :class:`RoundRobinPicker`
-    for the rest of the run (the paper switches once; set
-    ``allow_reentry`` to let renewed progress switch back).  Membership
-    churn resets the freeze detector — a new arrival (whose warm-up
-    serve is genuine exploration) or a departure changes the candidate
-    set, so the stall counter naturally restarts; an arrival after the
-    switch re-enters GREEDY so the newcomer gets its exploration phase.
+    for the rest of the run (the paper switches once), and ``notify``
+    costs nothing.  Membership churn resets the freeze detector — a new
+    arrival (whose warm-up serve is genuine exploration) or a departure
+    changes the candidate set, so the stall counter naturally restarts;
+    an arrival after the switch re-enters GREEDY so the newcomer gets
+    its exploration phase.
     """
 
     def __init__(
@@ -278,21 +297,20 @@ class HybridPicker(UserPicker):
         s: int = 10,
         rule: str = "max_gap",
         *,
-        allow_reentry: bool = False,
         progress_tolerance: float = 1e-12,
         seed: SeedLike = None,
     ) -> None:
         if s < 1:
             raise ValueError(f"s must be >= 1, got {s}")
         self.s = int(s)
-        self.allow_reentry = bool(allow_reentry)
         self.progress_tolerance = float(progress_tolerance)
         self._greedy = GreedyPicker(rule, seed=seed)
         self._round_robin = RoundRobinPicker()
         self.switched = False
         self.switch_step: Optional[int] = None
         self._stall_rounds = 0
-        self._last_candidates: Optional[FrozenSet[int]] = None
+        # Candidate-set identity: (membership version, mask bytes).
+        self._last_candidates: Optional[Tuple[int, bytes]] = None
         self._last_progress = -math.inf
 
     def reset(self, scheduler: "MultiTenantScheduler") -> None:
@@ -333,22 +351,20 @@ class HybridPicker(UserPicker):
     def notify(
         self, scheduler: "MultiTenantScheduler", record: "StepRecord"
     ) -> None:
+        if self.switched:
+            return  # frozen: only on_arrival re-arms the detector
         progress = scheduler.global_best_sum()
-        candidates = frozenset(self._greedy.candidate_set(scheduler))
-        stalled = (
-            self._last_candidates is not None
-            and candidates == self._last_candidates
+        _, mask, _ = self._greedy._candidates(scheduler)
+        candidates = (scheduler.tenants.version, mask.tobytes())
+        if (
+            candidates == self._last_candidates
             and progress <= self._last_progress + self.progress_tolerance
-        )
-        if stalled:
+        ):
             self._stall_rounds += 1
         else:
             self._stall_rounds = 0
-            if self.switched and self.allow_reentry:
-                self.switched = False
-                self.switch_step = None
         self._last_candidates = candidates
         self._last_progress = max(self._last_progress, progress)
-        if not self.switched and self._stall_rounds >= self.s:
+        if self._stall_rounds >= self.s:
             self.switched = True
             self.switch_step = record.t

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.model_picking import ModelPicker
-from repro.core.multitenant import MultiTenantScheduler, RunResult, StepRecord
+from repro.core.multitenant import MultiTenantScheduler, RunResult
 from repro.core.oracles import Observation, RewardOracle
 from repro.engine.clock import SimClock
 from repro.engine.cluster import GPUPool
@@ -361,40 +361,19 @@ class AsyncClusterOracle(RewardOracle):
     ) -> None:
         """Feed one completed job back into the scheduler state.
 
-        Exactly what a synchronous :meth:`MultiTenantScheduler.step`
-        does after its oracle call — picker observation, the
-        Algorithm 2 line-6 recurrence, a :class:`StepRecord` with the
-        job's service time as cost, and the user picker's ``notify``
-        hook.  External drivers (the service gateway) call this once
-        per completion, in completion order.
+        :meth:`MultiTenantScheduler.complete` — what a synchronous
+        ``step`` does after its oracle call — with the job's service
+        time as cost, plus the ``MODEL_RETURNED`` event and the absorb
+        callbacks.  External drivers (the service gateway) call this
+        once per completion, in completion order.
         """
-        cost = self._service_time(job)
-        tenant.picker.observe(selection.arm, job.reward)
-        tenant.absorb(
-            selection, job.reward, cost,
-            clamp_potential=scheduler.clamp_potential,
+        scheduler.complete(
+            tenant, selection, job.reward, self._service_time(job)
         )
-        # This path bypasses scheduler.step(), so the decision cache
-        # must be told the tenant's σ̃ / best-observed / best-UCB moved.
-        scheduler.invalidate_tenant(tenant.index)
-        scheduler.step_count += 1
-        scheduler.total_cost += cost
-        record = StepRecord(
-            t=scheduler.step_count,
-            user=tenant.index,
-            arm=selection.arm,
-            reward=job.reward,
-            cost=cost,
-            cumulative_cost=scheduler.total_cost,
-            ucb_value=selection.ucb_value,
-            sigma_tilde=tenant.sigma_tilde,
-        )
-        scheduler.records.append(record)
         self.log.append(
             self.clock.now, EventKind.MODEL_RETURNED, user=tenant.index,
             model=selection.arm, reward=job.reward,
         )
-        scheduler.user_picker.notify(scheduler, record)
         for callback in self._absorb_callbacks:
             callback(job)
 

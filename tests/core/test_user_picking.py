@@ -165,6 +165,22 @@ class TestHybrid:
         make_scheduler([[0.5] * 2] * 2, picker)
         assert not picker.switched
 
+    def test_frozen_detector_is_inert_until_an_arrival(self):
+        # The paper switches once: after the freeze, notify() touches
+        # nothing, and renewed progress does not switch back.
+        picker = HybridPicker(s=2)
+        sched = make_scheduler([[0.5, 0.9]] * 2, picker, noise_std=0.05)
+        sched.run(max_steps=40)
+        assert picker.switched
+        frozen = (picker.switch_step, picker._stall_rounds,
+                  picker._last_candidates, picker._last_progress)
+        sched.run(max_steps=60)
+        assert picker.switched
+        assert frozen == (picker.switch_step, picker._stall_rounds,
+                          picker._last_candidates, picker._last_progress)
+        with pytest.raises(TypeError):
+            HybridPicker(allow_reentry=True)
+
     def test_invalid_s_rejected(self):
         with pytest.raises(ValueError):
             HybridPicker(s=0)

@@ -136,6 +136,32 @@ class TestRunConcurrent:
         assert set(result.users()) == set(range(dataset.n_users))
         assert all(t.serves >= 1 for t in scheduler.tenants)
 
+    def test_every_absorb_advances_the_decision_epoch(self, dataset):
+        # Completions bypass scheduler.step(); they must reach the same
+        # funnel, or GREEDY's candidate memo would answer from a stale
+        # epoch under concurrency.
+        oracle = build(dataset, DynamicPartitionPlacement())
+        picker = GreedyPicker(seed=0)
+        scheduler = MultiTenantScheduler(
+            oracle, pickers_for(dataset, oracle), picker
+        )
+        epochs = []
+
+        def check(job):
+            epochs.append(scheduler.decision_epoch)
+            sigma = np.array([t.sigma_tilde for t in scheduler.tenants])
+            finite = np.isfinite(sigma)
+            expected = [
+                t.index for t, s in zip(scheduler.tenants, sigma)
+                if not np.isfinite(s) or s >= sigma[finite].mean()
+            ]
+            assert picker.candidate_set(scheduler) == expected
+
+        oracle.on_absorb(check)
+        oracle.run_concurrent(scheduler, max_jobs=30)
+        assert len(epochs) == 30
+        assert epochs == sorted(set(epochs))  # strictly increasing
+
     def test_hybrid_with_cost_budget(self, dataset):
         oracle = build(dataset, SingleDevicePlacement())
         scheduler = MultiTenantScheduler(
