@@ -57,8 +57,11 @@ Commands
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 import time
+from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.datasets import load_benchmark_suite
@@ -832,6 +835,40 @@ def build_service(args: argparse.Namespace):
     return gateway, tokens, server, report
 
 
+@contextmanager
+def _stopped_by_signals(stop):
+    """Inside the block SIGINT and SIGTERM both call ``stop()``.
+
+    ``repro serve`` stops *through* its event loop rather than by a
+    ``KeyboardInterrupt`` landing in whatever coroutine happens to be
+    running, so Ctrl-C and a supervisor's ``kill`` end the same way:
+    connections closed, ``serve_stopped`` logged, journal closed,
+    exit 0.  A second signal interrupts a stop that hangs.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield  # signal handlers can only be installed from main
+        return
+    stopping = []
+
+    def handler(signum, frame):
+        if stopping:
+            raise KeyboardInterrupt
+        stopping.append(signum)
+        stop()
+
+    signals = (signal.SIGINT, signal.SIGTERM)
+    previous = [signal.signal(signum, handler) for signum in signals]
+    try:
+        yield
+    finally:
+        for signum, old in zip(signals, previous):
+            signal.signal(signum, old)
+
+
+def _interrupt() -> None:
+    raise KeyboardInterrupt
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.persist import JournalError
 
@@ -845,18 +882,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if report is not None:
         print(report.describe())
-    print(f"ease.ml service listening on {server.url} (API v1)")
-    for name, token in tokens.items():
-        print(f"tenant {name}: {token}")
-    print("press Ctrl-C to stop")
-    server.access_log.event(
-        "serve_started",
-        url=server.url,
-        tenants=sorted(tokens),
-    )
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
+        # Armed before the readiness line: whoever reads "press
+        # Ctrl-C to stop" may signal the server right away.
+        with _stopped_by_signals(server.shutdown):
+            print(f"ease.ml service listening on {server.url} (API v1)")
+            for name, token in tokens.items():
+                print(f"tenant {name}: {token}")
+            print("press Ctrl-C to stop")
+            server.access_log.event(
+                "serve_started",
+                url=server.url,
+                tenants=sorted(tokens),
+            )
+            server.serve_forever()
+    except KeyboardInterrupt:
         pass
     finally:
         server.access_log.event("serve_stopped", url=server.url)
@@ -913,11 +953,12 @@ def _cmd_serve_plane(args: argparse.Namespace) -> int:
         print(f"  replica: {url}")
     for name, token in plane.tokens.items():
         print(f"tenant {name}: {token}")
-    print("press Ctrl-C to stop")
     try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:  # pragma: no cover - interactive
+        with _stopped_by_signals(_interrupt):
+            print("press Ctrl-C to stop")
+            while True:
+                time.sleep(1.0)
+    except KeyboardInterrupt:
         pass
     finally:
         plane.stop()

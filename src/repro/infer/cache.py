@@ -15,6 +15,11 @@ mean the same point hit the same entry regardless of the JSON shape
 they arrived in.  Non-finite rows are rejected upstream (the gateway's
 vectorized validator), so NaN's ``x != x`` identity never poisons a
 key.
+
+A lookup is pure CPU behind one short critical section — it never
+waits on the model or the gateway lock — which is what lets the HTTP
+frontend run it on its event loop and answer a full hit without a
+worker thread (see :mod:`repro.infer.plane`).
 """
 
 from __future__ import annotations
@@ -29,10 +34,27 @@ __all__ = ["PredictionCache", "canonical_row_bytes"]
 
 
 def canonical_row_bytes(row: np.ndarray) -> bytes:
-    """The canonical byte form of one input row (see module docstring)."""
+    """The canonical byte form of one input row (see module docstring).
+
+    The definition — and the oracle :func:`_canonical_keys` is tested
+    against; the lookup path canonicalises a whole batch at once.
+    """
     row = np.ascontiguousarray(row, dtype=np.float64)
     # +0.0 collapses -0.0 to 0.0 without touching any other value.
     return (row + 0.0).tobytes()
+
+
+def _canonical_keys(X: np.ndarray) -> List[bytes]:
+    """``[canonical_row_bytes(row) for row in X]`` in one pass: one
+    add, one C-order ``tobytes()`` (whatever ``X``'s memory layout),
+    then a slice per row."""
+    X = np.asarray(X, dtype=np.float64)
+    buffer = (X + 0.0).tobytes()
+    width = X.shape[1] * X.itemsize
+    return [
+        buffer[start:start + width]
+        for start in range(0, len(buffer), width)
+    ]
 
 
 class PredictionCache:
@@ -86,21 +108,25 @@ class PredictionCache:
         -> cached prediction, ``misses`` lists the indices that must go
         to the model, and ``keys`` holds each row's canonical bytes
         (pass them back to :meth:`store` so the miss rows are hashed
-        only once).  Hit entries are refreshed to most-recently-used.
+        only once).  ``hits`` is filled in row order, so when
+        ``misses`` is empty ``list(hits.values())`` is the whole
+        answer.  Hit entries are refreshed to most-recently-used.
         """
         if self.capacity == 0:
             return {}, list(range(len(X))), []
-        keys = [canonical_row_bytes(row) for row in X]
+        keys = _canonical_keys(X)
         hits: Dict[int, int] = {}
         misses: List[int] = []
+        entries = self._entries
         with self._lock:
             for i, row_key in enumerate(keys):
                 key = (app, version, row_key)
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                    hits[i] = self._entries[key]
-                else:
+                value = entries.get(key)
+                if value is None:
                     misses.append(i)
+                else:
+                    entries.move_to_end(key)
+                    hits[i] = value
         if self._m_hits is not None:
             if hits:
                 self._m_hits.labels(app).inc(len(hits))

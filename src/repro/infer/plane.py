@@ -1,12 +1,23 @@
-"""The inference data plane: cache -> admission -> coalescing queue.
+"""The inference data plane: admission -> cache -> coalescing queue.
 
 One :class:`InferPlane` hangs off the service gateway and owns, per
 app, a :class:`~repro.infer.batching.BatchQueue` (the work-conserving
 convoy) plus one shared :class:`~repro.infer.cache.PredictionCache`
 and per-tenant :class:`~repro.infer.limits.TokenBucket` rate limits.
-The gateway's ``_infer`` hands it validated ``(B, n)`` batches;
-everything below — hit splitting, parking behind a running flush, the
-single vectorized predict under the gateway lock — happens here.
+The gateway's ``_infer`` hands it validated ``(B, n)`` batches.
+
+An infer has two halves, split by whether they can block:
+
+* :meth:`InferPlane.admit` and :meth:`InferPlane.probe` are pure CPU
+  behind short critical sections — the token bucket, one peek at the
+  served ``(model, version)``, one cache lookup.  The HTTP frontend
+  runs them on its event loop; when every row hits, the request is
+  answered there and never costs a thread hop.
+* :meth:`InferPlane.predict` with a miss parks behind a running flush
+  and runs the single vectorized predict under the gateway lock, so it
+  belongs on a worker thread.  It takes the probe's products (hit/miss
+  split, row keys, peeked version) instead of looking up again: one
+  lookup per request, whichever thread finishes it.
 
 The plane is configured once at construction and reconfigured whole
 (:meth:`ServiceGateway.configure_infer_plane`) rather than mutated
@@ -19,7 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from threading import Lock
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -100,6 +111,18 @@ def parse_batch_window(text: str) -> Tuple[str, float]:
             f"a fixed batch window must be in (0, 1] seconds, got {window}"
         )
     return "fixed", window
+
+
+class _Probe(NamedTuple):
+    """What :meth:`InferPlane.probe` found: the ``(model, version)``
+    it peeked, and :meth:`PredictionCache.lookup`'s split of the batch
+    at that version."""
+
+    model: Any
+    version: Any
+    hits: Dict[int, int]
+    misses: List[int]
+    keys: List[bytes]
 
 
 class InferPlane:
@@ -195,54 +218,69 @@ class InferPlane:
             return bucket
 
     # -- the predict path ----------------------------------------------
+    def probe(
+        self,
+        app: str,
+        X: np.ndarray,
+        peek: Callable[[], Tuple[Any, Any]],
+    ) -> Optional[_Probe]:
+        """The half of :meth:`predict` that cannot block: split ``X``
+        against the cache at the currently served version.
+
+        ``peek`` reads the served ``(model, model_version)`` without a
+        lock.  Returns None when there is nothing to look up (cache
+        disabled, or no model served yet); a probe whose ``misses`` is
+        empty is a complete answer — :meth:`predict` returns it without
+        touching the queue.
+        """
+        if not self.cache.capacity:
+            return None
+        model, version = peek()
+        if version is None:
+            return None
+        return _Probe(model, version, *self.cache.lookup(app, version, X))
+
     def predict(
         self,
         app: str,
         X: np.ndarray,
         execute: Callable[[np.ndarray], Tuple[np.ndarray, Dict[str, Any]]],
         *,
-        peek: Optional[Callable[[], Tuple[Any, Any]]] = None,
+        probe: Optional[_Probe] = None,
     ) -> Tuple[np.ndarray, Dict[str, Any], int]:
         """Answer one validated ``(B, n)`` batch.
 
         ``execute`` runs the vectorized predict (under the gateway
         lock) and returns ``(predictions, meta)`` with ``model`` /
-        ``model_version`` in ``meta``; ``peek`` reads the currently
-        served ``(model, model_version)`` without a lock, for cache
-        keys.  Returns ``(predictions, meta, rows_from_cache)``.
+        ``model_version`` in ``meta``.  ``probe`` is what
+        :meth:`probe` returned for this ``X`` — possibly on another
+        thread, a moment ago; None sends every row to the model and
+        caches nothing.  Returns ``(predictions, meta,
+        rows_from_cache)``.
         """
         started = time.perf_counter()
-        version0 = model0 = None
-        hits: Dict[int, int] = {}
-        keys = None
-        if self.cache.capacity and peek is not None:
-            model0, version0 = peek()
-            if version0 is not None:
-                hits, miss_idx, keys = self.cache.lookup(
-                    app, version0, X
-                )
-                if not miss_idx:
-                    predictions = np.fromiter(
-                        (hits[i] for i in range(len(X))),
-                        dtype=np.int64,
-                        count=len(X),
-                    )
-                    meta = {"model": model0, "model_version": version0}
-                    add_span(
-                        "batch.coalesce",
-                        started,
-                        time.perf_counter(),
-                        rows=int(len(X)),
-                        cached=int(len(X)),
-                    )
-                    return predictions, meta, len(X)
-                X_miss = X[miss_idx]
-            else:
-                miss_idx = list(range(len(X)))
-                X_miss = X
-        else:
+        if probe is None:
+            version0 = keys = None
+            hits: Dict[int, int] = {}
             miss_idx = list(range(len(X)))
             X_miss = X
+        else:
+            model0, version0, hits, miss_idx, keys = probe
+            if not miss_idx:
+                # ``hits`` was filled in row order.
+                predictions = np.fromiter(
+                    hits.values(), dtype=np.int64, count=len(X)
+                )
+                add_span(
+                    "batch.coalesce",
+                    started,
+                    time.perf_counter(),
+                    rows=int(len(X)),
+                    cached=int(len(X)),
+                )
+                meta = {"model": model0, "model_version": version0}
+                return predictions, meta, len(X)
+            X_miss = X[miss_idx]
 
         if self.config.mode == "off":
             flush_started = time.perf_counter()

@@ -380,10 +380,10 @@ class ReplicaGateway:
     def is_read(self, request) -> bool:
         return self.replica.gateway.is_read(request)
 
-    def handle(self, request):
+    def handle(self, request, *, may_block: bool = True):
         gateway = self.replica.gateway
         if self.replica.promoted:
-            return gateway.handle(request)
+            return gateway.handle(request, may_block=may_block)
         if not isinstance(request, Request):
             return gateway.handle(request)  # proper INVALID_ARGUMENT
         if gateway.is_read(request):

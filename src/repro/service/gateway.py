@@ -39,6 +39,12 @@ the event-loop frontend never parks on the scheduler lock:
   in-process callers reach the same handlers through
   :meth:`ServiceGateway.handle`.
 
+``InferRequest`` straddles the two: it takes no outer lock, but a cache
+miss parks behind the model.  Its first half — validation, admission,
+the cache probe — cannot block, so the HTTP frontend runs it on the
+loop (``handle(request, may_block=False)``) and only a request with a
+miss pays a hop to a worker thread, carrying the probe's products.
+
 ``JobStatusRequest.wait`` long-polls server-side: the handler drives
 the cluster toward the handle's completion and parks on the handle's
 done event between advances, waking on completion, cancellation, or
@@ -55,6 +61,7 @@ authoritative ack for a job is its ``job_status`` response.
 from __future__ import annotations
 
 import contextvars
+import functools
 import secrets
 import threading
 import time
@@ -62,7 +69,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -777,8 +784,23 @@ class ServiceGateway:
     # ------------------------------------------------------------------
     # The single entry point
     # ------------------------------------------------------------------
-    def handle(self, request: Request) -> Response:
-        """Validate, authenticate, dispatch; all failures are ApiError."""
+    def handle(
+        self, request: Request, *, may_block: bool = True
+    ) -> Union[Response, Callable[[], Response]]:
+        """Validate, authenticate, dispatch; all failures are ApiError.
+
+        ``may_block=False`` is how a caller that must not park (the
+        HTTP frontend's event loop) offers an ``InferRequest``: the
+        request is validated, admitted and probed against the
+        prediction cache on the calling thread, and answered there
+        when every row hits.  Otherwise the return value is a
+        zero-argument callable holding the blocking remainder — the
+        convoy and the predict — for a worker thread to run; it
+        returns the response (or raises the ``ApiError``) and the
+        request is accounted once, where it finishes.  Other request
+        types ignore the flag: :meth:`is_read` already tells a
+        frontend whether they can block.
+        """
         if not isinstance(request, Request):
             raise ApiError(
                 ApiErrorCode.INVALID_ARGUMENT,
@@ -803,6 +825,8 @@ class ServiceGateway:
                 ApiErrorCode.INVALID_ARGUMENT,
                 f"no handler for request type {type(request).__name__}",
             )
+        if not may_block and isinstance(request, InferRequest):
+            handler = self._infer_nowait
         # Token -> tenant is a single dict read (tenants are never
         # deleted), safe without the lock; the request then runs
         # lock-free when it is read-only (handlers consume immutable
@@ -825,25 +849,43 @@ class ServiceGateway:
             # Traces and access-log lines read the tenant on the way
             # out; the auth token is the first place it is known.
             context.tenant = tenant.name
+        return self._run(handler, tenant, request, rtype, started)
+
+    def _run(
+        self,
+        handler,
+        tenant: Tenant,
+        request: Request,
+        rtype: str,
+        started: float,
+    ) -> Union[Response, Callable[[], Response]]:
+        """Run ``handler`` and account the request: outcome counter,
+        latency, SLO — on the thread, and at the time, it finishes."""
         lock_free = isinstance(request, _LOCK_FREE_REQUESTS)
         # Ack barrier: only paths that may have journaled pay it — a
         # pure snapshot read must never become the group-commit convoy
         # leader (it could be running inline on an event loop, and an
         # fsync there would stall every connection).  Job polls journal
         # job_completed records when they advance a live job, so they
-        # commit unless classified as pure reads (terminal, no wait).
+        # commit unless classified as pure reads (terminal handle).
         needs_commit = not lock_free or (
             isinstance(request, JobStatusRequest)
             and not self.is_read(request)
         )
         outcome = "ok"
         slo_error = False
+        deferred = False
         try:
             with span("gateway.handle", type=rtype):
                 if lock_free:
-                    return self._dispatch(handler, tenant, request)
-                with self._lock:
-                    return self._dispatch(handler, tenant, request)
+                    result = self._dispatch(handler, tenant, request)
+                else:
+                    with self._lock:
+                        result = self._dispatch(handler, tenant, request)
+            # _infer_nowait hands back the blocking remainder: the
+            # request is not over, and is accounted when that runs.
+            deferred = callable(result)
+            return result
         except ApiError as exc:
             outcome = exc.code.value
             slo_error = exc.http_status >= 500
@@ -860,23 +902,25 @@ class ServiceGateway:
                 # mutations convoy behind one fsync here (a no-op for
                 # the other journal modes).
                 self._commit()
-            duration = time.perf_counter() - started
-            self._m_requests.labels(tenant.name, rtype, outcome).inc()
-            self._m_request_seconds.labels(rtype).observe(duration)
-            # SLO scoring counts server faults as budget misses;
-            # client errors (4xx) are the tenant's own doing.  Infer
-            # additionally scores into its own route class so `repro
-            # slo status` can show serving-path attainment separately.
-            self.slo.record(
-                tenant.name,
-                duration,
-                error=slo_error,
-                route_class=(
-                    "infer"
-                    if isinstance(request, InferRequest)
-                    else None
-                ),
-            )
+            if not deferred:
+                duration = time.perf_counter() - started
+                self._m_requests.labels(tenant.name, rtype, outcome).inc()
+                self._m_request_seconds.labels(rtype).observe(duration)
+                # SLO scoring counts server faults as budget misses;
+                # client errors (4xx) are the tenant's own doing.
+                # Infer additionally scores into its own route class
+                # so `repro slo status` can show serving-path
+                # attainment separately.
+                self.slo.record(
+                    tenant.name,
+                    duration,
+                    error=slo_error,
+                    route_class=(
+                        "infer"
+                        if isinstance(request, InferRequest)
+                        else None
+                    ),
+                )
 
     def _dispatch(self, handler, tenant: Tenant, request: Request) -> Response:
         try:
@@ -912,16 +956,18 @@ class ServiceGateway:
         Frontends route on this: reads are served inline (an event
         loop never parks on the scheduler lock), everything else goes
         to a worker thread or :meth:`submit_command`.  A
-        ``JobStatusRequest`` counts as a read only when the handle is
-        already terminal and no long-poll was asked for — polling a
-        live handle advances the shared cluster, and a ``wait`` may
-        block for seconds.
+        ``JobStatusRequest`` counts as a read exactly when the handle
+        is already terminal (or unknown) — polling a live handle
+        advances the shared cluster and a ``wait`` on one may park for
+        seconds, but a ``wait`` on a finished or cancelled job has
+        nothing to wait for.  (An ``InferRequest`` is not a read — a
+        miss parks behind the model — but the part of it that cannot
+        block is offered separately: ``handle(request,
+        may_block=False)``.)
         """
         if not isinstance(request, _READ_REQUESTS):
             return False
         if isinstance(request, JobStatusRequest):
-            if float(request.wait or 0.0) > 0:
-                return False
             if (
                 self._store is not None
                 and getattr(self._store, "sync", "") == "group"
@@ -1241,13 +1287,44 @@ class ServiceGateway:
         )
 
     def _infer(self, tenant: Tenant, request: InferRequest) -> InferResponse:
-        # Runs on the lock-free path (like job polls): validation, the
-        # cache, admission, and parking behind a running flush all
+        # Runs on the lock-free path (like job polls): validation,
+        # admission, the cache, and parking behind a running flush all
         # happen outside the gateway lock; only the flush itself — one
         # vectorized predict + one INFER event — takes it, inside
         # _predict_batch.  Running infer *under* the outer lock would
         # deadlock the convoy (a parked follower would hold the lock
         # its leader needs).
+        app, X, probe = self._infer_probe(tenant, request)
+        return self._infer_answer(tenant, request, app, X, probe)
+
+    def _infer_nowait(
+        self, tenant: Tenant, request: InferRequest
+    ) -> Union[InferResponse, Callable[[], InferResponse]]:
+        """``_infer`` for a thread that must not park (see
+        :meth:`handle`): answer when the probe found every row in the
+        cache, else hand back the rest — with the probe's products, so
+        nothing is validated, charged or looked up twice."""
+        # One clock per request: the latency the worker half records
+        # counts the probe and the hop in between.
+        started = time.perf_counter()
+        app, X, probe = self._infer_probe(tenant, request)
+        if probe is not None and not probe.misses:
+            return self._infer_answer(tenant, request, app, X, probe)
+        return functools.partial(
+            self._run,
+            functools.partial(
+                self._infer_answer, app=app, X=X, probe=probe
+            ),
+            tenant,
+            request,
+            _REQUEST_TYPE_NAMES[InferRequest],
+            started,
+        )
+
+    def _infer_probe(self, tenant: Tenant, request: InferRequest):
+        """The half of an infer that cannot block: validate the rows,
+        charge the token bucket, split the batch against the cache.
+        Returns ``(app, X, probe)`` for :meth:`_infer_answer`."""
         app = self._get_app(tenant, request.app)
         batch = bool(request.rows)
         if batch and request.x:
@@ -1266,16 +1343,33 @@ class ServiceGateway:
             ),
             len(X),
         )
+        probe = self.infer_plane.probe(
+            request.app,
+            X,
+            lambda: (app.best_candidate, self._model_version(app)),
+        )
+        return app, X, probe
+
+    def _infer_answer(
+        self,
+        tenant: Tenant,
+        request: InferRequest,
+        app: EaseMLApp,
+        X: np.ndarray,
+        probe,
+    ) -> InferResponse:
+        """The half that may park: whatever the probe left unanswered
+        goes through the convoy to one vectorized predict."""
         prediction_rows, meta, _cached = self.infer_plane.predict(
             request.app,
             X,
             lambda X_flush: self._predict_batch(app, X_flush),
-            peek=lambda: (app.best_candidate, self._model_version(app)),
+            probe=probe,
         )
-        predictions = tuple(int(p) for p in prediction_rows)
+        predictions = tuple(prediction_rows.tolist())
         return InferResponse(
             app=request.app,
-            prediction=None if batch else predictions[0],
+            prediction=None if request.rows else predictions[0],
             predictions=predictions,
             model=meta.get("model"),
             model_version=meta.get("model_version"),

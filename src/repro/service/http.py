@@ -3,11 +3,13 @@
 One transport sits over
 :class:`~repro.service.gateway.ServiceGateway`: an event-loop server
 (``asyncio.start_server`` plus a small HTTP/1.1 codec, keep-alive
-preserved).  Read-path requests run inline on the loop (the gateway
-serves them lock-free from immutable snapshots), job polls, long-polls
-and infers run on worker threads, and mutations flow through the
+preserved).  A request leaves the loop only when it can block:
+read-path requests run inline (the gateway serves them lock-free from
+immutable snapshots), and so does an infer whose every row is in the
+prediction cache; polls of live job handles, long-polls and infers
+with a miss run on worker threads, and mutations flow through the
 gateway's per-tenant command queue — the loop never parks on the
-scheduler lock.
+scheduler lock or behind the model.
 
 One route table (:func:`route_request`) maps each exchange onto one
 typed request; the server dispatches it and writes the response's wire
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import functools
 import hmac
 import json
 import math
@@ -425,13 +428,23 @@ class AsyncServiceHTTPServer:
 
     One OS thread runs the asyncio loop; every connection is a
     coroutine speaking a minimal HTTP/1.1 with keep-alive.  Requests
-    are dispatched by kind so the loop itself never blocks:
+    are dispatched so the loop itself never blocks, and so nothing
+    that cannot block pays a thread hop (a loop -> worker -> loop
+    round trip is two thread wake-ups and two GIL hand-offs — about
+    0.5 ms on a 2-core host, more than most handlers):
 
     * **reads** (``gateway.is_read``) run inline — the gateway serves
-      them lock-free from immutable snapshots;
-    * **job polls / long-polls** run on this server's worker pool
-      (they may advance the simulated cluster or park on a handle's
-      done event);
+      them lock-free from immutable snapshots; a poll or ``wait`` on
+      a terminal job handle is one of them;
+    * **infers** start inline (``gateway.handle(request,
+      may_block=False)``): validation, admission and the cache probe
+      are pure CPU, and a full hit is answered right there.  A request
+      with a miss comes back as the blocking remainder, which runs on
+      the worker pool with the probe's products — it may park behind
+      a running predict;
+    * **job polls / long-polls** of live handles run on this server's
+      worker pools (they advance the simulated cluster or park on a
+      handle's done event);
     * **mutations** go through the gateway's per-tenant command queue
       (:meth:`~repro.service.gateway.ServiceGateway.submit_command`),
       so one tenant's writes apply in submission order while the loop
@@ -471,7 +484,12 @@ class AsyncServiceHTTPServer:
         self._socket = socket.create_server(
             address, reuse_port=reuse_port
         )
+        #: Remembered at bind time: the loop closes the socket on its
+        #: way out, and ``url`` is still read after that (shutdown
+        #: logging).
+        self._host, self._port = self._socket.getsockname()[:2]
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop_thread: Optional[int] = None
         self._aio_server: Optional[asyncio.base_events.Server] = None
         self._shutdown_future: Optional[asyncio.Future] = None
         self._conn_tasks: set = set()
@@ -496,12 +514,11 @@ class AsyncServiceHTTPServer:
     # -- the socketserver-style surface --------------------------------
     @property
     def port(self) -> int:
-        return self._socket.getsockname()[1]
+        return self._port
 
     @property
     def url(self) -> str:
-        host = self._socket.getsockname()[0]
-        return f"http://{host}:{self.port}"
+        return f"http://{self._host}:{self._port}"
 
     def serve_forever(self) -> None:
         """Run the event loop until :meth:`shutdown` (blocking)."""
@@ -526,7 +543,12 @@ class AsyncServiceHTTPServer:
 
     def shutdown(self) -> None:
         """Stop serving: wakes long-polls, closes connections, returns
-        once the loop has exited (mirrors ``socketserver`` semantics)."""
+        once the loop has exited (mirrors ``socketserver`` semantics).
+
+        Called on the loop's own thread (a signal handler of the
+        process whose main thread is in :meth:`serve_forever`) it only
+        asks: the loop cannot exit while its thread waits for it to.
+        """
         self._closing.set()
         loop = self._loop
         if loop is not None and not loop.is_closed():
@@ -541,7 +563,10 @@ class AsyncServiceHTTPServer:
                 loop.call_soon_threadsafe(_resolve)
             except RuntimeError:  # pragma: no cover - loop already gone
                 pass
-        if self._started.is_set():
+        if (
+            self._started.is_set()
+            and threading.get_ident() != self._loop_thread
+        ):
             self._stopped.wait(timeout=30.0)
 
     def server_close(self) -> None:
@@ -558,6 +583,7 @@ class AsyncServiceHTTPServer:
     # -- the loop ------------------------------------------------------
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
+        self._loop_thread = threading.get_ident()
         self._shutdown_future = self._loop.create_future()
         self._aio_server = await asyncio.start_server(
             self._serve_connection, sock=self._socket
@@ -862,31 +888,40 @@ class AsyncServiceHTTPServer:
         if gateway.is_read(request):
             # Lock-free snapshot read: safe (and fast) inline.
             return gateway.handle(request)
-        if isinstance(request, (JobStatusRequest, InferRequest)):
-            # May advance the shared cluster, park in a long-poll, or
-            # (infer) park behind a running predict — a worker thread
-            # takes that hit, never the loop.  Both bypass the
-            # per-tenant command queue on purpose: a parked wait must
-            # not block the same tenant's mutations, and infer through
-            # the FIFO queue would serialise the very requests the
-            # batch queue wants concurrent.  Long-polls get their own
-            # pool so parked waiters cannot starve plain polls/infers.
+        if isinstance(request, InferRequest):
+            # Validation, admission and the cache probe are pure CPU,
+            # so they run here; a full hit is the answer.  Only what
+            # can park behind a running predict — a miss — pays the
+            # hop, and ``work`` carries what the probe already did.
+            work = gateway.handle(request, may_block=False)
+            if not callable(work):
+                return work
+            pool = self._pool
+        elif isinstance(request, JobStatusRequest):
+            # A live handle: the poll advances the shared cluster, and
+            # a long-poll parks on it.  Long-polls get their own pool
+            # so parked waiters cannot starve plain polls and infers.
+            work = functools.partial(gateway.handle, request)
             pool = (
                 self._wait_pool
-                if (
-                    isinstance(request, JobStatusRequest)
-                    and float(request.wait or 0.0) > 0
-                )
+                if float(request.wait or 0.0) > 0
                 else self._pool
             )
-            # run_in_executor starts the callable in an EMPTY context;
-            # snapshot this coroutine's context so the worker thread
-            # sees the same request id (it lands in journal records).
-            snapshot = contextvars.copy_context()
-            return await asyncio.get_running_loop().run_in_executor(
-                pool, lambda: snapshot.run(gateway.handle, request)
+        else:
+            return await asyncio.wrap_future(
+                gateway.submit_command(request)
             )
-        return await asyncio.wrap_future(gateway.submit_command(request))
+        # Both bypass the per-tenant command queue on purpose: a
+        # parked wait must not block the same tenant's mutations, and
+        # infer through the FIFO queue would serialise the very
+        # requests the batch queue wants concurrent.
+        # run_in_executor starts the callable in an EMPTY context;
+        # snapshot this coroutine's context so the worker thread sees
+        # the same request id (it lands in journal records).
+        snapshot = contextvars.copy_context()
+        return await asyncio.get_running_loop().run_in_executor(
+            pool, snapshot.run, work
+        )
 
     # -- server-sent events (GET /v1/events?stream=1) ------------------
     async def _stream_events(

@@ -27,6 +27,42 @@ class TestCanonicalKey:
         ) != canonical_row_bytes(np.array([2.0, 1.0]))
 
 
+class TestOnePassKeys:
+    """``lookup`` canonicalises the whole batch at once;
+    ``canonical_row_bytes`` stays the per-row definition."""
+
+    @staticmethod
+    def keys(X):
+        return PredictionCache(8).lookup("app", "v1", X)[2]
+
+    def test_equal_the_per_row_oracle(self):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((8, 2))
+        X[3, 0] = -0.0
+        X[5] = [0.0, -0.0]
+        assert self.keys(X) == [canonical_row_bytes(row) for row in X]
+        assert self.keys(X)[5] == canonical_row_bytes(np.zeros(2))
+
+    def test_memory_layout_and_dtype_do_not_matter(self):
+        rng = np.random.default_rng(1)
+        base = rng.standard_normal((12, 6))
+        strided = base[::2, ::3]  # neither C- nor F-contiguous
+        fortran = np.asfortranarray(base)
+        ints = np.arange(6).reshape(3, 2)
+        for X in (strided, fortran, ints, base[:1], base[:, :1]):
+            assert self.keys(X) == [canonical_row_bytes(row) for row in X]
+        assert self.keys(strided) == self.keys(strided.copy())
+
+    def test_hits_come_back_in_row_order(self):
+        cache = PredictionCache(8)
+        X = rows([3.0, 0.0], [1.0, 0.0], [2.0, 0.0])
+        _, misses, keys = cache.lookup("app", "v1", X)
+        cache.store("app", "v1", keys, misses, [30, 10, 20])
+        hits, misses, _ = cache.lookup("app", "v1", X[::-1])
+        assert misses == []
+        assert list(hits.items()) == [(0, 20), (1, 10), (2, 30)]
+
+
 class TestLookupStore:
     def test_round_trip_splits_hits_and_misses(self):
         cache = PredictionCache(8)

@@ -1,8 +1,12 @@
 """The write-ahead journal: format, checksums, crash tolerance."""
 
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.persist import (
     Journal,
@@ -65,6 +69,68 @@ class TestAppendAndRead:
         journal.close()
         with pytest.raises(JournalError, match="closed"):
             journal.append("app_closed", {})
+
+
+#: JSON-safe leaves plus what ``jsonify`` exists for: numpy scalars.
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**53), 2**53),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(),  # non-ASCII included: the line escapes it
+    st.integers(-(2**31), 2**31 - 1).map(np.int64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(
+        np.float32
+    ),
+    st.booleans().map(np.bool_),
+)
+_payloads = st.dictionaries(
+    st.text(),
+    st.recursive(
+        _leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.dictionaries(st.text(), inner, max_size=4),
+        ),
+        max_leaves=12,
+    ),
+    max_size=6,
+)
+
+
+class TestOnePassLine:
+    """``append`` serialises a record once; ``to_line`` is the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        payloads=st.lists(_payloads, min_size=1, max_size=3),
+        rtype=st.sampled_from(sorted(RECORD_TYPES)),
+        start_seq=st.integers(0, 10**9),
+    )
+    def test_written_lines_equal_to_line(self, payloads, rtype, start_seq):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "journal.jsonl"
+            journal = Journal(path, sync="buffered", start_seq=start_seq)
+            records = [journal.append(rtype, p) for p in payloads]
+            journal.close()
+            written = path.read_bytes()
+        expected = "".join(r.to_line() + "\n" for r in records)
+        assert written == expected.encode("utf-8")
+        assert written.isascii()
+
+    def test_byte_counter_counts_the_written_bytes(self, journal_path):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        journal = Journal(journal_path, sync="buffered")
+        journal.bind_metrics(registry)
+        journal.append("tenant_created", {"name": "zoë", "token": "t"})
+        journal.append("examples_fed", {"x": np.arange(3), "y": np.float64(1)})
+        journal.close()
+        assert (
+            registry.get("journal_bytes_total").value
+            == journal_path.stat().st_size
+        )
 
 
 class TestCrashTolerance:

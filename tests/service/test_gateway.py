@@ -822,15 +822,17 @@ class TestReadWriteSplit:
             SubmitTrainingRequest(auth_token=token, app="moons", steps=1)
         ).handles[0]
         live_poll = JobStatusRequest(auth_token=token, job_id=handle.job_id)
-        # Live handle: a poll advances the cluster -> write path.
+        long_poll = JobStatusRequest(auth_token=token, job_id=handle.job_id,
+                                     wait=5.0)
+        # Live handle: a poll advances the cluster -> write path, and
+        # a long-poll may park on it.
         assert not gateway.is_read(live_poll)
-        # A long-poll is never a read, even on a terminal handle.
+        assert not gateway.is_read(long_poll)
+        # Terminal handle: nothing to advance and nothing to wait for,
+        # so even a long-poll is a read.
         drain(gateway, token, [handle])
         assert gateway.is_read(live_poll)
-        assert not gateway.is_read(
-            JobStatusRequest(auth_token=token, job_id=handle.job_id,
-                             wait=5.0)
-        )
+        assert gateway.is_read(long_poll)
         # Unknown handles classify as reads: the handler answers the
         # NOT_FOUND without ever taking the lock.
         assert gateway.is_read(

@@ -1,8 +1,10 @@
 """The inference data plane end to end: vectorized predict,
 cross-request coalescing, the prediction cache, and rate limits."""
 
+import json
 import threading
 import time
+from http.client import HTTPConnection
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from repro.infer import (
     batching,
     parse_batch_window,
 )
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.obs.context import RequestContext, bind_request, clear_request
 from repro.obs.tracing import TraceState
 from repro.service.api import (
@@ -30,10 +32,13 @@ from repro.service.api import (
     FeedRequest,
     InferRequest,
     JobStatusRequest,
+    ListJobsRequest,
     RegisterAppRequest,
     SubmitTrainingRequest,
 )
+from repro.service.client import EaseMLClient
 from repro.service.gateway import TenantQuota
+from repro.service.http import serve_background
 
 
 def onboard(gateway, tenant="alice", app="moons", quota=None, steps=2):
@@ -188,40 +193,42 @@ class TestPredictionCache:
         )
 
     def test_version_race_reexecutes_against_new_model(self):
-        """A promotion between the cache read and the flush must not
+        """A promotion between the cache probe and the flush must not
         mix old-model cached rows with new-model flush rows."""
         plane = InferPlane(
             config=InferPlaneConfig(mode="off", cache_rows=64),
             metrics=MetricsRegistry(),
         )
-        X = np.array([[1.0, 2.0], [3.0, 4.0]])
         calls = []
 
-        def execute_v1(X_flush):
-            calls.append(len(X_flush))
-            return (
-                np.zeros(len(X_flush), dtype=np.int64),
-                {"model": "m", "model_version": "v1"},
-            )
+        def execute(version, label):
+            def run(X_flush):
+                calls.append(len(X_flush))
+                return (
+                    np.full(len(X_flush), label, dtype=np.int64),
+                    {"model": "m", "model_version": version},
+                )
+            return run
 
-        plane.predict("app", X, execute_v1, peek=lambda: ("m", "v1"))
+        def peek_v1():
+            return "m", "v1"
 
-        def execute_v2(X_flush):
-            calls.append(len(X_flush))
-            return (
-                np.ones(len(X_flush), dtype=np.int64),
-                {"model": "m", "model_version": "v2"},
-            )
-
-        # The peek still sees v1 (cache hits), but the flush lands on
-        # v2: the plane must re-run the WHOLE batch against v2.
+        X = np.array([[1.0, 2.0], [3.0, 4.0]])
+        plane.predict(
+            "app", X, execute("v1", 0), probe=plane.probe("app", X, peek_v1)
+        )
+        # The probe still sees v1 (one cache hit) — on the frontend it
+        # ran on the loop, a hop before the flush — but the flush lands
+        # on v2: the plane must re-run the WHOLE batch against v2.
         X2 = np.array([[1.0, 2.0], [9.0, 9.0]])
-        predictions, meta, _ = plane.predict(
-            "app", X2, execute_v2, peek=lambda: ("m", "v1")
+        probe = plane.probe("app", X2, peek_v1)
+        assert (len(probe.hits), probe.misses) == (1, [1])
+        predictions, meta, cached = plane.predict(
+            "app", X2, execute("v2", 1), probe=probe
         )
         assert predictions.tolist() == [1, 1]
-        assert meta["model_version"] == "v2"
-        assert calls[-1] == 2  # full batch re-executed
+        assert (meta["model_version"], cached) == ("v2", 0)
+        assert calls == [2, 1, 2]  # warm-up, the miss, the full re-run
 
     def test_cache_disabled_by_config(self, gateway):
         gateway.configure_infer_plane(
@@ -443,3 +450,388 @@ class TestQuotaValidation:
         quota = TenantQuota()
         assert quota.infer_rows_per_second is None
         assert quota.infer_burst_rows is None
+
+
+# ----------------------------------------------------------------------
+# The frontend's routing of infer: a full cache hit never leaves the
+# event loop; a request with a miss hops once, carrying the probe.
+# ----------------------------------------------------------------------
+LOOP_THREAD = "easeml-http"  # serve_background's name for the loop
+INFER_ROUTE = "/v1/apps/{app}/infer"
+
+
+class Spy:
+    """Counts calls (and the threads they ran on) of wrapped callables."""
+
+    def __init__(self, monkeypatch):
+        self._patch = monkeypatch
+        self.threads = {}
+
+    def on(self, owner, attr, name=None):
+        name = name or attr
+        original = getattr(owner, attr)
+        seen = self.threads.setdefault(name, [])
+
+        def wrapper(*args, **kwargs):
+            seen.append(threading.current_thread().name)
+            return original(*args, **kwargs)
+
+        self._patch.setattr(owner, attr, wrapper)
+        return seen
+
+    def reset(self):
+        for seen in self.threads.values():
+            del seen[:]
+
+
+def raw_infer(server, token, app, body):
+    """One bare infer exchange: (status, headers, decoded body)."""
+    connection = HTTPConnection("127.0.0.1", server.port, timeout=30.0)
+    connection.request(
+        "POST",
+        f"/v1/apps/{app}/infer",
+        body=json.dumps(body).encode("utf-8"),
+        headers={"Authorization": f"Bearer {token}"},
+    )
+    response = connection.getresponse()
+    raw = response.read()
+    connection.close()
+    return response.status, dict(response.getheaders()), json.loads(raw)
+
+
+@pytest.fixture
+def live(monkeypatch):
+    """A trained app behind a real HTTP server, every request traced,
+    with spies on the infer path and on both worker pools."""
+    gateway = make_gateway(tracer=Tracer(retain_rate=1.0, seed=0))
+    token, inputs = onboard(gateway)
+    server, _ = serve_background(gateway)
+    spy = Spy(monkeypatch)
+    spy.on(gateway, "_rows_to_matrix", "validate")
+    spy.on(gateway.infer_plane, "admit")
+    spy.on(gateway.infer_plane.cache, "lookup")
+    spy.on(gateway.infer_plane, "predict")
+    spy.on(gateway, "_predict_batch", "flush")
+    spy.on(gateway.slo, "record", "slo")
+    spy.on(server._pool, "submit", "pool")
+    spy.on(server._wait_pool, "submit", "wait_pool")
+    client = EaseMLClient(server.url, token, timeout=30.0)
+    try:
+        yield gateway, server, client, token, inputs, spy
+    finally:
+        client.close()
+        server.shutdown()
+        server.server_close()
+
+
+def requests_ok(gateway, tenant="alice"):
+    family = gateway.metrics.get("gateway_requests_total")
+    return family.labels(tenant, "infer", "ok").value
+
+
+class TestFullHitsStayOnTheLoop:
+    def test_all_hit_is_answered_inline(self, live):
+        gateway, server, client, _, inputs, spy = live
+        rows = inputs[:8]
+        first = client.infer_batch("moons", rows)
+        single = client.infer("moons", rows[0])
+        spy.reset()
+        again = client.infer_batch("moons", rows)
+        single_again = client.infer("moons", rows[0])
+        assert again.predictions == first.predictions
+        assert single_again.prediction == single.prediction
+        assert again.model_version == first.model_version
+        # Validated, admitted, looked up and answered on the loop,
+        # once each per request, and nothing went to either executor.
+        for stage in ("validate", "admit", "lookup", "predict", "slo"):
+            assert spy.threads[stage] == [LOOP_THREAD] * 2, stage
+        assert spy.threads["flush"] == []
+        assert spy.threads["pool"] == []
+        assert spy.threads["wait_pool"] == []
+
+    def test_partial_hit_hops_once_with_the_probe(self, live):
+        gateway, server, client, _, inputs, spy = live
+        client.infer_batch("moons", inputs[:4])
+        spy.reset()
+        answer = client.infer_batch("moons", inputs[2:8])  # 2 hit, 4 miss
+        assert len(answer.predictions) == 6
+        # The probe ran on the loop, once; the worker got its products.
+        assert spy.threads["validate"] == [LOOP_THREAD]
+        assert spy.threads["admit"] == [LOOP_THREAD]
+        assert spy.threads["lookup"] == [LOOP_THREAD]
+        assert len(spy.threads["pool"]) == 1
+        (worker,) = spy.threads["predict"]
+        assert worker.startswith("easeml-aio_")
+        assert spy.threads["flush"] == [worker]
+        assert spy.threads["slo"] == [worker]
+        # Only the four misses went to the model.
+        flush = gateway.server.log.of_kind(EventKind.INFER)[-1]
+        assert flush.payload["rows"] == 4
+
+    def test_cold_app_goes_to_the_pool(self, live):
+        gateway, server, client, _, inputs, spy = live
+        client.register_app("cold", MOONS_PROGRAM)
+        spy.reset()
+        with pytest.raises(ApiError) as err:
+            client.infer_batch("cold", inputs[:2])
+        assert err.value.code is ApiErrorCode.FAILED_PRECONDITION
+        assert spy.threads["validate"] == [LOOP_THREAD]
+        assert spy.threads["lookup"] == []  # no version to look up at
+        assert len(spy.threads["pool"]) == 1
+        assert spy.threads["flush"][0].startswith("easeml-aio_")
+
+    def test_cache_disabled_always_hops(self, live):
+        gateway, server, client, _, inputs, spy = live
+        gateway.configure_infer_plane(InferPlaneConfig(cache_rows=0))
+        client.infer_batch("moons", inputs[:3])
+        client.infer_batch("moons", inputs[:3])
+        assert len(spy.threads["pool"]) == 2
+        assert spy.threads["validate"] == [LOOP_THREAD] * 2
+
+    def test_in_process_handle_is_one_pass_too(self, live):
+        gateway, _, _, token, inputs, spy = live
+        infer(gateway, token, inputs[:4])
+        infer(gateway, token, inputs[2:6])
+        for stage in ("validate", "admit", "lookup", "predict", "slo"):
+            assert len(spy.threads[stage]) == 2, stage
+
+    def test_each_request_is_accounted_once(self, live):
+        gateway, server, client, _, inputs, spy = live
+        hits = gateway.metrics.get("infer_cache_hits_total")
+        routed = gateway.metrics.get("http_requests_total")
+
+        def counts():
+            return (
+                requests_ok(gateway),
+                hits.labels("moons").value,
+                routed.labels("asyncio", "POST", INFER_ROUTE, 200).value,
+                len(gateway.tracer.snapshot(route=INFER_ROUTE, limit=100)),
+                len(spy.threads["slo"]),
+            )
+
+        before = counts()
+        client.infer_batch("moons", inputs[:8])  # all miss: pool path
+        after_miss = counts()
+        client.infer_batch("moons", inputs[:8])  # all hit: loop path
+        after_hit = counts()
+        assert [b - a for a, b in zip(before, after_miss)] == [1, 0, 1, 1, 1]
+        assert [b - a for a, b in zip(after_miss, after_hit)] == [1, 8, 1, 1, 1]
+        # Both scored into the infer SLO class, and nowhere twice.
+        assert gateway.slo.class_attainment("alice", "infer", 60) == 1.0
+        latency = gateway.metrics.get("gateway_request_seconds")
+        assert latency.labels("infer").total == after_hit[0]
+
+    def test_miss_trace_shows_both_halves(self, live):
+        gateway, server, client, _, inputs, _ = live
+        client.infer_batch("moons", inputs[:8])
+        (trace,) = gateway.tracer.snapshot(route=INFER_ROUTE)
+        names = [s["name"] for s in trace["spans"]]
+        # The probe on the loop, then the blocking half on a worker;
+        # one request, one trace.
+        assert names.count("gateway.handle") == 2
+        assert names.count("batch.coalesce") == 1
+        assert trace["tenant"] == "alice"
+
+
+class TestInlineAdmission:
+    def test_bucket_charged_once_on_either_path(self, monkeypatch):
+        gateway = make_gateway()
+        quota = TenantQuota(
+            infer_rows_per_second=0.001, infer_burst_rows=16.0
+        )
+        token, inputs = onboard(gateway, quota=quota)
+        server, _ = serve_background(gateway)
+        spy = Spy(monkeypatch)
+        spy.on(server._pool, "submit", "pool")
+        try:
+            body = {"rows": [list(r) for r in inputs[:8]]}
+            # 8 of 16 tokens on the pool path (all miss) ...
+            status, _, _ = raw_infer(server, token, "moons", body)
+            assert status == 200
+            assert len(spy.threads["pool"]) == 1
+            # ... 8 more on the loop path (all hit): neither charged
+            # twice, or this one would already be refused ...
+            status, _, _ = raw_infer(server, token, "moons", body)
+            assert status == 200
+            # ... and the third is refused on the loop, before any hop.
+            status, headers, payload = raw_infer(
+                server, token, "moons", body
+            )
+            assert status == 429
+            assert int(headers["Retry-After"]) >= 1
+            assert payload["error"]["code"] == "quota_exceeded"
+            assert len(spy.threads["pool"]) == 1
+            limited = gateway.metrics.get("infer_rate_limited_total")
+            assert limited.labels("alice").value == 1
+            refused = gateway.metrics.get("gateway_requests_total")
+            assert refused.labels(
+                "alice", "infer", "quota_exceeded"
+            ).value == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+
+
+class TestErrorParity:
+    """Errors the probe finds answer like the in-process (blocking)
+    path does: same code, same HTTP status."""
+
+    CASES = {
+        "unknown_app": ("nope", {"rows": [[0.0, 0.0]]},
+                        ApiErrorCode.NOT_FOUND, 404),
+        "ragged": ("moons", {"rows": [[0.0, 0.0], [1.0]]},
+                   ApiErrorCode.INVALID_ARGUMENT, 400),
+        "non_finite": ("moons", {"rows": [[0.0, float("nan")]]},
+                       ApiErrorCode.INVALID_ARGUMENT, 400),
+        "x_and_rows": ("moons", {"x": [0.0, 0.0], "rows": [[0.0, 0.0]]},
+                       ApiErrorCode.INVALID_ARGUMENT, 400),
+        "empty": ("moons", {}, ApiErrorCode.INVALID_ARGUMENT, 400),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_code_and_status_on_both_paths(self, live, case):
+        gateway, server, _, token, _, spy = live
+        app, body, code, http_status = self.CASES[case]
+        status, _, payload = raw_infer(server, token, app, body)
+        assert (status, payload["error"]["code"]) == (http_status, code.value)
+        assert spy.threads["pool"] == []  # an error cannot block
+        with pytest.raises(ApiError) as err:
+            gateway.handle(InferRequest(
+                auth_token=token,
+                app=app,
+                x=tuple(body.get("x", ())),
+                rows=tuple(tuple(r) for r in body.get("rows", ())),
+            ))
+        assert (err.value.http_status, err.value.code) == (http_status, code)
+        counted = gateway.metrics.get("gateway_requests_total")
+        assert counted.labels("alice", "infer", code.value).value == 2
+
+    def test_bad_token_is_unauthorized(self, live):
+        gateway, server, _, _, inputs, spy = live
+        status, _, payload = raw_infer(
+            server, "tok-wrong", "moons", {"rows": [list(inputs[0])]}
+        )
+        assert (status, payload["error"]["code"]) == (401, "unauthorized")
+        assert spy.threads["validate"] == []  # refused before the probe
+        assert spy.threads["pool"] == []
+
+    def test_follower_replica_still_answers_not_writer(self, live):
+        from repro.replica.replica import ReplicaGateway
+
+        gateway, _, _, token, inputs, spy = live
+
+        class Follower:
+            promoted = False
+            lag_records = 0
+
+        Follower.gateway = gateway
+        facade = ReplicaGateway(Follower(), writer_url="http://writer")
+        request = InferRequest(
+            auth_token=token, app="moons", rows=(inputs[0],)
+        )
+        for kwargs in ({}, {"may_block": False}):
+            with pytest.raises(ApiError) as err:
+                facade.handle(request, **kwargs)
+            assert err.value.code is ApiErrorCode.NOT_WRITER
+        assert spy.threads["validate"] == []
+
+
+class TestVersionRaces:
+    def test_all_hit_answer_carries_the_peeked_version(self, live):
+        gateway, _, _, token, inputs, _ = live
+        app = gateway.server.get_app("moons")
+        first = infer(gateway, token, inputs[:4])
+        served = gateway._model_version(app)
+        assert first.model_version == served
+        request = InferRequest(
+            auth_token=token, app="moons", rows=tuple(inputs[:4])
+        )
+        inline = gateway.handle(request, may_block=False)
+        assert inline.predictions == first.predictions
+        assert (inline.model, inline.model_version) == (
+            app.best_candidate, served,
+        )
+        # A promotion empties the app's entries, so the next probe
+        # cannot answer from the previous model: it defers.
+        gateway._on_promotion(app)
+        deferred = gateway.handle(request, may_block=False)
+        assert callable(deferred)
+        assert deferred().predictions == first.predictions
+
+
+class TestTheLoopNeverBlocks:
+    SLEEP = 0.2
+
+    def test_reads_and_full_hits_pass_a_sleeping_predict(
+        self, live, monkeypatch
+    ):
+        gateway, server, client, token, inputs, spy = live
+        # App B, warm; app A's model sleeps inside its predict, under
+        # the gateway lock, like a slow estimator would.
+        _, inputs_b = onboard(gateway, tenant="bob", app="moons-b")
+        bob = EaseMLClient(
+            server.url, gateway.tenant_token("bob"), timeout=30.0
+        )
+        warm = bob.infer_batch("moons-b", inputs_b[:8])
+        app_a = gateway.server.get_app("moons")
+        real = app_a.infer_rows
+        entered = threading.Event()
+
+        def slow(X):
+            entered.set()
+            time.sleep(self.SLEEP)
+            return real(X)
+
+        monkeypatch.setattr(app_a, "infer_rows", slow)
+        outcome = {}
+
+        def miss():
+            started = time.monotonic()
+            outcome["answer"] = client.infer_batch("moons", inputs[:2])
+            outcome["seconds"] = time.monotonic() - started
+
+        in_flight = threading.Thread(target=miss)
+        in_flight.start()
+        try:
+            assert entered.wait(10.0)
+            started = time.monotonic()
+            status = bob.app_status("moons-b")
+            hit = bob.infer_batch("moons-b", inputs_b[:8])
+            elapsed = time.monotonic() - started
+        finally:
+            in_flight.join(30.0)
+            bob.close()
+        assert status.app == "moons-b"
+        assert hit.predictions == warm.predictions
+        assert elapsed < self.SLEEP / 2, elapsed
+        assert outcome["seconds"] >= self.SLEEP
+        assert len(outcome["answer"].predictions) == 2
+
+    def test_full_convoy_sheds_from_the_pool_not_the_loop(
+        self, live, monkeypatch
+    ):
+        gateway, server, _, token, inputs, spy = live
+        monkeypatch.setattr(batching, "MAX_PARKED", 0)
+        submit = spy.on(batching.BatchQueue, "submit", "convoy")
+        status, headers, payload = raw_infer(
+            server, token, "moons", {"rows": [list(inputs[0])]}
+        )
+        assert status == 429
+        assert "Retry-After" in headers
+        assert payload["error"]["details"]["parked"] == 0
+        (thread,) = submit
+        assert thread.startswith("easeml-aio_")
+
+    def test_wait_on_a_terminal_handle_is_answered_on_the_loop(self, live):
+        gateway, server, client, token, _, spy = live
+        job_id = gateway.handle(
+            ListJobsRequest(auth_token=token)
+        ).jobs[0].job_id
+        polled = spy.on(gateway, "_poll_job", "poll")
+        started = time.monotonic()
+        status = client.job_status(job_id, wait=20)
+        assert status.done
+        assert time.monotonic() - started < 5.0
+        assert polled == [LOOP_THREAD]
+        assert spy.threads["pool"] == []
+        assert spy.threads["wait_pool"] == []

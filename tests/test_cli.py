@@ -668,3 +668,76 @@ class TestMetricsTextRendering:
         out = capsys.readouterr().out
         assert "unreachable" in out
         assert "pick_p50" not in out
+
+
+class TestServeSignals:
+    """``repro serve`` as a real process: SIGINT and SIGTERM both stop
+    it cleanly — exit 0, ``serve_stopped`` logged, journal closed."""
+
+    @staticmethod
+    def _spawn(state_dir):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        return subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+             "--n-gpus", "2", "--tenant", "t", "--log-json",
+             "--snapshot-every", "1", "--state-dir", str(state_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+
+    @staticmethod
+    def _until_serving(process):
+        """Stdout up to the readiness line, once the loop answers."""
+        import re
+        from urllib.request import urlopen
+
+        lines = []
+        for line in process.stdout:
+            lines.append(line)
+            if "press Ctrl-C to stop" in line:
+                break
+        out = "".join(lines)
+        url = re.search(r"listening on (http://\S+)", out).group(1)
+        with urlopen(f"{url}/metrics", timeout=30.0) as response:
+            assert response.status == 200
+        return out
+
+    @pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+    def test_signal_is_a_clean_stop(self, tmp_path, signame):
+        import json
+        import signal
+
+        state = tmp_path / "state"
+        process = self._spawn(state)
+        try:
+            self._until_serving(process)
+            process.send_signal(getattr(signal, signame))
+            _, err = process.communicate(timeout=60.0)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, err
+        # Nothing on stderr but the structured log, ending in the stop.
+        events = [json.loads(line) for line in err.splitlines()]
+        assert events[-1]["kind"] == "serve_stopped"
+        assert events[-1]["url"].startswith("http://127.0.0.1:")
+        # The journal was closed, not abandoned: the directory's lock
+        # is free and a restart replays it to a verified digest.
+        again = self._spawn(state)
+        try:
+            out = self._until_serving(again)
+            again.send_signal(signal.SIGTERM)
+            again.communicate(timeout=60.0)
+        finally:
+            if again.poll() is None:
+                again.kill()
+                again.communicate()
+        assert "digest verified" in out
+        assert again.returncode == 0
