@@ -18,6 +18,13 @@ observed reward:
 
 Cost-awareness divides the acquisition by ``c_k`` (EI per unit cost),
 the standard practical recipe the paper cites from Snoek et al.
+
+``Φ`` and ``φ`` are computed with the formulas ``scipy.stats.norm``
+itself uses — ``scipy.special.ndtr(z)`` and ``exp(−z²/2)/√(2π)`` — so
+the values are bit-equal to ``norm.cdf`` / ``norm.pdf``, without
+importing ``scipy.stats`` (0.7 s and ≈ 60 MiB in every process that
+imports :mod:`repro`, for two functions the default GP-UCB pickers
+never call).  ``scipy.special`` is imported where EI/PI evaluate it.
 """
 
 from __future__ import annotations
@@ -26,12 +33,26 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.core.beta import AlgorithmOneBeta, BetaSchedule
 from repro.core.model_picking import ModelPicker, Selection
 from repro.gp.regression import FiniteArmGP
 from repro.utils.rng import SeedLike
+
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _norm_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal Φ(z), as ``scipy.stats.norm.cdf`` computes it."""
+    from scipy.special import ndtr
+
+    return ndtr(z)
+
+
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal φ(z), as ``scipy.stats.norm.pdf`` computes it."""
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
 
 
 class _AcquisitionPicker(ModelPicker):
@@ -124,7 +145,7 @@ class GPEIPicker(_AcquisitionPicker):
     def _acquisition(self) -> np.ndarray:
         mean, std, z = self._z()
         improvement = mean - self.best_observed - self.xi
-        ei = improvement * norm.cdf(z) + std * norm.pdf(z)
+        ei = improvement * _norm_cdf(z) + std * _norm_pdf(z)
         return np.maximum(ei, 0.0)
 
 
@@ -133,4 +154,4 @@ class GPPIPicker(_AcquisitionPicker):
 
     def _acquisition(self) -> np.ndarray:
         _, _, z = self._z()
-        return norm.cdf(z)
+        return _norm_cdf(z)

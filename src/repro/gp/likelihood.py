@@ -6,6 +6,10 @@ scikit-learn" (Section 5.2).  scikit-learn is not a dependency here, so
 this module reimplements that procedure: analytic-gradient L-BFGS over
 the kernel's log hyperparameters, with random restarts.
 
+``scipy.linalg`` and ``scipy.optimize`` are imported inside the
+functions that call them: kernel fitting is an experiment-harness step,
+and a process that only serves (``repro serve``) never loads either.
+
 Two entry points:
 
 * :func:`fit_kernel` — one feature matrix ``X`` and one target vector
@@ -24,8 +28,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.optimize import minimize
 
 from repro.gp.kernels import Kernel
 from repro.utils.rng import RandomState, SeedLike
@@ -38,6 +40,8 @@ def log_marginal_likelihood(
     gram: np.ndarray, y: np.ndarray, noise: float, *, jitter: float = 1e-10
 ) -> float:
     """Log p(y | K, σ) for a zero-mean GP with Gram matrix ``gram``."""
+    from scipy.linalg import solve_triangular
+
     gram = np.asarray(gram, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
@@ -75,6 +79,8 @@ def _lml_and_grad(
     Uses the standard identity
     ``∂ LML / ∂θ_j = ½ tr((ααᵀ − A⁻¹) ∂A/∂θ_j)`` with ``α = A⁻¹ y``.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     n = X.shape[0]
     noise = math.exp(log_noise)
     K, K_grad = kernel.eval_with_gradient(X)
@@ -137,6 +143,8 @@ def fit_kernel_pooled(
     center_targets:
         Subtract each target's mean first (the GP is zero-mean).
     """
+    from scipy.optimize import minimize
+
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)

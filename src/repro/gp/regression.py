@@ -33,7 +33,6 @@ import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from repro.utils.validation import check_matrix, check_positive
 
@@ -309,6 +308,10 @@ class FiniteArmGP:
 
     def refit(self) -> "FiniteArmGP":
         """Fresh GP replaying the full history (numerical ground truth)."""
+        # The only scipy call in the module; the serving path (update,
+        # posterior) is numpy alone and must not pay for the import.
+        from scipy.linalg import solve_triangular
+
         clone = FiniteArmGP(
             self._cov,
             self._prior_mean,

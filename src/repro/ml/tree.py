@@ -1,4 +1,14 @@
-"""CART decision trees (Gini impurity, axis-aligned splits)."""
+"""CART decision trees (Gini impurity, axis-aligned splits).
+
+Split search is the cost of a fit, and a restart replays every fit the
+journal recorded, so it is done in numpy: per candidate feature, one
+sort and one pass over all thresholds (see
+:meth:`DecisionTreeClassifier._best_split`).  Which split wins, and
+``work_units`` — the deterministic cost the platform charges as
+``gpu_time`` — are defined by the scalar threshold-at-a-time search kept
+in ``tests/ml/test_tree_split.py``; this module must agree with it
+exactly, because both end up in the journal.
+"""
 
 from __future__ import annotations
 
@@ -27,12 +37,17 @@ class _Node:
         return self.left is None
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
+def _gini(counts: np.ndarray, total) -> np.ndarray:
+    """Gini impurity of class counts along the last axis.
+
+    ``counts`` is one count vector or a stack of them (a row per
+    candidate split) and ``total`` what each sums to (never zero: a
+    split leaves a sample on each side).  Every row is reduced by the
+    same operations in the same order, so a row of a stack scores
+    exactly what it scores alone.
+    """
     p = counts / total
-    return float(1.0 - np.sum(p * p))
+    return 1.0 - (p * p).sum(axis=-1)
 
 
 class DecisionTreeClassifier(Estimator, ClassifierMixin):
@@ -99,37 +114,48 @@ class DecisionTreeClassifier(Estimator, ClassifierMixin):
         n_classes: int,
         features: np.ndarray,
     ):
-        """Best (feature, threshold, gain) over candidate features."""
+        """Best (feature, threshold, gain) over candidate features.
+
+        Per feature: a stable argsort, running class counts left of
+        each threshold, and left/right Gini for every threshold that
+        separates two distinct values, as arrays — with the arithmetic,
+        operation for operation, of scoring one threshold at a time.
+        """
         n = X.shape[0]
         parent_counts = np.bincount(encoded, minlength=n_classes)
-        parent_impurity = _gini(parent_counts)
+        parent_impurity = _gini(parent_counts, n)
+        classes = np.arange(n_classes)
         # Start below zero so a zero-gain split on an impure node is
         # still taken: XOR-style data has no single split that reduces
         # Gini at the root, yet splitting is what lets depth-2 resolve
         # it (this matches standard CART implementations).
         best = (None, 0.0, -1.0)  # feature, threshold, gain
         for feature in features:
-            order = np.argsort(X[:, feature], kind="stable")
-            values = X[order, feature]
-            labels = encoded[order]
-            left_counts = np.zeros(n_classes)
-            right_counts = parent_counts.astype(float).copy()
-            for i in range(n - 1):
-                k = labels[i]
-                left_counts[k] += 1
-                right_counts[k] -= 1
-                if values[i + 1] <= values[i] + 1e-12:
-                    continue  # cannot split between equal values
-                n_left = i + 1
-                n_right = n - n_left
-                weighted = (
-                    n_left * _gini(left_counts)
-                    + n_right * _gini(right_counts)
-                ) / n
-                gain = parent_impurity - weighted
+            column = X[:, feature]
+            order = column.argsort(kind="stable")
+            values = column[order]
+            # cannot split between equal values
+            cut = np.flatnonzero(~(values[1:] <= values[:-1] + 1e-12))
+            if cut.size == 0:
+                continue
+            # Row i: class counts of the i + 1 smallest values.
+            left_counts = (encoded[order][:, None] == classes).cumsum(
+                axis=0
+            )[cut]
+            n_left = cut + 1
+            n_right = n - n_left
+            weighted = (
+                n_left * _gini(left_counts, n_left[:, None])
+                + n_right
+                * _gini(parent_counts - left_counts, n_right[:, None])
+            ) / n
+            gains = (parent_impurity - weighted).tolist()
+            # The first gain wins ties: a later one must be strictly
+            # better, in feature order and then in threshold order.
+            for i, gain in zip(cut.tolist(), gains):
                 if gain > best[2] + 1e-15:
                     threshold = 0.5 * (values[i] + values[i + 1])
-                    best = (int(feature), float(threshold), float(gain))
+                    best = (int(feature), float(threshold), gain)
         return best
 
     def _build(

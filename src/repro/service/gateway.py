@@ -1621,12 +1621,18 @@ class ServiceGateway:
                 selection = tenant_state.picker.select()
                 pick_ended = time.perf_counter()
                 self._m_pick_seconds.observe(pick_ended - pick_started)
+                # Named on both spans so /v1/traces answers "which model
+                # made this cycle slow".
+                candidate = app.live_candidates[selection.arm].name
                 add_span(
                     "scheduler.pick", pick_started, pick_ended,
-                    arm=int(selection.arm),
+                    arm=int(selection.arm), candidate=candidate,
                 )
                 self._m_picks.labels(tenant.name).inc()
-                reward, gpu_time = oracle.trainer.train(user, selection.arm)
+                with span("trainer.train", candidate=candidate):
+                    reward, gpu_time = oracle.trainer.train(
+                        user, selection.arm
+                    )
                 job = oracle.runtime.submit(
                     user, selection.arm, gpu_time, reward
                 )
@@ -1634,7 +1640,7 @@ class ServiceGateway:
                     handle_id=f"job-{len(self._jobs):05d}",
                     tenant=tenant.name,
                     app=request.app,
-                    candidate=app.live_candidates[selection.arm].name,
+                    candidate=candidate,
                     job=job,
                     tenant_state=tenant_state,
                     selection=selection,

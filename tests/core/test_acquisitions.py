@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.acquisitions import GPEIPicker, GPPIPicker
 from repro.core.multitenant import MultiTenantScheduler
@@ -105,3 +107,48 @@ class TestAcquisitionValues:
         assert np.all(
             picky._acquisition() <= eager._acquisition() + 1e-12
         )
+
+
+@st.composite
+def posteriors(draw):
+    """(mean, variance, best, xi): K arms, some with std → 0, some
+    pushed far enough from ``best`` that |z| > 8."""
+    k = draw(st.integers(1, 8))
+    finite = dict(allow_nan=False, allow_infinity=False)
+    mean = draw(st.lists(st.floats(-2.0, 2.0, **finite), min_size=k, max_size=k))
+    variance = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1e-300, 1e-18, 1e-12]),
+                st.floats(0.0, 1.0, **finite),
+            ),
+            min_size=k, max_size=k,
+        )
+    )
+    best = draw(st.floats(-2.0, 2.0, **finite))
+    xi = draw(st.sampled_from([0.0, 0.01, 0.3]))
+    return np.array(mean), np.array(variance), best, xi
+
+
+@pytest.mark.parametrize("cls", PICKER_CLASSES, ids=lambda c: c.__name__)
+@settings(deadline=None, max_examples=200)
+@given(drawn=posteriors())
+def test_acquisition_is_bit_equal_to_scipy_stats_norm(cls, drawn):
+    """Φ and φ come from ``scipy.special.ndtr`` and a closed form, not
+    ``scipy.stats`` (kept off the import path); the values must be the
+    ones ``norm.cdf`` / ``norm.pdf`` gave, to the last bit."""
+    from scipy.stats import norm
+
+    mean, variance, best, xi = drawn
+    picker = make_picker(cls, n_arms=mean.shape[0], xi=xi)
+    picker.gp.posterior = lambda: (mean, variance)
+    picker._rewards = [best]
+    std = np.sqrt(np.maximum(variance, 1e-18))
+    z = (mean - best - xi) / std
+    if cls is GPEIPicker:
+        expected = np.maximum(
+            (mean - best - xi) * norm.cdf(z) + std * norm.pdf(z), 0.0
+        )
+    else:
+        expected = norm.cdf(z)
+    assert np.array_equal(picker._acquisition(), expected)

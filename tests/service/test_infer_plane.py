@@ -529,6 +529,23 @@ def requests_ok(gateway, tenant="alice"):
     return family.labels(tenant, "infer", "ok").value
 
 
+def infer_traces(gateway, expected):
+    """The retained infer traces, once ``expected`` of them are in.
+
+    The frontend counts a request into ``http_requests_total`` and
+    finishes its trace *after* writing the response, so that both
+    include the write — and the SDK call returns as soon as the bytes
+    arrive.  Finishing the trace is the last thing a request does: when
+    it is in, the rest of the post-write accounting is too.
+    """
+    deadline = time.monotonic() + 1.0
+    while True:
+        traces = gateway.tracer.snapshot(route=INFER_ROUTE, limit=100)
+        if len(traces) >= expected or time.monotonic() > deadline:
+            return traces
+        time.sleep(0.002)
+
+
 class TestFullHitsStayOnTheLoop:
     def test_all_hit_is_answered_inline(self, live):
         gateway, server, client, _, inputs, spy = live
@@ -605,15 +622,19 @@ class TestFullHitsStayOnTheLoop:
                 requests_ok(gateway),
                 hits.labels("moons").value,
                 routed.labels("asyncio", "POST", INFER_ROUTE, 200).value,
-                len(gateway.tracer.snapshot(route=INFER_ROUTE, limit=100)),
+                len(infer_traces(gateway, 0)),
                 len(spy.threads["slo"]),
             )
 
+        def counts_after_write(previous):
+            infer_traces(gateway, previous[3] + 1)
+            return counts()
+
         before = counts()
         client.infer_batch("moons", inputs[:8])  # all miss: pool path
-        after_miss = counts()
+        after_miss = counts_after_write(before)
         client.infer_batch("moons", inputs[:8])  # all hit: loop path
-        after_hit = counts()
+        after_hit = counts_after_write(after_miss)
         assert [b - a for a, b in zip(before, after_miss)] == [1, 0, 1, 1, 1]
         assert [b - a for a, b in zip(after_miss, after_hit)] == [1, 8, 1, 1, 1]
         # Both scored into the infer SLO class, and nowhere twice.
@@ -624,7 +645,7 @@ class TestFullHitsStayOnTheLoop:
     def test_miss_trace_shows_both_halves(self, live):
         gateway, server, client, _, inputs, _ = live
         client.infer_batch("moons", inputs[:8])
-        (trace,) = gateway.tracer.snapshot(route=INFER_ROUTE)
+        (trace,) = infer_traces(gateway, 1)
         names = [s["name"] for s in trace["spans"]]
         # The probe on the loop, then the blocking half on a worker;
         # one request, one trace.

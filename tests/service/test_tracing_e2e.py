@@ -78,6 +78,24 @@ class TestTracesEndpoint:
         assert handle["parent"] == 0
         assert handle["attrs"]["type"] == "register_app"
 
+    def test_training_spans_name_the_candidate(self, service):
+        gateway, server = service
+        client = onboard(gateway, server)
+        handles = client.submit_training("moons", steps=2)
+        # Nothing has polled a handle yet: the one /v1/jobs trace is
+        # the submission.
+        (trace,) = get_traces(server, "?route=/v1/jobs")
+        spans = trace["spans"]
+        picks = [s for s in spans if s["name"] == "scheduler.pick"]
+        fits = [s for s in spans if s["name"] == "trainer.train"]
+        # One pick and one fit per step, each naming the model, so a
+        # slow cycle can be read off /v1/traces by candidate.
+        picked = [s["attrs"]["candidate"] for s in picks]
+        assert picked == [h.candidate for h in handles]
+        assert [s["attrs"]["candidate"] for s in fits] == picked
+        (handle,) = [s for s in spans if s["name"] == "gateway.handle"]
+        assert {s["parent"] for s in picks + fits} == {handle["sid"]}
+
     def test_filters_and_limit(self, service):
         gateway, server = service
         client = onboard(gateway, server)
