@@ -20,7 +20,7 @@ Commands
 ``serve``
     Start the multi-tenant HTTP service (the versioned v1 API) and
     print the created tenant tokens.  One event-loop frontend serves
-    it: reads never block, mutations drain per-tenant command queues,
+    it: reads never block, mutations run on its worker pool,
     and ``GET /v1/jobs/{id}?wait=`` long-polls instead of spinning.  With
     ``--state-dir`` the control plane is durable: every mutation is
     journaled before it is acked (``--sync group`` shares one fsync
@@ -918,35 +918,36 @@ def _cmd_serve_plane(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    plane = ServingPlane(
-        args.state_dir,
-        host=args.host,
-        port=args.port,
-        replicas=args.replicas,
-        max_lag_records=args.max_lag_records,
-        tenants=args.tenant or ["default"],
-        sync=args.sync,
-        snapshot_every=args.snapshot_every,
-        in_flight=args.in_flight,
-        gateway_kwargs=dict(
-            placement=args.placement,
-            n_gpus=args.n_gpus,
-            scaling_efficiency=args.scaling_efficiency,
-            preemption_overhead=args.preemption_overhead,
-            min_examples=args.min_examples,
-            seed=args.seed,
-        ),
-    )
+    plane = None
     try:
+        plane = ServingPlane(
+            args.state_dir,
+            host=args.host,
+            port=args.port,
+            replicas=args.replicas,
+            max_lag_records=args.max_lag_records,
+            tenants=args.tenant or ["default"],
+            sync=args.sync,
+            snapshot_every=args.snapshot_every,
+            in_flight=args.in_flight,
+            gateway_kwargs=dict(
+                placement=args.placement,
+                n_gpus=args.n_gpus,
+                scaling_efficiency=args.scaling_efficiency,
+                preemption_overhead=args.preemption_overhead,
+                min_examples=args.min_examples,
+                seed=args.seed,
+            ),
+        )
         plane.start()
     except (ValueError, OSError, JournalError, RuntimeError) as exc:
         print(f"cannot start the serving plane: {exc}", file=sys.stderr)
-        plane.stop()
+        if plane is not None:  # None: the constructor itself refused
+            plane.stop()
         return 2
-    mode = "SO_REUSEPORT" if plane.reuse_port else "forwarding proxy"
     print(
         f"ease.ml serving plane on {plane.front_url} "
-        f"({mode}; API v1)"
+        "(SO_REUSEPORT; API v1)"
     )
     print(f"  writer: {plane.writer_url}")
     for url in plane.replica_urls():

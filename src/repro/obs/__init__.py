@@ -8,7 +8,7 @@ installable with nothing but Python.  Five pieces:
   cardinality-guarded) with Prometheus-text and JSON exposition;
 * :mod:`repro.obs.context` — the per-request :class:`RequestContext`
   (``request_id`` minted at the frontend, echoed as ``X-Request-ID``,
-  propagated through the command queue into journal records);
+  propagated across the frontend's worker hop into journal records);
 * :mod:`repro.obs.tracing` — span-level tracing over the same
   contextvar (``trace_id`` = ``request_id``): head-sampled per
   request, tail-sampled into a bounded ring (errors + slowest-N kept),
@@ -26,7 +26,6 @@ from repro.obs.context import (
     current_request,
     current_request_id,
     new_request_id,
-    run_in_context,
 )
 from repro.obs.logging import NULL_ACCESS_LOG, AccessLogger
 from repro.obs.metrics import (
@@ -80,6 +79,5 @@ __all__ = [
     "current_request_id",
     "load_slo_config",
     "new_request_id",
-    "run_in_context",
     "span",
 ]

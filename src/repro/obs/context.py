@@ -3,20 +3,15 @@
 The HTTP frontend mints (or accepts) a request id per request, binds a
 :class:`RequestContext` for the duration of handling, and echoes the id
 back as ``X-Request-ID``.  Everything downstream — gateway handlers,
-the per-tenant command-queue drainers, journal appends, error bodies,
-access-log lines — reads the ambient context instead of threading the
-id through every signature.
+journal appends, error bodies, access-log lines — reads the ambient
+context instead of threading the id through every signature.
 
 The carrier is a :mod:`contextvars` variable, which follows the
-request across ``await`` points on the frontend's event loop.  Two
-hops do NOT propagate it automatically and must capture it explicitly:
-
-* ``loop.run_in_executor`` starts the callable in an *empty* context —
-  wrap it with ``contextvars.copy_context().run(...)`` at submit time;
-* the gateway's command-queue drainer threads run long after the
-  submitting request returned — the queue entry stores
-  ``current_context()`` at enqueue and the drainer re-enters it via
-  :func:`run_in_context` around ``handle()``.
+request across ``await`` points on the frontend's event loop.  One
+hop does NOT propagate it automatically and must capture it
+explicitly: ``loop.run_in_executor`` starts the callable in an *empty*
+context — the frontend wraps it with
+``contextvars.copy_context().run(...)`` at submit time.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ import contextvars
 import secrets
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, TypeVar
+from typing import Any, Optional
 
 __all__ = [
     "RequestContext",
@@ -34,10 +29,7 @@ __all__ = [
     "current_request",
     "current_request_id",
     "new_request_id",
-    "run_in_context",
 ]
-
-T = TypeVar("T")
 
 #: Header the frontend reads (client-supplied id) and always writes.
 REQUEST_ID_HEADER = "X-Request-ID"
@@ -129,36 +121,3 @@ def current_request_id() -> Optional[str]:
     """Shorthand for the ambient request id (None outside a request)."""
     context = _current.get()
     return context.request_id if context is not None else None
-
-
-def run_in_context(
-    snapshot: Optional[contextvars.Context],
-    func: Callable[..., T],
-    *args: Any,
-    **kwargs: Any,
-) -> T:
-    """Run ``func`` inside a captured context snapshot.
-
-    ``snapshot`` is what ``contextvars.copy_context()`` returned at
-    capture time (e.g. when a command was enqueued); ``None`` runs the
-    callable directly.  ``Context.run`` refuses re-entry, so a snapshot
-    already running on this thread falls back to a direct call — the
-    ambient context is then already the right one.  The fallback fires
-    only when ``func`` never started: a RuntimeError raised by ``func``
-    itself must propagate, not trigger a second invocation.
-    """
-    if snapshot is None:
-        return func(*args, **kwargs)
-    started = False
-
-    def _invoke() -> T:
-        nonlocal started
-        started = True
-        return func(*args, **kwargs)
-
-    try:
-        return snapshot.run(_invoke)
-    except RuntimeError:
-        if started:
-            raise
-        return func(*args, **kwargs)

@@ -3,10 +3,10 @@
 PR 6 propagated a ``request_id`` socket → gateway → WAL; this module
 grows that id into a **trace**.  A trace is the set of timed spans one
 request produced on its way through the service — frontend decode,
-command-queue wait, the gateway handler, scheduler picks, journal
-append/fsync/commit, long-poll parking — plus, when read replicas tail
-the WAL, a replica-side apply span joined to the writer's trace by the
-``request_id`` stamped into the journal record.
+the wait for a worker thread, the gateway handler, scheduler picks,
+journal append/fsync/commit, long-poll parking — plus, when read
+replicas tail the WAL, a replica-side apply span joined to the
+writer's trace by the ``request_id`` stamped into the journal record.
 
 Design constraints, in order:
 
@@ -67,8 +67,8 @@ class TraceState:
     """The in-flight span accumulator one sampled request carries.
 
     Lives on ``RequestContext.trace`` and crosses threads with it (the
-    command-queue snapshot carries the same object), so appends take a
-    lock.  Span ids are small ints; 0 is the root.
+    frontend's context snapshot carries the same object), so appends
+    take a lock.  Span ids are small ints; 0 is the root.
     """
 
     __slots__ = (

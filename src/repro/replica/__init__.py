@@ -16,9 +16,9 @@ touching that invariant:
   start from the replica's own frontier: acquire the flock, follow the
   tail to its end, ``become_writer``;
 * :mod:`repro.replica.supervisor` — the process supervisor: one
-  writer plus N replicas behind an ``SO_REUSEPORT`` front tier (or a
-  tiny forwarding proxy where the platform lacks it), heartbeat
-  liveness, and automatic promotion of the most-caught-up replica.
+  writer plus N replicas behind an ``SO_REUSEPORT`` front tier,
+  heartbeat liveness, and automatic promotion of the most-caught-up
+  replica.
 
 The staleness contract: every replica exports
 ``replica_applied_seq`` / ``replica_lag_records`` /
@@ -36,14 +36,12 @@ from repro.replica.replica import (
 )
 from repro.replica.supervisor import (
     CLUSTER_NAME,
-    ForwardingProxy,
     ServingPlane,
     read_cluster,
 )
 
 __all__ = [
     "CLUSTER_NAME",
-    "ForwardingProxy",
     "PromotionReport",
     "ReadReplica",
     "ReplicaGateway",

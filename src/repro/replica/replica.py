@@ -10,9 +10,9 @@ byte-verified against the writer's effect records — a replica that
 diverges fails loudly instead of serving wrong answers.
 
 :class:`ReplicaGateway` is the serving facade: it exposes the exact
-duck type the HTTP frontend drives (``handle`` / ``is_read`` /
-``submit_command`` / ``add_wait_abort`` / ``metrics``), serves every
-read route from the follower gateway, and answers mutations with
+duck type the HTTP frontend drives (``is_read`` / ``handle``;
+``add_wait_abort``, ``metrics`` and the rest pass through), serves
+every read route from the follower gateway, and answers mutations with
 ``NOT_WRITER`` carrying the writer's address so the SDK can re-issue
 them there.  Reads beyond the configured staleness bound come back
 ``UNAVAILABLE_RECOVERING`` instead of silently stale.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -391,15 +390,7 @@ class ReplicaGateway:
             return gateway.handle(request)
         raise self._not_writer()
 
-    def submit_command(self, request) -> Future:
-        if self.replica.promoted:
-            return self.replica.gateway.submit_command(request)
-        future: Future = Future()
-        future.set_exception(self._not_writer())
-        return future
-
     def __getattr__(self, name: str) -> Any:
-        # Everything else (metrics, add_wait_abort, shutdown_commands,
-        # tracing attributes) behaves exactly like the underlying
-        # gateway.
+        # Everything else (metrics, add_wait_abort, tracing
+        # attributes) behaves exactly like the underlying gateway.
         return getattr(self.replica.gateway, name)

@@ -11,9 +11,9 @@ The supervisor owns the cluster topology:
   ``SO_REUSEPORT`` — the kernel spreads incoming connections across
   the live members, replicas absorb the read load, and mutations that
   land on a replica bounce to the writer via the ``NOT_WRITER``
-  redirect the SDK follows automatically.  Where the platform lacks
-  ``SO_REUSEPORT`` a tiny :class:`ForwardingProxy` provides the same
-  single-address front.
+  redirect the SDK follows automatically.  A platform without
+  ``SO_REUSEPORT`` cannot run a plane (:class:`ServingPlane` refuses
+  to start); plain ``repro serve`` is the single-process alternative.
 
 Liveness is heartbeat-over-pipe plus ``Process.is_alive``.  When the
 writer dies, the monitor elects the replica with the highest applied
@@ -35,7 +35,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.persist.journal import canonical_json
 from repro.persist.store import has_state
@@ -92,7 +92,6 @@ def _writer_main(
     host: str,
     front_port: int,
     direct_port: int,
-    reuse_front: bool,
     tenants: List[str],
     service: Dict[str, Any],
 ) -> None:
@@ -118,8 +117,7 @@ def _writer_main(
             for name in gateway.tenant_names()
         }
         direct, _ = serve_background(gateway, host, direct_port)
-        if reuse_front:
-            serve_background(gateway, host, front_port, reuse_port=True)
+        serve_background(gateway, host, front_port, reuse_port=True)
     except BaseException as exc:  # noqa: BLE001 - report, then die
         conn.send({"event": "failed", "error": f"{exc}"})
         raise
@@ -148,7 +146,6 @@ def _replica_main(
     host: str,
     front_port: int,
     direct_port: int,
-    reuse_front: bool,
     writer_url: str,
     max_lag_records: Optional[int],
     in_flight: str,
@@ -175,8 +172,7 @@ def _replica_main(
             writer_url=writer_url,
         )
         direct, _ = serve_background(facade, host, direct_port)
-        if reuse_front:
-            serve_background(facade, host, front_port, reuse_port=True)
+        serve_background(facade, host, front_port, reuse_port=True)
     except BaseException as exc:  # noqa: BLE001 - report, then die
         conn.send({"event": "failed", "error": f"{exc}"})
         raise
@@ -242,96 +238,6 @@ def _child_loop(conn, *, heartbeat, handle=None, interval=0.5) -> None:
 
 
 # ----------------------------------------------------------------------
-# The forwarding proxy (front tier without SO_REUSEPORT)
-# ----------------------------------------------------------------------
-class ForwardingProxy:
-    """A minimal round-robin TCP forwarder for the front port.
-
-    Used only where the platform lacks ``SO_REUSEPORT``: one listener
-    accepts front-door connections and pumps bytes to the next live
-    backend.  No HTTP awareness — the replica/writer semantics live
-    entirely in the backends' responses.
-    """
-
-    def __init__(
-        self, host: str, port: int, backends: List[Tuple[str, int]]
-    ) -> None:
-        self.host = host
-        self.backends = list(backends)
-        self._rr = 0
-        self._lock = threading.Lock()
-        self._listener = socket.create_server(
-            (host, port), backlog=64, reuse_port=False
-        )
-        self.port = self._listener.getsockname()[1]
-        self._closed = threading.Event()
-        self._thread = threading.Thread(
-            target=self._accept_loop, name="front-proxy", daemon=True
-        )
-        self._thread.start()
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def set_backends(self, backends: List[Tuple[str, int]]) -> None:
-        with self._lock:
-            self.backends = list(backends)
-
-    def close(self) -> None:
-        self._closed.set()
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - teardown race
-            pass
-
-    def _next_backend(self) -> Optional[Tuple[str, int]]:
-        with self._lock:
-            if not self.backends:
-                return None
-            backend = self.backends[self._rr % len(self.backends)]
-            self._rr += 1
-            return backend
-
-    def _accept_loop(self) -> None:
-        while not self._closed.is_set():
-            try:
-                client, _ = self._listener.accept()
-            except OSError:
-                return
-            backend = self._next_backend()
-            if backend is None:
-                client.close()
-                continue
-            try:
-                upstream = socket.create_connection(backend, timeout=10.0)
-            except OSError:
-                client.close()
-                continue
-            for a, b in ((client, upstream), (upstream, client)):
-                threading.Thread(
-                    target=self._pump, args=(a, b), daemon=True
-                ).start()
-
-    @staticmethod
-    def _pump(src: socket.socket, dst: socket.socket) -> None:
-        try:
-            while True:
-                chunk = src.recv(65536)
-                if not chunk:
-                    break
-                dst.sendall(chunk)
-        except OSError:
-            pass
-        finally:
-            for sock in (src, dst):
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-
-
-# ----------------------------------------------------------------------
 # The supervisor
 # ----------------------------------------------------------------------
 @dataclass
@@ -371,6 +277,17 @@ class ServingPlane:
         auto_promote: bool = True,
         mp_start_method: str = "spawn",
     ) -> None:
+        from repro.service.http import supports_reuse_port
+
+        if not supports_reuse_port():
+            # Also the one platform where persist.store.acquire_lock
+            # takes no flock, i.e. where promotion has no single-writer
+            # arbitration: a plane was never safe there.
+            raise RuntimeError(
+                "the serving plane needs SO_REUSEPORT (every member "
+                "binds the shared front port) and this platform has "
+                "none; run a single process with plain `repro serve`"
+            )
         if int(replicas) < 0:
             raise ValueError(f"replicas must be >= 0, got {replicas}")
         self.state_dir = Path(state_dir)
@@ -389,10 +306,6 @@ class ServingPlane:
         self.heartbeat_interval = float(heartbeat_interval)
         self.auto_promote = bool(auto_promote)
         self._mp_start_method = mp_start_method
-        from repro.service.http import supports_reuse_port
-
-        self.reuse_port = supports_reuse_port()
-        self.proxy: Optional[ForwardingProxy] = None
         self.tokens: Dict[str, str] = {}
         self.members: List[_Member] = []
         self.writer: Optional[_Member] = None
@@ -434,7 +347,6 @@ class ServingPlane:
                 self.host,
                 self.front_port,
                 self.front_port + 1,
-                self.reuse_port,
                 self.tenants,
                 self.service,
             ),
@@ -462,7 +374,6 @@ class ServingPlane:
                     self.host,
                     self.front_port,
                     self.front_port + 2 + i,
-                    self.reuse_port,
                     writer.url,
                     self.max_lag_records,
                     self.in_flight,
@@ -476,10 +387,6 @@ class ServingPlane:
             member.pid = ready["pid"]
             self.members.append(member)
 
-        if not self.reuse_port:
-            self.proxy = ForwardingProxy(
-                self.host, self.front_port, self._proxy_backends()
-            )
         self._write_topology()
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="plane-monitor", daemon=True
@@ -491,8 +398,6 @@ class ServingPlane:
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
             self._monitor = None
-        if self.proxy is not None:
-            self.proxy.close()
         for member in self.members:
             if member.conn is not None:
                 try:
@@ -541,25 +446,13 @@ class ServingPlane:
         if msg.get("promoted"):
             member.promoted = True
 
-    def _proxy_backends(self) -> List[Tuple[str, int]]:
-        backends = []
-        for member in self.members:
-            if not member.alive:
-                continue
-            parsed = member.url.rsplit(":", 1)
-            backends.append((self.host, int(parsed[1])))
-        return backends
-
     def _write_topology(self) -> None:
         _write_cluster(
             self.state_dir,
             {
-                "front_url": (
-                    self.proxy.url if self.proxy else self.front_url
-                ),
+                "front_url": self.front_url,
                 "writer_url": self.writer_url,
                 "writer_pid": self.writer.pid if self.writer else 0,
-                "reuse_port": self.reuse_port,
                 "promotions": self.promotions,
                 "members": [
                     {
@@ -640,6 +533,4 @@ class ServingPlane:
                         )
                     except (BrokenPipeError, OSError):
                         pass
-            if self.proxy is not None:
-                self.proxy.set_backends(self._proxy_backends())
             self._write_topology()

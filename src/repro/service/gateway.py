@@ -33,11 +33,10 @@ the event-loop frontend never parks on the scheduler lock:
   writers republish before acking, plus GIL-atomic snapshots of
   append-only shared structures; the HTTP frontend runs it inline on
   its loop;
-* the **write path** serialises on the gateway lock; the HTTP frontend
-  enqueues mutations through :meth:`ServiceGateway.submit_command`, a
-  per-tenant FIFO command queue drained by worker threads, and
-  in-process callers reach the same handlers through
-  :meth:`ServiceGateway.handle`.
+* the **write path** serialises on the gateway lock, and the journal
+  ``seq`` taken under it is the order of record of a tenant's writes;
+  the HTTP frontend calls :meth:`ServiceGateway.handle` on a worker
+  thread, in-process callers on their own.
 
 ``InferRequest`` straddles the two: it takes no outer lock, but a cache
 miss parks behind the model.  Its first half — validation, admission,
@@ -60,16 +59,13 @@ authoritative ack for a job is its ``job_status`` response.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import secrets
 import threading
 import time
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -85,7 +81,6 @@ from repro.obs import (
     add_span,
     current_request,
     current_request_id,
-    run_in_context,
     span,
 )
 from repro.infer import InferPlane, InferPlaneConfig
@@ -381,14 +376,6 @@ class ServiceGateway:
             "Gateway handler latency, by request type.",
             ["type"],
         )
-        self._m_queue_depth = m.gauge(
-            "gateway_command_queue_depth",
-            "Mutations waiting in the per-tenant command queues.",
-        )
-        self._m_command_wait = m.histogram(
-            "gateway_command_wait_seconds",
-            "Time a queued command waited before its drainer ran it.",
-        )
         self._m_parks = m.counter(
             "gateway_longpoll_parks_total",
             "Long-poll waits that parked on a job's done event.",
@@ -418,16 +405,6 @@ class ServiceGateway:
         self._handles_by_outcome: Dict[tuple, str] = {}
         self._lock = threading.RLock()
         self._absorb_hook_installed = False
-        # --- serialized write path (per-tenant command queues) ------
-        #: token -> FIFO of (request, future, context snapshot,
-        #: enqueue time) awaiting execution; one drainer per tenant at
-        #: a time, so a tenant's mutations apply in submission order
-        #: while different tenants' commands run concurrently (and
-        #: serialise only on the gateway lock).
-        self._commands: Dict[str, Deque[Tuple[Request, Future, Any, float]]] = {}
-        self._command_active: set = set()
-        self._command_lock = threading.Lock()
-        self._command_pool: Optional[ThreadPoolExecutor] = None
         #: Frontend shutdown events (see :meth:`add_wait_abort`): a set
         #: event makes every in-flight long-poll return its current
         #: status promptly instead of parking until its deadline.
@@ -838,7 +815,7 @@ class ServiceGateway:
             type(request), type(request).__name__
         )
         try:
-            tenant = self._authenticate(request)
+            tenant = self._authenticate(request.auth_token)
         except ApiError as exc:
             self._m_requests.labels(
                 "(unauthenticated)", rtype, exc.code.value
@@ -948,14 +925,14 @@ class ServiceGateway:
                     self._op_boundary()
 
     # ------------------------------------------------------------------
-    # Frontend dispatch surface (read/write split, command queues)
+    # Frontend dispatch surface (read/write split)
     # ------------------------------------------------------------------
     def is_read(self, request: Request) -> bool:
         """Would ``handle(request)`` run on the lock-free read path?
 
         Frontends route on this: reads are served inline (an event
         loop never parks on the scheduler lock), everything else goes
-        to a worker thread or :meth:`submit_command`.  A
+        to a worker thread.  A
         ``JobStatusRequest`` counts as a read exactly when the handle
         is already terminal (or unknown) — polling a live handle
         advances the shared cluster and a ``wait`` on one may park for
@@ -985,90 +962,6 @@ class ServiceGateway:
             )
         return True
 
-    def submit_command(self, request: Request) -> Future:
-        """Enqueue a mutation on its tenant's serialized command queue.
-
-        Commands with the same auth token run strictly FIFO (one
-        drainer per tenant at a time), so a frontend that cannot block
-        — the asyncio event loop — still applies each tenant's
-        mutations in submission order.  Different tenants' commands
-        run concurrently on the worker pool and serialise only on the
-        gateway lock.  Returns a :class:`concurrent.futures.Future`
-        resolving to the response (or raising the ``ApiError``).
-        """
-        future: Future = Future()
-        key = request.auth_token
-        # The drainer runs on a pool thread long after this frontend
-        # call returned; snapshot the caller's context so the request
-        # id survives the queue hop into handlers and journal records.
-        entry = (
-            request,
-            future,
-            contextvars.copy_context(),
-            time.perf_counter(),
-        )
-        with self._command_lock:
-            pool = self._command_pool
-            if pool is None:
-                pool = self._command_pool = ThreadPoolExecutor(
-                    max_workers=8, thread_name_prefix="easeml-write"
-                )
-            self._commands.setdefault(key, deque()).append(entry)
-            self._m_queue_depth.inc()
-            if key not in self._command_active:
-                self._command_active.add(key)
-                pool.submit(self._drain_commands, key)
-        return future
-
-    def _drain_commands(self, key: str) -> None:
-        """Worker: run one tenant's queued commands to exhaustion."""
-        while True:
-            with self._command_lock:
-                queue = self._commands.get(key)
-                if not queue:
-                    self._command_active.discard(key)
-                    self._commands.pop(key, None)
-                    return
-                request, future, snapshot, enqueued = queue.popleft()
-                self._m_queue_depth.dec()
-            dequeued = time.perf_counter()
-            self._m_command_wait.observe(dequeued - enqueued)
-            if not future.set_running_or_notify_cancel():
-                continue
-            try:
-                future.set_result(
-                    run_in_context(
-                        snapshot,
-                        self._run_command,
-                        request,
-                        enqueued,
-                        dequeued,
-                    )
-                )
-            except BaseException as exc:  # noqa: BLE001 - future boundary
-                future.set_exception(exc)
-
-    def _run_command(
-        self, request: Request, enqueued: float, dequeued: float
-    ) -> Response:
-        """One dequeued command, inside the submitter's context
-        snapshot — so the queue-wait span lands in the right trace."""
-        add_span("queue.wait", enqueued, dequeued)
-        return self.handle(request)
-
-    def shutdown_commands(self) -> None:
-        """Release the command-queue worker pool (frontend teardown).
-
-        Queued commands still drain (their drainers are already
-        running); the idle workers are released instead of lingering
-        for the process lifetime.  A later :meth:`submit_command`
-        lazily builds a fresh pool, so a gateway can be re-served.
-        """
-        with self._command_lock:
-            pool, self._command_pool = self._command_pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
-
     def add_wait_abort(self, event: threading.Event) -> None:
         """Register a frontend shutdown event that interrupts long-polls.
 
@@ -1087,8 +980,8 @@ class ServiceGateway:
         except ValueError:
             pass
 
-    def _authenticate(self, request: Request) -> Tenant:
-        tenant = self._tenants.get(request.auth_token)
+    def _authenticate(self, token: str) -> Tenant:
+        tenant = self._tenants.get(token)
         if tenant is None:
             raise ApiError(
                 ApiErrorCode.UNAUTHORIZED,
@@ -1101,14 +994,7 @@ class ServiceGateway:
         """Resolve an auth token to its tenant name (for transports
         that authenticate outside the typed request path, like the SSE
         event stream).  Raises ``UNAUTHORIZED`` like any request."""
-        tenant = self._tenants.get(token)
-        if tenant is None:
-            raise ApiError(
-                ApiErrorCode.UNAUTHORIZED,
-                "unknown auth token; ask the operator for a tenant "
-                "token (created via ServiceGateway.create_tenant)",
-            )
-        return tenant.name
+        return self._authenticate(token).name
 
     def _require_active(self, tenant: Tenant) -> None:
         if tenant.retired:

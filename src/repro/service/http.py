@@ -6,10 +6,10 @@ One transport sits over
 preserved).  A request leaves the loop only when it can block:
 read-path requests run inline (the gateway serves them lock-free from
 immutable snapshots), and so does an infer whose every row is in the
-prediction cache; polls of live job handles, long-polls and infers
-with a miss run on worker threads, and mutations flow through the
-gateway's per-tenant command queue — the loop never parks on the
-scheduler lock or behind the model.
+prediction cache; everything else — mutations, polls of live job
+handles, long-polls, infers with a miss — makes one hop to a worker
+thread, so the loop never parks on the scheduler lock or behind the
+model.
 
 One route table (:func:`route_request`) maps each exchange onto one
 typed request; the server dispatches it and writes the response's wire
@@ -177,6 +177,11 @@ def _register_http_metrics(gateway: ServiceGateway):
             "http_errors_total",
             "HTTP requests that answered with an ApiError, by code.",
             ["frontend", "route", "code"],
+        ),
+        registry.histogram(
+            "http_worker_wait_seconds",
+            "Time a request that left the event loop waited for its "
+            "worker thread to start it.",
         ),
     )
 
@@ -442,13 +447,16 @@ class AsyncServiceHTTPServer:
       with a miss comes back as the blocking remainder, which runs on
       the worker pool with the probe's products — it may park behind
       a running predict;
-    * **job polls / long-polls** of live handles run on this server's
-      worker pools (they advance the simulated cluster or park on a
-      handle's done event);
-    * **mutations** go through the gateway's per-tenant command queue
-      (:meth:`~repro.service.gateway.ServiceGateway.submit_command`),
-      so one tenant's writes apply in submission order while the loop
-      keeps serving everyone else's reads.
+    * **mutations and polls of live job handles** run
+      ``gateway.handle`` on this server's worker pool (they take the
+      gateway lock, which orders writes; a connection sends its next
+      request only after this one's response, so there is no other
+      order to keep), and a **long-poll** on its own pool (it parks on
+      a handle's done event).
+
+    Every hop is timed: a ``queue.wait`` span in the request's trace
+    and one ``http_worker_wait_seconds`` observation, from the submit
+    on the loop to the first instruction on the worker.
 
     The public surface is the ``socketserver`` one the CLI and tests
     drive: :meth:`serve_forever`, :meth:`shutdown`,
@@ -480,6 +488,7 @@ class AsyncServiceHTTPServer:
             self.m_requests,
             self.m_latency,
             self.m_errors,
+            self.m_worker_wait,
         ) = _register_http_metrics(gateway)
         self._socket = socket.create_server(
             address, reuse_port=reuse_port
@@ -499,11 +508,11 @@ class AsyncServiceHTTPServer:
         #: ServiceGateway.add_wait_abort).
         self._closing = threading.Event()
         gateway.add_wait_abort(self._closing)
-        #: Worker pools for job polls.  Private (not the loop's default
-        #: executor) so shutdown never joins a thread that is still
-        #: parked in a wait — and split in two so long-polls parked for
-        #: up to MAX_WAIT_SECONDS cannot starve ordinary live-job
-        #: polls of workers.
+        #: Worker pools for requests that can block.  Private (not the
+        #: loop's default executor) so shutdown never joins a thread
+        #: that is still parked in a wait — and split in two so
+        #: long-polls parked for up to MAX_WAIT_SECONDS cannot starve
+        #: mutations, live-job polls and infers of workers.
         self._pool = ThreadPoolExecutor(
             max_workers=16, thread_name_prefix="easeml-aio"
         )
@@ -574,7 +583,6 @@ class AsyncServiceHTTPServer:
         self.gateway.remove_wait_abort(self._closing)
         self._pool.shutdown(wait=False)
         self._wait_pool.shutdown(wait=False)
-        self.gateway.shutdown_commands()
         try:
             self._socket.close()
         except OSError:  # pragma: no cover - already closed
@@ -896,32 +904,32 @@ class AsyncServiceHTTPServer:
             work = gateway.handle(request, may_block=False)
             if not callable(work):
                 return work
-            pool = self._pool
-        elif isinstance(request, JobStatusRequest):
-            # A live handle: the poll advances the shared cluster, and
-            # a long-poll parks on it.  Long-polls get their own pool
-            # so parked waiters cannot starve plain polls and infers.
-            work = functools.partial(gateway.handle, request)
-            pool = (
-                self._wait_pool
-                if float(request.wait or 0.0) > 0
-                else self._pool
-            )
         else:
-            return await asyncio.wrap_future(
-                gateway.submit_command(request)
-            )
-        # Both bypass the per-tenant command queue on purpose: a
-        # parked wait must not block the same tenant's mutations, and
-        # infer through the FIFO queue would serialise the very
-        # requests the batch queue wants concurrent.
+            # A mutation, or a poll of a live handle (it advances the
+            # shared cluster): both serialise on the gateway lock.
+            work = functools.partial(gateway.handle, request)
+        # A long-poll parks for seconds; it gets its own pool so parked
+        # waiters cannot starve everything else of workers.
+        pool = (
+            self._wait_pool
+            if isinstance(request, JobStatusRequest)
+            and float(request.wait or 0.0) > 0
+            else self._pool
+        )
         # run_in_executor starts the callable in an EMPTY context;
         # snapshot this coroutine's context so the worker thread sees
         # the same request id (it lands in journal records).
         snapshot = contextvars.copy_context()
         return await asyncio.get_running_loop().run_in_executor(
-            pool, snapshot.run, work
+            pool, snapshot.run, self._on_worker, work, time.perf_counter()
         )
+
+    def _on_worker(self, work, enqueued: float):
+        """The far side of the hop: account the wait, run ``work``."""
+        started = time.perf_counter()
+        add_span("queue.wait", enqueued, started)
+        self.m_worker_wait.observe(started - enqueued)
+        return work()
 
     # -- server-sent events (GET /v1/events?stream=1) ------------------
     async def _stream_events(

@@ -1,6 +1,5 @@
 """Request tracing context: ids, binding, cross-thread propagation."""
 
-import contextvars
 import re
 import threading
 
@@ -11,7 +10,6 @@ from repro.obs import (
     current_request,
     current_request_id,
     new_request_id,
-    run_in_context,
 )
 from repro.obs.context import sanitize_client_id
 
@@ -70,80 +68,6 @@ class TestBinding:
 
 
 class TestRunInContext:
-    def teardown_method(self):
-        clear_request()
-
-    def test_reenters_snapshot_on_another_thread(self):
-        bind_request(request_id="req-captured")
-        snapshot = contextvars.copy_context()
-        clear_request()
-        seen = {}
-
-        def drain():
-            seen["id"] = run_in_context(snapshot, current_request_id)
-
-        t = threading.Thread(target=drain)
-        t.start()
-        t.join()
-        assert seen["id"] == "req-captured"
-
-    def test_none_snapshot_runs_directly(self):
-        bind_request(request_id="req-ambient")
-        assert run_in_context(None, current_request_id) == "req-ambient"
-
-    def test_reentry_falls_back_to_direct_call(self):
-        """Context.run refuses re-entry; the helper degrades safely."""
-        bind_request(request_id="req-outer")
-        snapshot = contextvars.copy_context()
-
-        def nested():
-            return run_in_context(snapshot, current_request_id)
-
-        assert snapshot.run(nested) == "req-outer"
-
-    def test_func_runtime_error_propagates_without_rerun(self):
-        """A RuntimeError raised by ``func`` itself must NOT trigger
-        the re-entry fallback: that would execute ``func`` twice
-        (duplicate journal records, double-applied mutations)."""
-        bind_request(request_id="req-captured")
-        snapshot = contextvars.copy_context()
-        clear_request()
-        calls = []
-
-        def failing():
-            calls.append(current_request_id())
-            raise RuntimeError("handler blew up after side-effects")
-
-        try:
-            run_in_context(snapshot, failing)
-        except RuntimeError as exc:
-            assert "blew up" in str(exc)
-        else:  # pragma: no cover - the call must raise
-            raise AssertionError("expected RuntimeError to propagate")
-        assert calls == ["req-captured"]
-
-    def test_func_runtime_error_in_nested_reentry_runs_once(self):
-        """Even on the fallback path (re-entry), a failing ``func``
-        runs exactly once and its error propagates."""
-        bind_request(request_id="req-outer")
-        snapshot = contextvars.copy_context()
-        calls = []
-
-        def failing():
-            calls.append(current_request_id())
-            raise RuntimeError("boom")
-
-        def nested():
-            return run_in_context(snapshot, failing)
-
-        try:
-            snapshot.run(nested)
-        except RuntimeError as exc:
-            assert "boom" in str(exc)
-        else:  # pragma: no cover - the call must raise
-            raise AssertionError("expected RuntimeError to propagate")
-        assert calls == ["req-outer"]
-
     def test_context_dataclass_defaults(self):
         context = RequestContext()
         assert context.request_id.startswith("req-")

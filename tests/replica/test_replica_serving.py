@@ -68,17 +68,6 @@ class TestReplicaReads:
         assert err.value.details["writer_url"] == "http://writer:1"
         assert err.value.http_status == 503
 
-    def test_submit_command_fails_fast(self, plane):
-        gateway, token, replica, facade = plane
-        future = facade.submit_command(
-            RegisterAppRequest(
-                auth_token=token, app="x", program=MOONS_PROGRAM
-            )
-        )
-        with pytest.raises(ApiError) as err:
-            future.result(timeout=1.0)
-        assert err.value.code is ApiErrorCode.NOT_WRITER
-
     def test_stale_reads_beyond_bound_503(self, plane):
         gateway, token, replica, facade = plane
         facade.max_lag_records = 3
@@ -151,3 +140,27 @@ class TestReplicaHTTP:
             for server in (writer_server, replica_server):
                 server.shutdown()
                 server.server_close()
+
+    def test_mutation_is_refused_then_served_after_promotion(self, plane):
+        """The facade's whole write story is ``handle``: NOT_WRITER
+        until ``promote()``, the writing gateway after."""
+        gateway, token, replica, facade = plane
+        server, _ = serve_background(facade)
+        # The redirect points back here, so the SDK's one re-issue
+        # meets the same replica and the refusal reaches the caller.
+        facade.writer_url = server.url
+        try:
+            client = EaseMLClient(server.url, token)
+            with pytest.raises(ApiError) as err:
+                client.register_app("late", MOONS_PROGRAM)
+            assert err.value.code is ApiErrorCode.NOT_WRITER
+            assert err.value.details["writer_url"] == server.url
+            assert err.value.request_id
+            gateway.store.close()  # the writer dies; flock released
+            replica.promote()
+            assert client.register_app("late", MOONS_PROGRAM).app == "late"
+            assert "late" in client.list_apps().apps
+        finally:
+            server.shutdown()
+            server.server_close()
+            replica.gateway.store.close()

@@ -5,9 +5,12 @@ class of host is seconds per child); the fine-grained promotion and
 staleness semantics live in the in-process suites next door.
 """
 
+import multiprocessing
 import os
 import signal
 import time
+
+import pytest
 
 from replica_helpers import MOONS_PROGRAM
 from repro.replica import CLUSTER_NAME, ServingPlane, read_cluster
@@ -71,3 +74,17 @@ class TestServingPlane:
             assert cluster["promotions"] == 1
         finally:
             plane.stop()
+
+    def test_refuses_to_start_without_reuse_port(
+        self, state_dir, monkeypatch
+    ):
+        """No SO_REUSEPORT, no plane: the constructor says so before a
+        single child exists (there is no userspace front tier)."""
+        monkeypatch.setattr(
+            "repro.service.http.supports_reuse_port", lambda: False
+        )
+        with pytest.raises(RuntimeError, match="SO_REUSEPORT") as err:
+            ServingPlane(state_dir, replicas=1, tenants=["acme"])
+        assert "repro serve" in str(err.value)
+        assert multiprocessing.active_children() == []
+        assert not state_dir.exists()

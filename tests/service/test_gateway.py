@@ -799,7 +799,7 @@ class TestLockSharding:
 
 
 class TestReadWriteSplit:
-    """The frontend dispatch surface: classification, queues, views."""
+    """The frontend dispatch surface: classification, views."""
 
     def test_read_classification(self, gateway):
         token = gateway.create_tenant("alice")
@@ -838,40 +838,6 @@ class TestReadWriteSplit:
         assert gateway.is_read(
             JobStatusRequest(auth_token=token, job_id="job-99999")
         )
-
-    def test_submit_command_runs_tenant_fifo(self, gateway):
-        """Commands with one token apply strictly in submission order."""
-        token = gateway.create_tenant("alice")
-        gateway.handle(
-            RegisterAppRequest(auth_token=token, app="moons",
-                               program=MOONS_PROGRAM)
-        )
-        inputs, outputs = task_payload("moons")
-        futures = [
-            gateway.submit_command(
-                FeedRequest(
-                    auth_token=token,
-                    inputs=inputs[i:i + 5],
-                    outputs=outputs[i:i + 5],
-                    app="moons",
-                )
-            )
-            for i in range(0, 30, 5)
-        ]
-        responses = [f.result(timeout=30) for f in futures]
-        # FIFO: each batch's example ids continue where the last ended.
-        ids = [i for r in responses for i in r.example_ids]
-        assert ids == list(range(30))
-
-    def test_submit_command_propagates_api_errors(self, gateway):
-        token = gateway.create_tenant("alice")
-        future = gateway.submit_command(
-            FeedRequest(auth_token=token, app="ghost", inputs=((1.0,),),
-                        outputs=(0,))
-        )
-        with pytest.raises(ApiError) as excinfo:
-            future.result(timeout=30)
-        assert excinfo.value.code is ApiErrorCode.NOT_FOUND
 
     def test_tenant_view_is_immutable_snapshot(self, gateway):
         token = gateway.create_tenant("alice")

@@ -113,6 +113,17 @@ class TestErrorModel:
         # No traceback fragments cross the wire.
         assert "Traceback" not in json.dumps(body)
 
+    def test_mutation_error_crosses_the_worker_hop(self, service):
+        """A mutation runs on a worker thread; its ApiError still
+        reaches the client typed, with the id the request carried."""
+        gateway, server = service
+        client = make_client(server, gateway.create_tenant("alice"))
+        with pytest.raises(ApiError) as excinfo:
+            client.feed("ghost", ((1.0, 2.0),), (0,))
+        assert excinfo.value.code is ApiErrorCode.NOT_FOUND
+        assert excinfo.value.http_status == 404
+        assert excinfo.value.request_id.startswith("req-")
+
     def test_unauthorized_is_401(self, service):
         _, server = service
         status, body = raw_request(server, "GET", "/v1/apps", token="bad")
@@ -296,6 +307,48 @@ class TestConcurrentClients:
         # Each tenant still ends with a working model.
         assert client_a.infer("moons", inputs_a[0]).prediction in (0, 1)
         assert client_b.infer("blobs", inputs_b[0]).prediction in (0, 1, 2)
+
+    def test_one_tenant_two_connections_feed_whole_batches(self, service):
+        """Two connections on one token have no order to keep, but
+        every feed is atomic under the gateway lock: each response
+        names one contiguous run of ids and no id is handed out twice."""
+        gateway, server = service
+        token = gateway.create_tenant("alice")
+        make_client(server, token).register_app("moons", MOONS_PROGRAM)
+        inputs, outputs = task_payload("moons")
+        responses, errors = [], []
+
+        def drive(offset):
+            client = make_client(server, token)
+            try:
+                for i in range(offset, offset + 30, 5):
+                    responses.append(
+                        client.feed(
+                            "moons", inputs[i:i + 5], outputs[i:i + 5]
+                        )
+                    )
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+            finally:
+                client.close()
+
+        threads = [
+            threading.Thread(target=drive, args=(offset,))
+            for offset in (0, 30)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(responses) == 12
+        for response in responses:
+            first = response.example_ids[0]
+            assert response.example_ids == tuple(range(first, first + 5))
+        assert sorted(
+            i for r in responses for i in r.example_ids
+        ) == list(range(60))
 
     def test_tenants_cannot_see_each_other(self, service):
         gateway, server = service

@@ -167,7 +167,10 @@ class TestMetricsEndpoints:
         text = raw.decode("utf-8")
         assert 'route="/v1/info"' in text
         assert "http_request_seconds_bucket" in text
-        assert "gateway_command_queue_depth" in text
+        # The worker hop's histogram is exposed (and the register
+        # above crossed it); the command queue's two families are gone.
+        assert "http_worker_wait_seconds_count 1" in text
+        assert "gateway_command" not in text
         # Per-tenant gateway counters ticked for the mutation.
         assert (
             'gateway_requests_total{tenant="alice",'

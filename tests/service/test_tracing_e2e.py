@@ -1,6 +1,7 @@
 """End-to-end tracing: /v1/traces, span coverage, exemplars, SLO gauges."""
 
 import json
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -11,8 +12,9 @@ from service_helpers import (
     make_gateway,
     task_payload,
 )
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.obs.context import REQUEST_ID_HEADER
+from repro.service.api import from_wire
 from repro.service.client import EaseMLClient
 from repro.service.http import (
     METRICS_JSON_PATH,
@@ -187,7 +189,7 @@ class TestWriteTraceCoversTheStack:
             assert traces
             names = {s["name"] for s in traces[0]["spans"]}
             # The acceptance bar: one trace, every layer of the stack
-            # (mutations hop the per-tenant command queue).
+            # (a mutation hops to a worker thread: queue.wait).
             assert {
                 "request", "frontend.decode", "queue.wait",
                 "gateway.handle", "journal.append", "journal.commit",
@@ -196,6 +198,98 @@ class TestWriteTraceCoversTheStack:
             server.shutdown()
             server.server_close()
             gateway.store.close()
+
+
+class TestQueueWaitMarksEveryHop:
+    """``queue.wait`` is the frontend's loop -> worker hop: on every
+    request that left the loop, on none that did not."""
+
+    @staticmethod
+    def exchange(server, token, rid, method, path, body=None):
+        connection = HTTPConnection("127.0.0.1", server.port, timeout=30.0)
+        connection.request(
+            method,
+            path,
+            body=None if body is None else json.dumps(body).encode("utf-8"),
+            headers={
+                "Authorization": f"Bearer {token}",
+                REQUEST_ID_HEADER: rid,
+            },
+        )
+        response = connection.getresponse()
+        raw = response.read()
+        connection.close()
+        assert response.status == 200, raw
+        return from_wire(json.loads(raw.decode("utf-8")))
+
+    @staticmethod
+    def spans_of(gateway, rid):
+        # The frontend finishes a trace after it wrote the response.
+        deadline = time.monotonic() + 1.0
+        while not gateway.tracer.get(rid):
+            assert time.monotonic() < deadline, f"no trace for {rid}"
+            time.sleep(0.002)
+        (trace,) = gateway.tracer.get(rid)
+        return sorted(trace["spans"], key=lambda s: s["start_ms"])
+
+    def test_one_wait_per_hop_and_none_inline(self):
+        gateway = make_gateway(tracer=Tracer(retain_rate=1.0, seed=0))
+        server, _ = serve_background(gateway)
+        try:
+            token = onboard(gateway, server).token
+            inputs, outputs = task_payload("moons", seed=1)
+            hops = gateway.metrics.get("http_worker_wait_seconds").labels()
+            before = hops.total
+
+            def call(rid, method, path, body=None):
+                return self.exchange(server, token, rid, method, path, body)
+
+            call(
+                "hop-feed", "POST", "/v1/apps/moons/examples",
+                {"inputs": inputs[:5], "outputs": outputs[:5]},
+            )
+            submitted = call(
+                "hop-submit", "POST", "/v1/jobs", {"app": "moons"}
+            )
+            job = f"/v1/jobs/{submitted.handles[0].job_id}"
+            status = call("hop-poll", "GET", job)  # live: advances
+            expected = 4  # feed, submit, poll, infer miss
+            while not status.done:
+                status = call("hop-poll-again", "GET", job)
+                expected += 1
+            call("loop-poll", "GET", job)  # terminal: a read
+            row = {"x": inputs[0]}
+            call("hop-infer", "POST", "/v1/apps/moons/infer", row)
+            call("loop-infer", "POST", "/v1/apps/moons/infer", row)
+            call("loop-status", "GET", "/v1/apps/moons")
+
+            for rid in ("hop-feed", "hop-submit", "hop-poll", "hop-infer"):
+                spans = self.spans_of(gateway, rid)
+                (wait,) = [s for s in spans if s["name"] == "queue.wait"]
+                (decode,) = [
+                    s for s in spans if s["name"] == "frontend.decode"
+                ]
+                handle = [
+                    s for s in spans if s["name"] == "gateway.handle"
+                ][-1]
+                # decode -> wait -> the handler that ran on the worker
+                # (span times are rounded to 0.1 us).
+                assert (
+                    decode["start_ms"] + decode["duration_ms"]
+                    <= wait["start_ms"] + 1e-3
+                ), rid
+                assert (
+                    wait["start_ms"] + wait["duration_ms"]
+                    <= handle["start_ms"] + 1e-3
+                ), rid
+            for rid in ("loop-poll", "loop-infer", "loop-status"):
+                names = [s["name"] for s in self.spans_of(gateway, rid)]
+                assert "gateway.handle" in names, rid
+                assert "queue.wait" not in names, rid
+            assert hops.total - before == expected
+        finally:
+            server.shutdown()
+            server.server_close()
 
 
 class TestExemplars:

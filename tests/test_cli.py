@@ -189,6 +189,23 @@ class TestServe:
             _build_parser().parse_args(["serve", "--frontend", "asyncio"])
         assert refused.value.code == 2
 
+    def test_serve_replicas_needs_reuse_port(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            "repro.service.http.supports_reuse_port", lambda: False
+        )
+        state = tmp_path / "state"
+        code = main(
+            ["serve", "--replicas", "1", "--state-dir", str(state)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "SO_REUSEPORT" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not state.exists()
+
     def test_build_service_durable_restart(self, tmp_path):
         """--state-dir round trip: tokens and tenants survive."""
         state = str(tmp_path / "state")
