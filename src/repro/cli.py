@@ -969,27 +969,15 @@ def _cmd_serve_plane(args: argparse.Namespace) -> int:
 def _scrape_json_metrics(url, path, token=None, timeout=5.0):
     """GET ``url+path`` and parse the JSON body; None on any failure."""
     import json
-    from http.client import HTTPConnection, HTTPException
-    from urllib.parse import urlparse
 
-    parsed = urlparse(url)
-    headers = {}
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
+    from repro.service.client import _get_once
+
     try:
-        connection = HTTPConnection(
-            parsed.hostname or url, parsed.port or 80, timeout=timeout
-        )
-        try:
-            connection.request("GET", path, headers=headers)
-            response = connection.getresponse()
-            body = response.read()
-        finally:
-            connection.close()
-        if response.status != 200:
+        status, body = _get_once(url, path, token=token, timeout=timeout)
+        if status != 200:
             return None
         return json.loads(body.decode("utf-8"))
-    except (ConnectionError, HTTPException, OSError, ValueError):
+    except (ConnectionError, OSError, ValueError):
         return None
 
 
@@ -1092,9 +1080,9 @@ def _cmd_replica(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Scrape a live server's metrics endpoint and print the body."""
-    from http.client import HTTPConnection, HTTPException
     from urllib.parse import urlparse
 
+    from repro.service.client import _get_once
     from repro.service.http import METRICS_JSON_PATH, METRICS_PATH
 
     parsed = urlparse(args.url)
@@ -1106,26 +1094,21 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         return 2
     path = METRICS_JSON_PATH if args.json else METRICS_PATH
     try:
-        connection = HTTPConnection(
-            parsed.hostname or args.url, parsed.port or 80, timeout=10.0
+        status, raw = _get_once(
+            args.url,
+            path,
+            token=getattr(args, "metrics_token", None),
+            timeout=10.0,
         )
-        headers = {}
-        if getattr(args, "metrics_token", None):
-            headers["Authorization"] = f"Bearer {args.metrics_token}"
-        try:
-            connection.request("GET", path, headers=headers)
-            response = connection.getresponse()
-            body = response.read().decode("utf-8", "replace")
-        finally:
-            connection.close()
-    except (ConnectionError, HTTPException, OSError) as exc:
+    except (ConnectionError, OSError) as exc:
         print(
             f"cannot scrape {args.url}{path}: {exc}", file=sys.stderr
         )
         return 2
-    if response.status != 200:
+    body = raw.decode("utf-8", "replace")
+    if status != 200:
         print(
-            f"server answered HTTP {response.status} for {path}: "
+            f"server answered HTTP {status} for {path}: "
             f"{body.strip()}",
             file=sys.stderr,
         )

@@ -3,7 +3,8 @@
 Everything that crosses the service boundary is declared here as a
 frozen dataclass with an explicit schema version, so the gateway, the
 HTTP frontend, and the client SDK all speak one vocabulary.  The wire
-form is plain JSON: :func:`to_wire` tags an object with its type name,
+form is plain JSON: :func:`to_wire` tags an object with its type name
+and encodes its fields in one walk (no deep copy, no second pass),
 :func:`from_wire` reconstructs it, and a round trip is the identity —
 the HTTP layer adds nothing but transport.
 
@@ -402,14 +403,51 @@ def _coerce(cls: Type, body: Dict[str, Any]) -> Any:
         ) from None
 
 
+#: Per-class field names for :func:`to_wire` (None: not a dataclass),
+#: filled on first sight of each type.
+_FIELD_NAMES: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+#: Types that are already JSON-safe as they are (exact types only: a
+#: numpy ``float64`` is a ``float`` subclass and takes the slow path).
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
+def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    try:
+        return _FIELD_NAMES[cls]
+    except KeyError:
+        names = (
+            tuple(f.name for f in dataclasses.fields(cls))
+            if dataclasses.is_dataclass(cls)
+            else None
+        )
+        _FIELD_NAMES[cls] = names
+        return names
+
+
+def _wire_value(value: Any) -> Any:
+    """One walk to the JSON-safe form ``jsonify(dataclasses.asdict(…))``
+    produces: tuples become lists, nested dataclasses dicts, and only
+    what is not an exact plain, list, tuple or dict type (numpy values,
+    Enums) goes through :func:`jsonify`."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is tuple or kind is list:
+        return [_wire_value(v) for v in value]
+    if kind is dict:
+        return {str(k): _wire_value(v) for k, v in value.items()}
+    names = _field_names(kind)
+    if names is not None:
+        return {name: _wire_value(getattr(value, name)) for name in names}
+    return jsonify(value)
+
+
 def to_wire(message: Any) -> Dict[str, Any]:
     """``{"type": <class name>, "body": <json-safe fields>}``."""
-    if not dataclasses.is_dataclass(message):
+    if _field_names(type(message)) is None:
         raise TypeError(f"not an API message: {message!r}")
-    return {
-        "type": type(message).__name__,
-        "body": jsonify(dataclasses.asdict(message)),
-    }
+    return {"type": type(message).__name__, "body": _wire_value(message)}
 
 
 def from_wire(data: Dict[str, Any]) -> Any:

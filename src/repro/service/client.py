@@ -17,14 +17,20 @@ Quickstart::
         status = client.wait(handle.job_id)
         print(status.candidate, status.accuracy)
     print(client.infer("moons", X[0].tolist()).prediction)
+
+Transport: the client speaks keep-alive HTTP/1.1 itself over one socket
+per client (plus one per live event stream) — a request is one
+``sendall`` of head and body, a response a status line, headers read
+line by line into a dict, and a ``Content-Length`` body.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import socket
 import threading
 import time
-from http.client import HTTPConnection, HTTPException
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 from urllib.parse import urlencode, urlparse
 
@@ -50,6 +56,137 @@ from repro.service.api import (
     SubmitTrainingResponse,
     from_wire,
 )
+
+
+#: Longest status or header line a response may carry, and most
+#: header lines: past either the peer is not this server.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+#: Bytes a request target may not contain: they would split or end
+#: the request line.
+_BAD_TARGET = re.compile(r"[\x00-\x20\x7f]")
+
+_REQUEST_ID = REQUEST_ID_HEADER.lower()
+_REPLICA_LAG = REPLICA_LAG_HEADER.lower()
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection to the service.
+
+    A request is one ``sendall`` of the head plus the body; a response
+    is the status line and headers, read with the buffered file's
+    ``readline`` into a dict with lower-cased names, then exactly
+    ``Content-Length`` body bytes.  Every failure — refused, reset,
+    closed early, malformed — surfaces as ``ConnectionError`` or
+    ``OSError`` (a socket timeout is one).
+    """
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.sock = socket.create_connection((host, port), timeout=timeout)
+        try:
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.rfile = self.sock.makefile("rb")
+        except OSError:
+            self.sock.close()
+            raise
+        if ":" in host:
+            host = f"[{host}]"
+        self.host_header = host if port == 80 else f"{host}:{port}"
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+    def send(
+        self,
+        method: str,
+        target: str,
+        headers: Dict[str, str],
+        body: Optional[bytes] = None,
+    ) -> None:
+        if _BAD_TARGET.search(target):
+            raise ValueError(
+                f"request target {target!r} contains whitespace or "
+                "control characters"
+            )
+        lines = [f"{method} {target} HTTP/1.1", f"Host: {self.host_header}"]
+        for name, value in headers.items():
+            if "\r" in value or "\n" in value:
+                raise ValueError(f"invalid value for header {name!r}")
+            lines.append(f"{name}: {value}")
+        if body is not None:
+            lines.append(f"Content-Length: {len(body)}")
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        self.sock.sendall(head + body if body else head)
+
+    def read_head(self) -> Tuple[int, Dict[str, str]]:
+        """The status code and the headers of the next response."""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:
+            raise ConnectionError("the server closed the connection")
+        parts = line.split(None, 2)
+        try:
+            if not parts[0].startswith(b"HTTP/"):
+                raise ValueError(parts[0])
+            status = int(parts[1])
+        except (IndexError, ValueError):
+            raise ConnectionError(
+                f"malformed status line {line[:80]!r}"
+            ) from None
+        headers: Dict[str, str] = {}
+        while True:
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n", b""):
+                return status, headers
+            if len(line) > _MAX_LINE or len(headers) >= _MAX_HEADERS:
+                raise ConnectionError("oversized response head")
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+
+    def read_body(self, headers: Dict[str, str]) -> bytes:
+        length = headers.get("content-length")
+        if length is None:
+            return self.rfile.read()  # framed by the server's close
+        try:
+            size = int(length)
+        except ValueError:
+            raise ConnectionError(
+                f"malformed Content-Length {length!r}"
+            ) from None
+        body = self.rfile.read(size)
+        if len(body) < size:
+            raise ConnectionError(
+                f"response body ended after {len(body)} of {size} bytes"
+            )
+        return body
+
+
+def _will_close(headers: Dict[str, str]) -> bool:
+    """Does this response end its connection?"""
+    return (
+        headers.get("connection", "").lower() == "close"
+        or "content-length" not in headers
+    )
+
+
+def _get_once(
+    url: str, path: str, *, token: Optional[str] = None, timeout: float
+) -> Tuple[int, bytes]:
+    """One ``GET`` on a fresh connection: ``(status, body)``.
+
+    For one-shot tools (metrics scrapes); raises ``ConnectionError`` /
+    ``OSError`` when the server cannot be reached or answers garbage.
+    """
+    parsed = urlparse(url)
+    headers = {"Authorization": f"Bearer {token}"} if token else {}
+    conn = _Connection(parsed.hostname or url, parsed.port or 80, timeout)
+    try:
+        conn.send("GET", path, headers)
+        status, response_headers = conn.read_head()
+        return status, conn.read_body(response_headers)
+    finally:
+        conn.close()
 
 
 class AmbiguousMutationError(ConnectionError):
@@ -90,7 +227,7 @@ class EaseMLClient:
         # re-established transparently if the server closed it).  The
         # lock makes a shared client safe to use from threads, though
         # one client per thread parallelises better.
-        self._connection: Optional[HTTPConnection] = None
+        self._connection: Optional[_Connection] = None
         self._lock = threading.Lock()
         # Scale-out awareness: when the base URL points at a read
         # replica, mutations come back NOT_WRITER with the writer's
@@ -99,7 +236,7 @@ class EaseMLClient:
         # hitting the replica); a dead learned writer is forgotten and
         # re-learned from the next redirect.
         self._writer: Optional[Tuple[str, int]] = None
-        self._writer_connection: Optional[HTTPConnection] = None
+        self._writer_connection: Optional[_Connection] = None
         #: Records-behind-the-writer reported by the last response
         #: that carried an ``X-Replica-Lag`` header (None when the
         #: server is not a replica).
@@ -158,7 +295,7 @@ class EaseMLClient:
                 _via_writer or not idempotent
             )
             try:
-                response, raw = self._exchange(
+                status, response_headers, raw = self._exchange(
                     method,
                     path,
                     payload,
@@ -168,14 +305,14 @@ class EaseMLClient:
                 )
             except AmbiguousMutationError:
                 raise
-            except (ConnectionError, HTTPException, OSError):
+            except (ConnectionError, OSError):
                 if not use_writer:
                     raise
                 # The learned writer went away (a promotion elects a
                 # new one): forget it and fall back to the base
                 # address, which will re-redirect us if needed.
                 self._writer = None
-                response, raw = self._exchange(
+                status, response_headers, raw = self._exchange(
                     method,
                     path,
                     payload,
@@ -183,19 +320,19 @@ class EaseMLClient:
                     idempotent=idempotent,
                     writer=False,
                 )
-        lag = response.getheader(REPLICA_LAG_HEADER)
+        lag = response_headers.get(_REPLICA_LAG)
         if lag is not None:
             try:
                 self.last_replica_lag = int(lag)
             except ValueError:  # pragma: no cover - malformed header
                 pass
-        echoed = response.getheader(REQUEST_ID_HEADER) or request_id
+        echoed = response_headers.get(_REQUEST_ID) or request_id
         try:
             data = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
             error = ApiError(
                 ApiErrorCode.INTERNAL,
-                f"server returned a non-JSON body (HTTP {response.status})",
+                f"server returned a non-JSON body (HTTP {status})",
             )
             error.request_id = echoed
             raise error from None
@@ -248,26 +385,35 @@ class EaseMLClient:
         """
         attempts = 3 if idempotent else 2
         for attempt in range(attempts):
-            reused = (
-                self._writer_connection if writer else self._connection
-            ) is not None
-            if reused:
-                conn = self._writer_connection if writer else self._connection
-            else:
-                host, port = self._writer if writer else (self.host, self.port)
-                conn = HTTPConnection(host, port, timeout=self.timeout)
-                if writer:
-                    self._writer_connection = conn
-                else:
-                    self._connection = conn
+            conn = self._writer_connection if writer else self._connection
+            reused = conn is not None
             sent = False
             try:
-                conn.request(method, path, body=payload, headers=headers)
+                if conn is None:
+                    host, port = (
+                        self._writer if writer else (self.host, self.port)
+                    )
+                    conn = _Connection(host, port, self.timeout)
+                    if writer:
+                        self._writer_connection = conn
+                    else:
+                        self._connection = conn
+                conn.send(method, path, headers, payload)
                 sent = True
-                response = conn.getresponse()
-                return response, response.read()
-            except (ConnectionError, HTTPException, OSError) as exc:
-                conn.close()
+                status, response_headers = conn.read_head()
+                raw = conn.read_body(response_headers)
+                if _will_close(response_headers):
+                    # The server ends this connection: the next call
+                    # opens a fresh one (and knows it is fresh).
+                    conn.close()
+                    if writer:
+                        self._writer_connection = None
+                    else:
+                        self._connection = None
+                return status, response_headers, raw
+            except (ConnectionError, OSError) as exc:
+                if conn is not None:
+                    conn.close()
                 if writer:
                     self._writer_connection = None
                 else:
@@ -506,34 +652,31 @@ class EaseMLClient:
         keep-alive socket must stay request/response), so a streaming
         client can keep issuing ordinary calls concurrently.
         """
-        conn = HTTPConnection(
-            self.host, self.port, timeout=timeout or self.timeout
-        )
+        conn = _Connection(self.host, self.port, timeout or self.timeout)
         try:
-            conn.request(
+            conn.send(
                 "GET",
                 f"/{API_VERSION}/events?stream=1",
-                headers={
+                {
                     "Authorization": f"Bearer {self.token}",
                     "Accept": "text/event-stream",
                 },
             )
-            response = conn.getresponse()
-            if response.status != 200:
-                raw = response.read()
+            status, headers = conn.read_head()
+            if status != 200:
+                raw = conn.read_body(headers)
                 try:
                     wire = json.loads(raw.decode("utf-8"))
                     raise ApiError.from_dict(wire["error"])
                 except (ValueError, KeyError, UnicodeDecodeError):
                     raise ApiError(
                         ApiErrorCode.INTERNAL,
-                        f"event stream refused with HTTP "
-                        f"{response.status}",
+                        f"event stream refused with HTTP {status}",
                     ) from None
             data_lines: list = []
             while True:
                 try:
-                    line = response.fp.readline()
+                    line = conn.rfile.readline()
                 except (TimeoutError, OSError):
                     return  # silence beyond timeout: end the stream
                 if not line:

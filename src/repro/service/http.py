@@ -37,7 +37,10 @@ Routes (all under ``/v1``)::
 
 Authentication is ``Authorization: Bearer <token>``.  Request bodies
 are framed by ``Content-Length`` only; a request carrying
-``Transfer-Encoding`` is refused with 400.
+``Transfer-Encoding`` is refused with 400.  The request line and
+headers are read as one block up to the blank line (one read, at most
+64 KiB, else the connection closes); lines end in CRLF, and a block
+with a bare-LF line end is refused with 400.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.client import responses as _HTTP_REASONS
-from typing import Any, Dict, Optional, Tuple
+from http import HTTPStatus
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs import (
@@ -92,6 +95,9 @@ from repro.service.stream import sse_frame
 
 _PREFIX = f"/{API_VERSION}"
 
+#: Reason phrase per status code, for the response status line.
+_HTTP_REASONS = {status.value: status.phrase for status in HTTPStatus}
+
 #: Header-count cap for the codec: a single connection must not grow
 #: the header dict without bound.
 _MAX_HEADERS = 100
@@ -126,16 +132,35 @@ TRACES_PATH = f"{_PREFIX}/traces"
 REPLICA_LAG_HEADER = "X-Replica-Lag"
 
 
-def route_template(method: str, path: str) -> str:
+class _Target(NamedTuple):
+    """A request target parsed once: the frontend derives the route,
+    the metric label and the operator-plane match from these parts."""
+
+    raw: str
+    path: str
+    parts: List[str]
+    query: str
+
+
+def _parse_target(target: Union[str, _Target]) -> _Target:
+    if isinstance(target, _Target):
+        return target
+    url = urlparse(target)
+    return _Target(
+        target, url.path, [p for p in url.path.split("/") if p], url.query
+    )
+
+
+def route_template(method: str, path: Union[str, _Target]) -> str:
     """Collapse a request target onto its route template.
 
     Metric labels must be bounded: labelling by raw path would mint
     one time series per app name, job id, and typo'd URL.  Unknown
     paths all collapse into ``(unmatched)``.
     """
-    url = urlparse(path)
-    parts = [p for p in url.path.split("/") if p]
-    if url.path == METRICS_PATH:
+    target = _parse_target(path)
+    parts = target.parts
+    if target.path == METRICS_PATH:
         return METRICS_PATH
     if not parts or parts[0] != API_VERSION:
         return "(unmatched)"
@@ -188,7 +213,7 @@ def _register_http_metrics(gateway: ServiceGateway):
 
 def metrics_endpoint(
     gateway: ServiceGateway,
-    path: str,
+    path: Union[str, _Target],
     *,
     auth_header: str = "",
     metrics_token: Optional[str] = None,
@@ -208,8 +233,8 @@ def metrics_endpoint(
     or they answer 401 (``--metrics-token`` on ``repro serve``).  The
     token gates traces too — a trace body names tenants and routes.
     """
-    url = urlparse(path)
-    bare = url.path
+    target = _parse_target(path)
+    bare = target.path
     if bare not in (METRICS_PATH, METRICS_JSON_PATH, TRACES_PATH):
         return None
     if metrics_token is not None and not hmac.compare_digest(
@@ -226,7 +251,7 @@ def metrics_endpoint(
         ).encode("utf-8")
         return error.http_status, body, "application/json"
     if bare == TRACES_PATH:
-        query = parse_qs(url.query)
+        query = parse_qs(target.query)
         try:
             min_ms = float(query.get("min_ms", ["0"])[0] or 0.0)
             limit = int(query.get("limit", ["50"])[0] or 50)
@@ -304,18 +329,23 @@ def decode_body(raw: bytes) -> Dict[str, Any]:
 
 
 def route_request(
-    method: str, path: str, body: Dict[str, Any], token: str
+    method: str,
+    path: Union[str, _Target],
+    body: Dict[str, Any],
+    token: str,
 ) -> Request:
     """Map one parsed HTTP exchange onto a typed gateway request.
 
-    ``path`` is the raw request target (query string included);
-    ``body`` the decoded JSON object (mutated: ``api_version`` is
-    popped).  Raises :class:`ApiError` for unknown routes and
-    malformed parameters — never anything untyped.
+    ``path`` is the raw request target (query string included), or
+    the frontend's already-parsed form of it; ``body`` the decoded
+    JSON object (mutated: ``api_version`` is popped).  Raises
+    :class:`ApiError` for unknown routes and malformed parameters —
+    never anything untyped.
     """
-    url = urlparse(path)
-    parts = [p for p in url.path.split("/") if p]
-    query = parse_qs(url.query)
+    target = _parse_target(path)
+    parts = target.parts
+    query = parse_qs(target.query)
+    path = target.raw
     if not parts or parts[0] != API_VERSION:
         raise ApiError(
             ApiErrorCode.NOT_FOUND,
@@ -624,15 +654,15 @@ class AsyncServiceHTTPServer:
         try:
             await self._connection_loop(reader, writer)
         except (
+            # EOF before a whole header block (a clean keep-alive close
+            # when nothing was sent), a block past the 64 KiB limit,
+            # a reset, shutdown: just close.
             asyncio.IncompleteReadError,
             asyncio.LimitOverrunError,
             ConnectionError,
             asyncio.CancelledError,
-            # StreamReader.readline signals an over-limit line (e.g. a
-            # 64KiB+ request line) as a bare ValueError.
-            ValueError,
         ):
-            pass  # peer vanished / oversized / shutdown: just close
+            pass
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)
@@ -644,31 +674,32 @@ class AsyncServiceHTTPServer:
 
     async def _connection_loop(self, reader, writer) -> None:
         while not self._closing.is_set():
-            head = await reader.readline()
-            if not head:
-                return  # clean keep-alive close from the peer
-            # The request clock starts when the request line lands —
+            # Request line and headers in one read, up to the blank
+            # line (the reader's 64 KiB limit bounds it).
+            block = await reader.readuntil(b"\r\n\r\n")
+            # The request clock starts when the header block lands —
             # not when the connection went idle on keep-alive.
             decode_started = time.perf_counter()
-            try:
-                method, target, version = (
-                    head.decode("latin-1").strip().split(" ", 2)
+            if block.count(b"\n") != block.count(b"\r\n"):
+                await self._refuse(
+                    writer, "header lines must end in CRLF, not a bare LF"
                 )
+                return
+            lines = block.decode("latin-1").split("\r\n")
+            try:
+                method, raw_target, version = lines[0].strip().split(" ", 2)
+                target = _parse_target(raw_target)
             except ValueError:
                 return  # not HTTP; drop the connection
+            # The block ends in CRLF CRLF: the last two pieces are empty.
+            if len(lines) - 3 > _MAX_HEADERS:
+                await self._refuse(
+                    writer, f"got more than {_MAX_HEADERS} headers"
+                )
+                return
             headers: Dict[str, str] = {}
-            n_header_lines = 0
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                n_header_lines += 1
-                if n_header_lines > _MAX_HEADERS:
-                    await self._refuse(
-                        writer, f"got more than {_MAX_HEADERS} headers"
-                    )
-                    return
-                name, _, value = line.decode("latin-1").partition(":")
+            for line in lines[1:-2]:
+                name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
             if "transfer-encoding" in headers:
                 # Chunk bytes read as Content-Length framing would be
@@ -711,6 +742,7 @@ class AsyncServiceHTTPServer:
             )
             self.tracer.start(context)
             add_span("frontend.decode", decode_started, decode_end)
+            route = route_template(method, target)
             status, closing = 500, True  # until proven otherwise
             try:
                 served = (
@@ -743,7 +775,7 @@ class AsyncServiceHTTPServer:
                             fatal,
                             error_hdrs,
                         ) = await self._respond(
-                            method, target, headers, raw, context
+                            method, target, route, headers, raw, context
                         )
                         body_bytes = json.dumps(payload).encode("utf-8")
                         content_type = "application/json"
@@ -766,7 +798,6 @@ class AsyncServiceHTTPServer:
                     )
             finally:
                 duration = context.elapsed()
-                route = route_template(method, target)
                 self.m_requests.labels(
                     "asyncio", method, route, status
                 ).inc()
@@ -781,7 +812,7 @@ class AsyncServiceHTTPServer:
                 peer = writer.get_extra_info("peername")
                 self.access_log.access(
                     method=method,
-                    path=target,
+                    path=raw_target,
                     status=status,
                     duration=duration,
                     request_id=context.request_id,
@@ -847,7 +878,8 @@ class AsyncServiceHTTPServer:
     async def _respond(
         self,
         method: str,
-        target: str,
+        target: _Target,
+        route: str,
         headers: Dict[str, str],
         raw: bytes,
         context: RequestContext,
@@ -862,9 +894,7 @@ class AsyncServiceHTTPServer:
             return 200, to_wire(response), False, None
         except ApiError as exc:
             exc.request_id = exc.request_id or context.request_id
-            self.m_errors.labels(
-                "asyncio", route_template(method, target), exc.code.value
-            ).inc()
+            self.m_errors.labels("asyncio", route, exc.code.value).inc()
             return (
                 exc.http_status,
                 {"api_version": API_VERSION, "error": exc.to_dict()},
@@ -880,9 +910,7 @@ class AsyncServiceHTTPServer:
                 error_type=type(exc).__name__,
             )
             error.request_id = context.request_id
-            self.m_errors.labels(
-                "asyncio", route_template(method, target), error.code.value
-            ).inc()
+            self.m_errors.labels("asyncio", route, error.code.value).inc()
             # The connection state is unknown; close after replying.
             return (
                 error.http_status,
@@ -1008,14 +1036,11 @@ class AsyncServiceHTTPServer:
         return 200
 
 
-def _wants_stream(method: str, target: str) -> bool:
+def _wants_stream(method: str, target: _Target) -> bool:
     """Is this exchange asking for the SSE event stream?"""
-    if method != "GET":
+    if method != "GET" or target.path != f"{_PREFIX}/events":
         return False
-    url = urlparse(target)
-    if url.path != f"{_PREFIX}/events":
-        return False
-    raw = parse_qs(url.query).get("stream", ["0"])[0]
+    raw = parse_qs(target.query).get("stream", ["0"])[0]
     return raw.lower() in ("1", "true", "yes")
 
 

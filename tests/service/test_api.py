@@ -1,5 +1,8 @@
 """The typed API surface: errors, versioning, wire round trips."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -162,3 +165,88 @@ class TestVersioning:
 
     def test_responses_carry_version(self):
         assert InferResponse(app="a", prediction=1).api_version == API_VERSION
+
+
+def _legacy_to_wire(message):
+    """The two-pass definition the one-walk encoder must reproduce."""
+    return {
+        "type": type(message).__name__,
+        "body": jsonify(dataclasses.asdict(message)),
+    }
+
+
+def _numpy_handle():
+    return JobHandle(
+        job_id="job-00003",
+        app="moons",
+        candidate="ridge",
+        state="finished",
+        submitted_at=np.float64(1.5),
+        disposition=ApiErrorCode.NOT_FOUND,
+    )
+
+
+#: One awkward value per field annotation: numpy scalars and arrays,
+#: Enums where a string goes, nested handle tuples, dicts with
+#: non-string keys.  A new annotation must be added here.
+_AWKWARD = {
+    "str": lambda: ApiErrorCode.CONFLICT,
+    "int": lambda: np.int64(7),
+    "float": lambda: np.float64(0.25),
+    "bool": lambda: np.bool_(True),
+    "Optional[str]": lambda: "named",
+    "Optional[int]": lambda: np.int32(3),
+    "Optional[float]": lambda: np.float32(0.5),
+    "Optional[bool]": lambda: np.bool_(False),
+    "Tuple": lambda: (np.array([1.0, 2.5]), (np.float64(3.0), 4, None)),
+    "Tuple[int, ...]": lambda: (np.int64(1), 2, np.uint8(3)),
+    "Tuple[str, ...]": lambda: ("a", ApiErrorCode.UNAUTHORIZED),
+    "Optional[Tuple[str, ...]]": lambda: ("job_finished", "x"),
+    "Tuple[Tuple[int, bool], ...]": lambda: (
+        (np.int64(0), np.bool_(True)), (1, False),
+    ),
+    "Tuple[JobHandle, ...]": lambda: (_numpy_handle(), _numpy_handle()),
+    "Tuple[Dict[str, Any], ...]": lambda: (
+        {
+            "seq": np.int64(9),
+            "kind": ApiErrorCode.CONFLICT,
+            "nested": {"arr": np.arange(3), "pair": (1, np.float64(2.0))},
+            3: "an int key",
+        },
+    ),
+}
+
+
+def _awkward_message(cls):
+    return cls(**{
+        field.name: _AWKWARD[field.type]()
+        for field in dataclasses.fields(cls)
+    })
+
+
+class TestGoldenWire:
+    @pytest.mark.parametrize("name", sorted(MESSAGE_TYPES))
+    def test_one_walk_matches_asdict_then_jsonify(self, name):
+        message = _awkward_message(MESSAGE_TYPES[name])
+        wire = to_wire(message)
+        assert wire == _legacy_to_wire(message)
+        assert json.dumps(wire) == json.dumps(_legacy_to_wire(message))
+        restored = from_wire(json.loads(json.dumps(wire)))
+        assert type(restored) is MESSAGE_TYPES[name]
+        assert to_wire(restored) == wire
+
+    def test_plain_values_keep_their_identity(self):
+        handle = JobHandle(
+            job_id="j", app="a", candidate="c", state="running",
+            submitted_at=0.0,
+        )
+        response = SubmitTrainingResponse(handles=(handle,))
+        assert from_wire(to_wire(response)) == response
+        assert to_wire(response)["body"]["handles"] == [
+            dataclasses.asdict(handle)
+        ]
+
+    def test_non_messages_are_refused(self):
+        for value in ({"a": 1}, JobHandle, "text"):
+            with pytest.raises(TypeError):
+                to_wire(value)

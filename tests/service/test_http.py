@@ -1,6 +1,7 @@
 """The HTTP frontend and client SDK: round trips, errors, concurrency."""
 
 import json
+import socket
 import threading
 from http.client import HTTPConnection
 
@@ -410,3 +411,137 @@ class TestDynamicTenantsOverHTTP:
         client.wait_all(handles)
         response = client.infer("moons", inputs[0])
         assert response.model_version in {h.job_id for h in handles}
+
+
+def raw_exchange(server, data, *, half_close=False):
+    """Send raw bytes on a fresh socket; return everything the server
+    writes before it closes (b"" when it hangs up without a word)."""
+    reply = b""
+    address = ("127.0.0.1", server.port)
+    with socket.create_connection(address, timeout=10) as sock:
+        try:
+            sock.sendall(data)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server may cut an abusive peer off mid-send
+    return reply
+
+
+def split_responses(reply):
+    """Cut a byte stream into (status, headers, body) responses."""
+    out = []
+    while reply:
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = dict(
+            (name.lower(), value.strip())
+            for name, _, value in (line.partition(":") for line in lines[1:])
+        )
+        length = int(headers["content-length"])
+        out.append((int(lines[0].split()[1]), headers, rest[:length]))
+        reply = rest[length:]
+    return out
+
+
+class TestHeaderBlockFraming:
+    """The frontend reads the request line and headers as one block."""
+
+    def assert_refused(self, reply, fragment):
+        # 400 with the typed error body, then the server hung up: the
+        # whole reply is exactly one response.
+        (status, headers, body), = split_responses(reply)
+        assert status == 400
+        assert headers["connection"] == "close"
+        error = json.loads(body)["error"]
+        assert error["code"] == "invalid_argument"
+        assert fragment in error["message"]
+
+    def test_too_many_headers_is_400_then_close(self, service):
+        _, server = service
+        flood = b"".join(b"X-Flood-%d: x\r\n" % i for i in range(101))
+        reply = raw_exchange(
+            server, b"GET /v1/info HTTP/1.1\r\n" + flood + b"\r\n"
+        )
+        self.assert_refused(reply, "more than 100 headers")
+
+    def test_one_hundred_headers_are_fine(self, service):
+        _, server = service
+        lines = b"".join(b"X-Flood-%d: x\r\n" % i for i in range(99))
+        reply = raw_exchange(
+            server,
+            b"GET /v1/info HTTP/1.1\r\n" + lines
+            + b"Connection: close\r\n\r\n",
+        )
+        (status, _, _), = split_responses(reply)
+        assert status == 401  # framed fine; no token, so unauthorized
+
+    def test_transfer_encoding_is_400_then_close(self, service):
+        _, server = service
+        reply = raw_exchange(
+            server,
+            b"POST /v1/apps HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"5\r\nhello\r\n0\r\n\r\n",
+        )
+        self.assert_refused(reply, "Content-Length")
+
+    @pytest.mark.parametrize("length", [b"-5", b"67108865", b"abc"])
+    def test_bad_content_length_is_400_then_close(self, service, length):
+        _, server = service
+        reply = raw_exchange(
+            server,
+            b"POST /v1/apps HTTP/1.1\r\nContent-Length: " + length
+            + b"\r\n\r\n{}",
+        )
+        self.assert_refused(reply, "Content-Length")
+
+    def test_oversized_header_block_closes_and_server_serves_on(
+        self, service
+    ):
+        _, server = service
+        reply = raw_exchange(
+            server,
+            b"GET /v1/info HTTP/1.1\r\nX-Big: " + b"a" * 70_000
+            + b"\r\n\r\n",
+        )
+        assert reply == b""
+        status, body = raw_request(server, "GET", "/v1/info")
+        assert status == 401 and body["error"]["code"] == "unauthorized"
+
+    def test_pipelined_requests_answer_in_order(self, service):
+        gateway, server = service
+        token = gateway.create_tenant("alice").encode()
+        requests = b"".join(
+            b"GET " + path + b" HTTP/1.1\r\nAuthorization: Bearer "
+            + token + b"\r\nX-Request-ID: " + rid + b"\r\n" + extra
+            + b"\r\n"
+            for path, rid, extra in (
+                (b"/v1/apps/ghost", b"first", b""),
+                (b"/v1/info", b"second", b"Connection: close\r\n"),
+            )
+        )
+        first, second = split_responses(raw_exchange(server, requests))
+        assert (first[0], first[1]["x-request-id"]) == (404, "first")
+        assert first[1]["connection"] == "keep-alive"
+        assert (second[0], second[1]["x-request-id"]) == (200, "second")
+        assert json.loads(second[2])["type"] == "ServerInfoResponse"
+
+    def test_bare_lf_line_end_is_400(self, service):
+        """Header lines end in CRLF; a bare LF inside the block is
+        refused rather than guessed at."""
+        _, server = service
+        reply = raw_exchange(
+            server, b"GET /v1/info HTTP/1.1\nX-A: b\r\n\r\n"
+        )
+        self.assert_refused(reply, "bare LF")
+
+    def test_bare_lf_only_request_is_never_answered(self, service):
+        # Without CRLF CRLF there is no header block: the peer's EOF
+        # ends the connection with no response at all.
+        _, server = service
+        reply = raw_exchange(
+            server, b"GET /v1/info HTTP/1.1\n\n", half_close=True
+        )
+        assert reply == b""

@@ -1,6 +1,7 @@
 """End-to-end observability: /metrics, request ids socket -> WAL."""
 
 import json
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -260,3 +261,101 @@ class TestJournalMetricsFamilies:
             assert counts.get("tenant_created") == 1.0
         finally:
             gateway.store.close()
+
+
+#: One request per route shape (and the odd ones out): method, target,
+#: JSON body, whether to send the tenant token.
+_LABEL_TRAFFIC = (
+    ("GET", "/v1/info", None, True),
+    ("GET", "/v1/info", None, False),
+    ("GET", "/v1/apps", None, True),
+    ("GET", "/v1/apps;params", None, True),
+    ("POST", "/v1/apps", {"app": "x"}, True),
+    ("GET", "/v1/apps/ghost", None, True),
+    ("DELETE", "/v1/apps/ghost", None, True),
+    ("GET", "/v1/apps/ghost/examples", None, True),
+    ("POST", "/v1/apps/ghost/examples/3", {"enabled": True}, True),
+    ("POST", "/v1/apps/ghost/infer", {"x": [1.0, 2.0]}, True),
+    ("GET", "/v1/jobs?app=ghost", None, True),
+    ("GET", "/v1/jobs/job-9?wait=0", None, True),
+    ("GET", "/v1/events?kinds=a,b&stream=0", None, True),
+    ("GET", "/nonsense?x=1", None, True),
+    ("GET", "/v1/apps/a/b/c/d/e", None, True),
+    ("GET", "//v1/info", None, True),
+    ("GET", "/metrics?x=1", None, False),
+    ("GET", "/v1/metrics", None, False),
+    ("GET", "/v1/traces?limit=abc", None, False),
+)
+
+#: ``http_requests_total`` and ``http_errors_total`` after the traffic
+#: above — every family and label value the frontend minted for it.
+_LABEL_GOLDEN = {
+    "http_requests_total": [
+        (["asyncio", "DELETE", "/v1/apps/{app}", "404"], 1.0),
+        (["asyncio", "GET", "(unmatched)", "404"], 3.0),
+        (["asyncio", "GET", "/metrics", "200"], 1.0),
+        (["asyncio", "GET", "/v1/apps", "200"], 2.0),
+        (["asyncio", "GET", "/v1/apps/{app}", "404"], 1.0),
+        (["asyncio", "GET", "/v1/apps/{app}/examples", "404"], 1.0),
+        (["asyncio", "GET", "/v1/events", "400"], 1.0),
+        (["asyncio", "GET", "/v1/info", "200"], 1.0),
+        (["asyncio", "GET", "/v1/info", "401"], 1.0),
+        (["asyncio", "GET", "/v1/jobs", "404"], 1.0),
+        (["asyncio", "GET", "/v1/jobs/{job}", "404"], 1.0),
+        (["asyncio", "GET", "/v1/metrics", "200"], 1.0),
+        (["asyncio", "GET", "/v1/traces", "400"], 1.0),
+        (["asyncio", "POST", "/v1/apps", "400"], 1.0),
+        (["asyncio", "POST", "/v1/apps/{app}/examples/{id}", "404"], 1.0),
+        (["asyncio", "POST", "/v1/apps/{app}/infer", "404"], 1.0),
+    ],
+    "http_errors_total": [
+        (["asyncio", "(unmatched)", "not_found"], 3.0),
+        (["asyncio", "/v1/apps", "invalid_argument"], 1.0),
+        (["asyncio", "/v1/apps/{app}", "not_found"], 2.0),
+        (["asyncio", "/v1/apps/{app}/examples", "not_found"], 1.0),
+        (["asyncio", "/v1/apps/{app}/examples/{id}", "not_found"], 1.0),
+        (["asyncio", "/v1/apps/{app}/infer", "not_found"], 1.0),
+        (["asyncio", "/v1/events", "invalid_argument"], 1.0),
+        (["asyncio", "/v1/info", "unauthorized"], 1.0),
+        (["asyncio", "/v1/jobs", "not_found"], 1.0),
+        (["asyncio", "/v1/jobs/{job}", "not_found"], 1.0),
+    ],
+}
+
+
+class TestRouteLabelsGolden:
+    def test_metric_labels_for_every_route_shape(self, service):
+        gateway, server = service
+        token = gateway.create_tenant("alice")
+        for method, target, body, with_token in _LABEL_TRAFFIC:
+            connection = HTTPConnection(
+                "127.0.0.1", server.port, timeout=30.0
+            )
+            headers = (
+                {"Authorization": f"Bearer {token}"} if with_token else {}
+            )
+            payload = None if body is None else json.dumps(body).encode()
+            connection.request(
+                method, target, body=payload, headers=headers
+            )
+            connection.getresponse().read()
+            connection.close()
+        requests = gateway.metrics.get("http_requests_total")
+        errors = gateway.metrics.get("http_errors_total")
+        deadline = time.monotonic() + 10
+        # A request is counted just after its response is written.
+        while sum(c.value for _, c in requests.children()) < len(
+            _LABEL_TRAFFIC
+        ):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        seen = {
+            family.name: sorted(
+                (list(labels), child.value)
+                for labels, child in family.children()
+            )
+            for family in (requests, errors)
+        }
+        assert seen == {
+            name: sorted(series) for name, series in _LABEL_GOLDEN.items()
+        }
