@@ -15,16 +15,18 @@ from repro.core.model_picking import GPUCBPicker
 from repro.core.multitenant import MultiTenantScheduler
 from repro.core.user_picking import HybridPicker
 from repro.datasets import load_deeplearning
-from repro.engine import ClusterOracle, GPUPool, TraceTrainer
+from repro.engine import GPUPool, TraceTrainer
 from repro.engine.simulator import simulate_dedicated_devices
 from repro.gp.covariance import empirical_model_covariance
+from repro.runtime import AsyncClusterOracle, SingleDevicePlacement
 from repro.utils.tables import ascii_table
 
 
 def _shared_pool_loss(dataset, horizon, n_gpus):
-    oracle = ClusterOracle(
+    oracle = AsyncClusterOracle(
         TraceTrainer(dataset, noise_std=0.01, seed=0),
         GPUPool(n_gpus, scaling_efficiency=1.0),
+        SingleDevicePlacement(),
     )
     cov = empirical_model_covariance(dataset.quality)
     pickers = [

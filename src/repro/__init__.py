@@ -10,9 +10,9 @@ cover the common workflow:
 1. declare apps / load datasets (:mod:`repro.platform`,
    :mod:`repro.datasets`),
 2. schedule multi-tenant model selection (:mod:`repro.core`),
-3. execute on the simulated cluster or live trainers
-   (:mod:`repro.engine`, :mod:`repro.ml`), synchronously or on the
-   event-driven concurrent runtime (:mod:`repro.runtime`),
+3. execute on the event-driven simulated cluster
+   (:mod:`repro.runtime` over :mod:`repro.engine`) with trace-replay
+   or live trainers (:mod:`repro.ml`),
 4. reproduce the paper's evaluation (:mod:`repro.experiments`).
 
 Quickstart::
@@ -57,7 +57,7 @@ from repro.datasets import (
     load_benchmark_suite,
     load_deeplearning,
 )
-from repro.engine import ClusterOracle, GPUPool, TraceTrainer
+from repro.engine import GPUPool, TraceTrainer
 from repro.experiments import (
     ExperimentConfig,
     run_experiment,
@@ -116,7 +116,6 @@ __all__ = [
     "load_benchmark_suite",
     "generate_syn",
     # engine
-    "ClusterOracle",
     "GPUPool",
     "TraceTrainer",
     # runtime

@@ -1,8 +1,8 @@
-"""Simulated execution engine: the cluster substrate ease.ml runs on.
+"""Simulated execution engine: building blocks of the cluster ease.ml runs on.
 
 The paper's deployment trains each selected model on a pool of 24
 TITAN X GPUs treated as a *single device* (Sections 2 and 4.5).  This
-subpackage simulates that substrate:
+subpackage holds the pieces that simulation is made of:
 
 * :mod:`repro.engine.clock` — a virtual wall clock;
 * :mod:`repro.engine.events` — a typed, queryable event log;
@@ -11,10 +11,12 @@ subpackage simulates that substrate:
 * :mod:`repro.engine.jobs` — training-job lifecycle records;
 * :mod:`repro.engine.trainer` — trainer interfaces (trace replay and
   live training against :mod:`repro.ml` models);
-* :mod:`repro.engine.simulator` — oracle adapters that tie trainers,
-  the pool and the clock together, plus the dedicated-device
-  simulation used by the single- vs multi-device discussion
-  (Section 5.3.2).
+* :mod:`repro.engine.simulator` — the dedicated-device simulation
+  used by the single- vs multi-device discussion (Section 5.3.2).
+
+Jobs execute on the event-driven :mod:`repro.runtime`, which composes
+these pieces; :class:`repro.runtime.AsyncClusterOracle` is the oracle
+the scheduler drives.
 """
 
 from repro.engine.clock import SimClock
@@ -22,7 +24,6 @@ from repro.engine.cluster import GPUPool
 from repro.engine.events import Event, EventKind, EventLog
 from repro.engine.jobs import Job, JobState
 from repro.engine.simulator import (
-    ClusterOracle,
     DedicatedDeviceResult,
     simulate_dedicated_devices,
 )
@@ -39,7 +40,6 @@ __all__ = [
     "Trainer",
     "TraceTrainer",
     "CallableTrainer",
-    "ClusterOracle",
     "simulate_dedicated_devices",
     "DedicatedDeviceResult",
 ]

@@ -1,14 +1,17 @@
-"""Oracle adapters and device-discipline simulations.
-
-:class:`ClusterOracle` is the glue between the scheduler core and the
-engine: it satisfies :class:`repro.core.oracles.RewardOracle` while a
-trainer produces observations, the GPU pool converts GPU-time into
-wall-clock, the clock advances, and every job lands in the event log.
+"""The dedicated-device simulation of the Section 5.3.2 discussion.
 
 :func:`simulate_dedicated_devices` implements the *multi-device
-alternative* of the Section 5.3.2 discussion — one GPU per user, all
-users training concurrently — so the single- vs multi-device trade-off
-can be measured (benchmarks/bench_device_discipline.py).
+alternative* — one GPU per user, all users training concurrently — so
+the single- vs multi-device trade-off can be measured
+(benchmarks/bench_device_discipline.py).  The single-device side is
+:class:`repro.runtime.AsyncClusterOracle` under ``single`` placement.
+
+The simulator is not that runtime under ``dedicated`` placement plus
+``run_concurrent``: there, every dispatch goes through one global user
+picker (a busy tenant's pick is deferred), planning costs are divided
+by the pool speedup, and no wall-clock horizon stops the run.  Here
+each user runs its own GP-UCB on its own device, on profiled costs,
+until the horizon.
 """
 
 from __future__ import annotations
@@ -18,98 +21,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.oracles import Observation, RewardOracle
 from repro.datasets.base import ModelSelectionDataset
-from repro.engine.clock import SimClock
-from repro.engine.cluster import GPUPool
-from repro.engine.events import EventKind, EventLog
-from repro.engine.jobs import Job, JobState
-from repro.engine.trainer import Trainer
 from repro.utils.rng import RandomState, SeedLike
-
-
-class ClusterOracle(RewardOracle):
-    """RewardOracle that executes jobs on a simulated cluster.
-
-    Each ``observe`` call submits, runs and completes one job under the
-    single-device discipline (the whole pool trains it), advancing the
-    shared clock by the job's wall-clock duration.  The *cost* reported
-    to the scheduler is the wall-clock time — that is the resource the
-    multi-tenant objective shares between users.
-    """
-
-    def __init__(
-        self,
-        trainer: Trainer,
-        pool: Optional[GPUPool] = None,
-        clock: Optional[SimClock] = None,
-        log: Optional[EventLog] = None,
-    ) -> None:
-        self.trainer = trainer
-        self.pool = pool if pool is not None else GPUPool()
-        self.clock = clock if clock is not None else SimClock()
-        self.log = log if log is not None else EventLog()
-        self.jobs: List[Job] = []
-
-    @property
-    def n_users(self) -> int:
-        return self.trainer.n_users
-
-    def n_models(self, user: int) -> int:
-        return self.trainer.n_models(user)
-
-    def costs(self, user: int) -> np.ndarray:
-        # Planning costs are wall-clock under the single-device
-        # discipline: profiled GPU time divided by the pool speedup.
-        return self.trainer.expected_costs(user) / self.pool.speedup()
-
-    def observe(self, user: int, model: int) -> Observation:
-        self._check_pair(user, model)
-        job = Job(
-            job_id=len(self.jobs),
-            user=user,
-            model=model,
-            submit_time=self.clock.now,
-            gpu_time=0.0,
-        )
-        self.jobs.append(job)
-        self.log.append(
-            self.clock.now, EventKind.JOB_SUBMITTED, job_id=job.job_id,
-            user=user, model=model,
-        )
-        job.start(self.clock.now)
-        self.log.append(
-            self.clock.now, EventKind.JOB_STARTED, job_id=job.job_id,
-            user=user, model=model, n_gpus=self.pool.n_gpus,
-        )
-        try:
-            reward, gpu_time = self.trainer.train(user, model)
-        except Exception as exc:
-            # Trainer blew up (OOM, bad data, …): the job fails, the
-            # event log records it, and the error propagates so the
-            # caller can decide whether the run survives.
-            job.fail(self.clock.now, reason=str(exc))
-            self.log.append(
-                self.clock.now, EventKind.JOB_FAILED, job_id=job.job_id,
-                user=user, model=model, reason=str(exc),
-            )
-            raise
-        job.gpu_time = gpu_time
-        duration = self.pool.wall_clock_time(gpu_time)
-        self.clock.advance(duration)
-        job.finish(self.clock.now, reward)
-        self.log.append(
-            self.clock.now, EventKind.JOB_FINISHED, job_id=job.job_id,
-            user=user, model=model, reward=reward, duration=duration,
-        )
-        self.log.append(
-            self.clock.now, EventKind.MODEL_RETURNED, user=user,
-            model=model, reward=reward,
-        )
-        return Observation(float(reward), float(duration))
-
-    def finished_jobs(self) -> List[Job]:
-        return [j for j in self.jobs if j.state is JobState.FINISHED]
 
 
 @dataclass
@@ -159,7 +72,7 @@ def simulate_dedicated_devices(
     ``"ucb"`` runs an independent cost-aware GP-UCB per user (with an
     empirical prior from the dataset itself), ``"random"`` explores
     uniformly.  Used by the device-discipline benchmark to contrast
-    with the single-device :class:`ClusterOracle` runs.
+    with single-device :class:`repro.runtime.AsyncClusterOracle` runs.
     """
     from repro.core.beta import AlgorithmOneBeta
     from repro.core.ucb import GPUCB

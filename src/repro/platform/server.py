@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.beta import AlgorithmOneBeta
 from repro.core.model_picking import GPUCBPicker
 from repro.core.multitenant import MultiTenantScheduler, StepRecord
-from repro.core.oracles import Observation, RewardOracle
+from repro.core.oracles import Observation
 from repro.core.user_picking import (
     GreedyPicker,
     HybridPicker,
@@ -251,27 +251,6 @@ class EaseMLApp:
         return [c.name for c in self.live_candidates]
 
 
-class _AppOracle(RewardOracle):
-    """RewardOracle that live-trains app candidates on fed examples."""
-
-    def __init__(self, server: "EaseMLServer") -> None:
-        self._server = server
-
-    @property
-    def n_users(self) -> int:
-        return len(self._server.apps)
-
-    def n_models(self, user: int) -> int:
-        return len(self._server.apps[user].live_candidates)
-
-    def costs(self, user: int) -> np.ndarray:
-        return self._server._cost_estimates[user].copy()
-
-    def observe(self, user: int, model: int) -> Observation:
-        self._check_pair(user, model)
-        return self._server._train_candidate(user, model)
-
-
 class EaseMLServer:
     """The shared ease.ml service instance.
 
@@ -290,23 +269,24 @@ class EaseMLServer:
     include_normalization:
         Expand image-shaped apps with the Figure 5 family.
     runtime_placement:
-        Opt-in event-driven execution backend.  ``None`` (default)
-        keeps the seed's synchronous loop; a placement-policy name
-        (``"single"``, ``"dedicated"``, ``"partition"``) routes
-        training jobs through :class:`repro.runtime.ClusterRuntime`
-        via :class:`repro.runtime.AsyncClusterOracle`, so the
-        scheduler dispatches concurrently and absorbs results in
+        Placement policy of the simulated cluster every training job
+        runs on (:class:`repro.runtime.ClusterRuntime`, driven through
+        :class:`repro.runtime.AsyncClusterOracle`): ``"single"``
+        (default, the paper's whole pool per job, one job at a time),
+        ``"dedicated"`` or ``"partition"``.  The concurrent policies
+        keep up to one job per app in flight and absorb results in
         completion order.  Training outcomes are computed at dispatch
         (the simulated job then occupies the cluster for its cost)
         but applied to app state — best model, history, improvement
         events — only when the simulated job *completes*, so app
-        status and ``infer`` never reflect jobs still in flight; the
-        shared clock and event log record the concurrent timeline.
+        status and ``infer`` never reflect jobs still in flight.  The
+        shared clock, the event log and the scheduler's step costs
+        are wall-clock time on the configured pool.
     n_gpus, scaling_efficiency:
-        Pool shape for the runtime backend (ignored when synchronous).
+        Pool shape of the simulated cluster.
     preemption_overhead:
-        Single-GPU work units lost per preemption on the runtime
-        backend (checkpoint/restore cost; ignored when synchronous).
+        Single-GPU work units lost per preemption (checkpoint/restore
+        cost).
     """
 
     _STRATEGIES = ("hybrid", "greedy", "round_robin", "random")
@@ -321,7 +301,7 @@ class EaseMLServer:
         test_fraction: float = 0.3,
         include_normalization: bool = True,
         min_examples: int = 10,
-        runtime_placement: Optional[str] = None,
+        runtime_placement: str = "single",
         n_gpus: int = 24,
         scaling_efficiency: float = 0.9,
         preemption_overhead: float = 0.0,
@@ -332,15 +312,13 @@ class EaseMLServer:
                 f"strategy must be one of {self._STRATEGIES}, "
                 f"got {strategy!r}"
             )
-        if runtime_placement is not None:
-            from repro.runtime.placement import PLACEMENT_POLICIES
+        from repro.runtime.placement import PLACEMENT_POLICIES
 
-            if runtime_placement not in PLACEMENT_POLICIES:
-                raise ValueError(
-                    f"runtime_placement must be None or one of "
-                    f"{sorted(PLACEMENT_POLICIES)}, "
-                    f"got {runtime_placement!r}"
-                )
+        if runtime_placement not in PLACEMENT_POLICIES:
+            raise ValueError(
+                f"runtime_placement must be one of "
+                f"{sorted(PLACEMENT_POLICIES)}, got {runtime_placement!r}"
+            )
         self.zoo = zoo if zoo is not None else default_zoo()
         self.strategy = strategy
         self.cost_aware = bool(cost_aware)
@@ -530,7 +508,6 @@ class EaseMLServer:
         self._cost_estimates = {}
         self._splits = {}
         pickers: Dict[int, GPUCBPicker] = {}
-        oracle = _AppOracle(self)
         for user, app in enumerate(self.apps):
             if app.closed:
                 continue
@@ -548,10 +525,8 @@ class EaseMLServer:
                 f"no app has {self.min_examples} enabled examples yet; "
                 "feed more before scheduling"
             )
-        if self.runtime_placement is not None:
-            oracle = self._build_runtime_oracle()
         self._scheduler = MultiTenantScheduler(
-            oracle, pickers, self._make_user_picker()
+            self._build_runtime_oracle(), pickers, self._make_user_picker()
         )
 
     def _app_tasks(self, user: int, app: EaseMLApp):
@@ -559,9 +534,7 @@ class EaseMLServer:
 
         def task(model: int):
             def run() -> Tuple[float, float]:
-                observation = self._train_candidate(
-                    user, model, synchronous=False
-                )
+                observation = self._train_candidate(user, model)
                 return observation.reward, observation.cost
 
             return run
@@ -614,8 +587,8 @@ class EaseMLServer:
 
         Idempotent for already-active tenants.  The newcomer is
         profiled (split, planning costs, GP prior) exactly like an
-        initial tenant, joins the scheduler's active set, and — on the
-        runtime backend — lands in the event log as ``USER_ARRIVED``.
+        initial tenant, joins the scheduler's active set, and lands in
+        the event log as ``USER_ARRIVED``.
         """
         app = self.get_app(name)
         user = self.apps.index(app)
@@ -637,15 +610,10 @@ class EaseMLServer:
         picker = self._build_picker(user, app)
         costs = self._cost_estimates[user]
         self._scheduler.add_tenant(picker, costs, tenant_id=user)
-        if self._runtime_oracle is not None:
-            self._runtime_oracle.trainer.update_costs(user, costs)
-            runtime = self._runtime_oracle.runtime
-            runtime.user_arrives(user)
-            runtime.run_until(self.clock.now)
-        else:
-            self.log.append(
-                self.clock.now, EventKind.USER_ARRIVED, user=user
-            )
+        self._runtime_oracle.trainer.update_costs(user, costs)
+        runtime = self._runtime_oracle.runtime
+        runtime.user_arrives(user)
+        runtime.run_until(self.clock.now)
         self._notify_persist("admit", app=name, user=user)
         return user
 
@@ -669,20 +637,15 @@ class EaseMLServer:
         ):
             return cancelled
         self._scheduler.retire_tenant(user)
-        if self._runtime_oracle is not None:
-            runtime = self._runtime_oracle.runtime
-            before = {j.job_id for j in runtime.failed_jobs()}
-            runtime.user_departs(user)
-            runtime.run_until(self.clock.now)
-            cancelled = sorted(
-                j.job_id
-                for j in runtime.failed_jobs()
-                if j.job_id not in before and j.user == user
-            )
-        else:
-            self.log.append(
-                self.clock.now, EventKind.USER_DEPARTED, user=user
-            )
+        runtime = self._runtime_oracle.runtime
+        before = {j.job_id for j in runtime.failed_jobs()}
+        runtime.user_departs(user)
+        runtime.run_until(self.clock.now)
+        cancelled = sorted(
+            j.job_id
+            for j in runtime.failed_jobs()
+            if j.job_id not in before and j.user == user
+        )
         self._notify_persist(
             "retire", app=name, user=user, cancelled=list(cancelled)
         )
@@ -696,9 +659,7 @@ class EaseMLServer:
             if app.store.n_enabled >= self.min_examples:
                 self.admit_app(app.name)
 
-    def _train_candidate(
-        self, user: int, model: int, *, synchronous: bool = True
-    ) -> Observation:
+    def _train_candidate(self, user: int, model: int) -> Observation:
         app = self.apps[user]
         candidate = app.live_candidates[model]
         X_train, X_test, y_train, y_test = self._splits[user]
@@ -712,23 +673,16 @@ class EaseMLServer:
         estimator.fit(Xtr, y_train)
         accuracy = estimator.score(Xte, y_test)
         cost = max(estimator.work_units / 1e5, 1e-6)
-        if synchronous:
-            self.clock.advance(cost)
-            self._apply_outcome(
-                user, model, estimator, transform, accuracy, cost
-            )
-        else:
-            # Runtime backend: the outcome is computed now (the
-            # simulated job occupies the cluster for its cost) but
-            # applied only at job completion, so app state never
-            # reflects jobs still in flight.  Every trainer call is
-            # immediately followed by the runtime submit that creates
-            # job id len(jobs) — that adjacency is the keying
-            # invariant here.
-            next_job_id = len(self._runtime_oracle.runtime.jobs)
-            self._deferred_outcomes[next_job_id] = (
-                user, model, estimator, transform, accuracy, cost
-            )
+        # The outcome is computed now (the simulated job occupies the
+        # cluster for its cost) but applied only at job completion, so
+        # app state never reflects jobs still in flight.  Every trainer
+        # call is immediately followed by the runtime submit that
+        # creates job id len(jobs) — that adjacency is the keying
+        # invariant here.
+        next_job_id = len(self._runtime_oracle.runtime.jobs)
+        self._deferred_outcomes[next_job_id] = (
+            user, model, estimator, transform, accuracy, cost
+        )
         return Observation(float(accuracy), float(cost))
 
     def _apply_outcome(
@@ -744,8 +698,8 @@ class EaseMLServer:
             app.best_version = len(app.history) + 1
             app._best_estimator = estimator
             app._best_transform = transform
-            # App-level improvement event, identical for both backends
-            # (the runtime additionally logs the per-job lifecycle).
+            # App-level improvement event (the runtime separately logs
+            # the per-job lifecycle).
             self.log.append(
                 self.clock.now, EventKind.MODEL_RETURNED, app=app.name,
                 candidate=candidate.name, accuracy=accuracy,
@@ -776,10 +730,10 @@ class EaseMLServer:
     ) -> List[StepRecord]:
         """Run the multi-tenant loop; returns the new step records.
 
-        With the synchronous backend steps execute one at a time; with
-        ``runtime_placement`` set, up to one job per app is in flight
-        on the simulated cluster and observations land in completion
-        order.
+        Under ``single`` placement one job runs at a time; under the
+        concurrent placements up to one job per app is in flight and
+        observations land in completion order.  Record costs, the
+        clock and ``cost_budget`` are wall-clock time on the pool.
         """
         if self._scheduler is None:
             self._prepare()
@@ -788,24 +742,15 @@ class EaseMLServer:
             # last run join as live arrivals before this one.
             self._admit_ready()
         before = self._scheduler.step_count
-        if self._runtime_oracle is not None:
-            self._runtime_oracle.run_concurrent(
-                self._scheduler,
-                max_jobs=max_steps,
-                cost_budget=(
-                    self._scheduler.total_cost + cost_budget
-                    if cost_budget is not None
-                    else None
-                ),
-            )
-        else:
-            self._scheduler.run(max_steps=(
-                before + max_steps if max_steps is not None else None
-            ), cost_budget=(
+        self._runtime_oracle.run_concurrent(
+            self._scheduler,
+            max_jobs=max_steps,
+            cost_budget=(
                 self._scheduler.total_cost + cost_budget
                 if cost_budget is not None
                 else None
-            ))
+            ),
+        )
         return self._scheduler.records[before:]
 
     @property

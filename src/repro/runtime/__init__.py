@@ -1,9 +1,12 @@
-"""Discrete-event cluster runtime: concurrency the seed engine lacks.
+"""Discrete-event cluster runtime: the one cluster substrate.
 
-The :mod:`repro.engine` substrate executes exactly one job at a time.
-This package is the event-driven runtime on top of it, the foundation
-for cluster dynamics the paper's Section 5.3.2 discussion only gestures
-at (and that Dorm, arXiv:1704.06738, and "No DNN Left Behind",
+Every training job — trace-driven experiments and the live
+:class:`~repro.platform.server.EaseMLServer` alike — executes on this
+event-driven runtime over the :mod:`repro.engine` building blocks.
+Under ``single`` placement it is the paper's discipline (the whole pool
+trains one model at a time); the other placements model the cluster
+dynamics the paper's Section 5.3.2 discussion only gestures at (and
+that Dorm, arXiv:1704.06738, and "No DNN Left Behind",
 arXiv:1901.06887, argue multi-tenant ML systems need):
 
 * :mod:`repro.runtime.queue` — the heap-based discrete-event kernel

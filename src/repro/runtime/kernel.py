@@ -1,9 +1,8 @@
 """The discrete-event cluster runtime: concurrent jobs on shared GPUs.
 
-:class:`ClusterRuntime` replaces the seed's synchronous one-job-at-a-
-time execution with a real event kernel: submissions, completions and
-tenant arrivals/departures are :class:`~repro.runtime.queue.EventQueue`
-entries; a pluggable :class:`~repro.runtime.placement.PlacementPolicy`
+:class:`ClusterRuntime` is the repo's one execution kernel:
+submissions, completions and tenant arrivals/departures are
+:class:`~repro.runtime.queue.EventQueue` entries; a pluggable :class:`~repro.runtime.placement.PlacementPolicy`
 decides which jobs hold which share of the
 :class:`~repro.engine.cluster.GPUPool` at every scheduling point; and
 jobs are preemptible — when the policy shrinks or revokes a running

@@ -1,20 +1,21 @@
 """Async execution driver: the scheduler keeps dispatching while jobs run.
 
-The seed's :class:`~repro.engine.simulator.ClusterOracle` executes one
-job per ``observe`` call, so the multi-tenant loop only ever sees a
-fully synchronous cluster.  :class:`AsyncClusterOracle` runs the same
-trainer through the event-driven :class:`ClusterRuntime` instead:
+:class:`AsyncClusterOracle` is the repo's one cluster substrate: it runs
+a trainer through the event-driven :class:`ClusterRuntime`.
 ``run_concurrent`` drives a :class:`MultiTenantScheduler`'s pickers
 directly, submitting new jobs whenever dispatch slots are free and
 feeding observations back *in completion order* — which, under
 concurrent placement policies, is not submission order.  That is the
 regime where GREEDY/HYBRID user-picking meets genuine cluster
 concurrency (queueing delay, out-of-order returns, stale confidence
-bounds at dispatch time).
+bounds at dispatch time).  Under ``single`` placement the dispatch
+window is one job, which is the paper's discipline: the whole pool
+trains one model, the scheduler observes it, then picks again.
 
-``observe`` still satisfies the synchronous :class:`RewardOracle`
-contract (submit one job, run the kernel until it completes), so the
-class drops into every existing harness unchanged.
+``observe`` satisfies the synchronous :class:`RewardOracle` contract
+(submit one job, run the kernel until it completes), so the class
+drops into :meth:`MultiTenantScheduler.run` and every harness built on
+it.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ class AsyncClusterOracle(RewardOracle):
     pool, policy, clock, log, preemption_overhead:
         Forwarded to the underlying :class:`ClusterRuntime`.
     max_in_flight:
-        Dispatch-ahead window for ``run_concurrent`` (default: one job
-        per tenant, capped by pool size).
+        Dispatch-ahead window for ``run_concurrent`` (default: the
+        policy's ``dispatch_window``, else one job per tenant, capped
+        by pool size).
     """
 
     def __init__(
@@ -75,7 +77,9 @@ class AsyncClusterOracle(RewardOracle):
                 f"max_in_flight must be >= 1, got {max_in_flight}"
             )
         self.max_in_flight = (
-            None if max_in_flight is None else int(max_in_flight)
+            self.runtime.policy.dispatch_window
+            if max_in_flight is None
+            else int(max_in_flight)
         )
         #: Dispatches skipped because the picked tenant was busy.
         self.stalled_picks = 0
@@ -125,7 +129,7 @@ class AsyncClusterOracle(RewardOracle):
             scheduler.retire_tenant(user)
 
     # ------------------------------------------------------------------
-    # RewardOracle interface (synchronous fallback)
+    # RewardOracle interface (one job per observe)
     # ------------------------------------------------------------------
     @property
     def n_users(self) -> int:
@@ -135,8 +139,8 @@ class AsyncClusterOracle(RewardOracle):
         return self.trainer.n_models(user)
 
     def costs(self, user: int) -> np.ndarray:
-        # Same planning convention as the synchronous ClusterOracle:
-        # profiled GPU-time under the full-pool speedup.  Policies that
+        # Planning costs are profiled GPU-time under the full-pool
+        # speedup (the single-device discipline).  Policies that
         # slice the pool change realised durations, not the (relative)
         # planning costs GP-UCB consumes.
         return self.trainer.expected_costs(user) / self.pool.speedup()
@@ -174,6 +178,14 @@ class AsyncClusterOracle(RewardOracle):
                     "allocated it devices)"
                 )
             self.runtime.step()
+        if job.state is JobState.FAILED:
+            # Cancelled before completing (its tenant departed while it
+            # was queued): the kernel logged JOB_FAILED; no model came
+            # back, so the error propagates instead.
+            raise RuntimeError(
+                f"job {job.job_id} failed before completing: "
+                f"{job.detail.get('failure_reason')}"
+            )
         self.log.append(
             self.clock.now, EventKind.MODEL_RETURNED, user=user,
             model=model, reward=job.reward,
@@ -196,7 +208,9 @@ class AsyncClusterOracle(RewardOracle):
         """Drive the scheduler with out-of-order completions and churn.
 
         Dispatch: while fewer than ``max_in_flight`` jobs are in
-        flight (and budgets permit), ask the user picker for a tenant
+        flight (default: the oracle's ``max_in_flight``; one under
+        ``single`` placement) and budgets permit, ask the
+        user picker for a tenant
         and its model picker for an arm, then submit the job to the
         runtime.  A tenant keeps at most one job in flight — if the
         picker selects a busy tenant, that pick is *deferred* (not

@@ -30,6 +30,9 @@ class PlacementPolicy(ABC):
 
     #: Short name used by the CLI / registry.
     name: str = "abstract"
+    #: Jobs the scheduler may keep in flight under this policy, or
+    #: ``None`` for one per tenant, capped by pool size.
+    dispatch_window: Optional[int] = None
 
     @abstractmethod
     def allocate(
@@ -60,10 +63,13 @@ class SingleDevicePlacement(PlacementPolicy):
     """ease.ml's discipline: the whole pool trains one job at a time.
 
     Non-preemptive FIFO — a running job keeps all devices until it
-    completes, then the next queued job takes the full pool.
+    completes, then the next queued job takes the full pool.  Its
+    dispatch window is one job, so the scheduler picks, trains and
+    observes before it picks again: Algorithm 2 as written.
     """
 
     name = "single"
+    dispatch_window = 1
 
     def allocate(
         self,

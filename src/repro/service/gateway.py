@@ -284,13 +284,13 @@ class _JobRecord:
 
 
 class ServiceGateway:
-    """Typed request router over a runtime-backed :class:`EaseMLServer`.
+    """Typed request router over an :class:`EaseMLServer`.
 
     Parameters
     ----------
     server:
-        An :class:`EaseMLServer` with ``runtime_placement`` set.  When
-        omitted, one is built from the keyword arguments below.
+        The :class:`EaseMLServer` to route to.  When omitted, one is
+        built from the keyword arguments below.
     placement, n_gpus, scaling_efficiency, preemption_overhead, seed,
     min_examples:
         Backend shape used only when ``server`` is None.
@@ -331,11 +331,6 @@ class ServiceGateway:
                 preemption_overhead=preemption_overhead,
                 min_examples=min_examples,
                 seed=seed,
-            )
-        if server.runtime_placement is None:
-            raise ValueError(
-                "the gateway needs an event-driven backend; construct "
-                "the server with runtime_placement set (e.g. 'partition')"
             )
         self.server = server
         self.default_quota = default_quota or TenantQuota()

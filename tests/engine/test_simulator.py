@@ -1,88 +1,12 @@
-"""Tests for the cluster oracle and dedicated-device simulation."""
+"""Tests for the dedicated-device simulation."""
 
 import numpy as np
 import pytest
 
 from repro.engine.cluster import GPUPool
-from repro.engine.events import EventKind
-from repro.engine.simulator import ClusterOracle, simulate_dedicated_devices
+from repro.engine.simulator import simulate_dedicated_devices
 from repro.engine.trainer import TraceTrainer
-
-
-class TestClusterOracle:
-    def make(self, tiny_dataset, efficiency=1.0):
-        trainer = TraceTrainer(tiny_dataset)
-        pool = GPUPool(4, scaling_efficiency=efficiency)
-        return ClusterOracle(trainer, pool)
-
-    def test_observe_returns_wall_clock_cost(self, tiny_dataset):
-        oracle = self.make(tiny_dataset)
-        obs = oracle.observe(0, 2)
-        # gpu_time 3.0 on a perfectly scaling 4-GPU pool.
-        assert obs.cost == pytest.approx(3.0 / 4.0)
-        assert obs.reward == tiny_dataset.quality[0, 2]
-
-    def test_clock_advances_per_job(self, tiny_dataset):
-        oracle = self.make(tiny_dataset)
-        oracle.observe(0, 0)
-        t1 = oracle.clock.now
-        oracle.observe(1, 1)
-        assert oracle.clock.now > t1
-
-    def test_costs_scaled_by_speedup(self, tiny_dataset):
-        oracle = self.make(tiny_dataset)
-        assert np.allclose(
-            oracle.costs(0), tiny_dataset.cost[0] / 4.0
-        )
-
-    def test_event_log_records_lifecycle(self, tiny_dataset):
-        oracle = self.make(tiny_dataset)
-        oracle.observe(2, 1)
-        kinds = [e.kind for e in oracle.log]
-        assert kinds == [
-            EventKind.JOB_SUBMITTED,
-            EventKind.JOB_STARTED,
-            EventKind.JOB_FINISHED,
-            EventKind.MODEL_RETURNED,
-        ]
-
-    def test_jobs_recorded_finished(self, tiny_dataset):
-        oracle = self.make(tiny_dataset)
-        oracle.observe(0, 0)
-        oracle.observe(1, 1)
-        assert len(oracle.finished_jobs()) == 2
-        job = oracle.finished_jobs()[0]
-        assert job.user == 0
-        assert job.reward == tiny_dataset.quality[0, 0]
-
-    def test_bounds_checked(self, tiny_dataset):
-        oracle = self.make(tiny_dataset)
-        with pytest.raises(IndexError):
-            oracle.observe(99, 0)
-
-    def test_trainer_failure_emits_job_failed(self, tiny_dataset):
-        class ExplodingTrainer(TraceTrainer):
-            def train(self, user, model):
-                raise RuntimeError("CUDA OOM")
-
-        oracle = ClusterOracle(ExplodingTrainer(tiny_dataset), GPUPool(4))
-        with pytest.raises(RuntimeError, match="CUDA OOM"):
-            oracle.observe(0, 1)
-        job = oracle.jobs[0]
-        assert job.state.value == "failed"
-        assert job.detail["failure_reason"] == "CUDA OOM"
-        failed = oracle.log.filter(EventKind.JOB_FAILED)
-        assert len(failed) == 1
-        assert failed[0].payload == {
-            "job_id": 0, "user": 0, "model": 1, "reason": "CUDA OOM",
-        }
-        # The EventLog.filter helper slices the failure out of the
-        # full lifecycle record.
-        assert [e.kind for e in oracle.log] == [
-            EventKind.JOB_SUBMITTED,
-            EventKind.JOB_STARTED,
-            EventKind.JOB_FAILED,
-        ]
+from repro.runtime import AsyncClusterOracle, SingleDevicePlacement
 
 
 class TestDedicatedDevices:
@@ -139,7 +63,9 @@ class TestDedicatedDevices:
         from repro.core.user_picking import RoundRobinPicker
 
         pool = GPUPool(tiny_dataset.n_users, scaling_efficiency=1.0)
-        oracle = ClusterOracle(TraceTrainer(tiny_dataset), pool)
+        oracle = AsyncClusterOracle(
+            TraceTrainer(tiny_dataset), pool, SingleDevicePlacement()
+        )
         pickers = [
             GPUCBPicker(
                 0.09 * np.eye(tiny_dataset.n_models),

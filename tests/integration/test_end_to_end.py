@@ -26,11 +26,12 @@ from repro.core.theory import (
 )
 from repro.core.user_picking import GreedyPicker
 from repro.datasets import load_deeplearning
-from repro.engine import ClusterOracle, GPUPool, TraceTrainer
+from repro.engine import GPUPool, TraceTrainer
 from repro.gp import FiniteArmGP, empirical_model_covariance
 from repro.ml.data import TaskSpec, make_task
 from repro.ml.zoo import default_zoo
 from repro.platform import EaseMLServer, program_from_shapes
+from repro.runtime import AsyncClusterOracle, SingleDevicePlacement
 
 
 class TestTheoremBoundsHold:
@@ -111,9 +112,10 @@ class TestTheoremBoundsHold:
 class TestTraceDrivenPipeline:
     def test_scheduler_over_simulated_cluster(self):
         ds = load_deeplearning(seed=0)
-        oracle = ClusterOracle(
+        oracle = AsyncClusterOracle(
             TraceTrainer(ds, noise_std=0.01, seed=3),
             GPUPool(24, 0.9),
+            SingleDevicePlacement(),
         )
         cov = empirical_model_covariance(ds.quality)
         pickers = [

@@ -68,6 +68,44 @@ class TestRewardOracleInterface:
         assert len(oracle.finished_jobs()) == 1
         assert oracle.log.filter(EventKind.MODEL_RETURNED)
 
+    def test_clock_advances_per_job(self, dataset):
+        oracle = build(dataset, SingleDevicePlacement())
+        oracle.observe(0, 0)
+        t1 = oracle.clock.now
+        oracle.observe(1, 1)
+        assert oracle.clock.now > t1
+
+    def test_event_log_records_lifecycle(self, dataset):
+        oracle = build(dataset, SingleDevicePlacement())
+        oracle.observe(2, 1)
+        assert [e.kind for e in oracle.log] == [
+            EventKind.JOB_SUBMITTED,
+            EventKind.JOB_STARTED,
+            EventKind.JOB_FINISHED,
+            EventKind.MODEL_RETURNED,
+        ]
+
+    def test_jobs_recorded_finished(self, dataset):
+        oracle = build(dataset, SingleDevicePlacement())
+        oracle.observe(0, 0)
+        oracle.observe(1, 1)
+        assert len(oracle.finished_jobs()) == 2
+        job = oracle.finished_jobs()[0]
+        assert job.user == 0
+        assert job.reward == pytest.approx(dataset.quality[0, 0])
+
+    def test_observe_on_cancelled_job_raises(self, dataset):
+        # The job observe submits queues behind user 1's; user 0
+        # departs before it starts, so the kernel cancels it.
+        oracle = build(dataset, SingleDevicePlacement())
+        oracle.runtime.submit(1, 0, gpu_time=1.0, reward=0.5)
+        oracle.runtime.user_departs(0, time=0.01)
+        with pytest.raises(RuntimeError, match="job 1 .*user departed"):
+            oracle.observe(0, 1)
+        assert oracle.runtime.jobs[1].state.value == "failed"
+        assert len(oracle.log.filter(EventKind.JOB_FAILED)) == 1
+        assert not oracle.log.filter(EventKind.MODEL_RETURNED)
+
     def test_observe_validates_pair(self, dataset):
         oracle = build(dataset, SingleDevicePlacement())
         with pytest.raises(IndexError):
@@ -205,6 +243,27 @@ class TestRunConcurrent:
         assert scheduler.total_cost == pytest.approx(
             sum(r.cost for r in scheduler.records)
         )
+
+    def test_single_placement_keeps_one_job_in_flight(self, dataset):
+        # Algorithm 2 as written: GREEDY picks, the whole pool trains,
+        # the result is observed, and only then does GREEDY pick again.
+        oracle = build(dataset, SingleDevicePlacement())
+        scheduler = MultiTenantScheduler(
+            oracle, pickers_for(dataset, oracle), GreedyPicker(seed=0)
+        )
+        oracle.run_concurrent(scheduler, max_jobs=20)
+        jobs = oracle.runtime.jobs
+        assert len(jobs) == 20
+        assert len({j.user for j in jobs}) >= 2
+        for earlier, later in zip(jobs, jobs[1:]):
+            assert later.submit_time >= earlier.end_time
+        assert oracle.stalled_picks == 0
+
+    def test_explicit_window_overrides_policy(self, dataset):
+        oracle = build(dataset, SingleDevicePlacement(), max_in_flight=3)
+        assert oracle.max_in_flight == 3
+        assert build(dataset, SingleDevicePlacement()).max_in_flight == 1
+        assert build(dataset, DynamicPartitionPlacement()).max_in_flight is None
 
     def test_invalid_max_in_flight(self, dataset):
         with pytest.raises(ValueError, match="max_in_flight"):

@@ -68,11 +68,11 @@ class TestAuthAndVersioning:
             gateway.handle("register me")
         assert code_of(excinfo) is ApiErrorCode.INVALID_ARGUMENT
 
-    def test_synchronous_backend_rejected(self):
+    def test_wraps_default_server(self):
         from repro.platform.server import EaseMLServer
 
-        with pytest.raises(ValueError, match="runtime_placement"):
-            ServiceGateway(EaseMLServer())
+        gateway = ServiceGateway(EaseMLServer())
+        assert gateway.server.runtime_placement == "single"
 
 
 class TestAppLifecycle:
