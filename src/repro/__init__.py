@@ -15,6 +15,12 @@ cover the common workflow:
    or live trainers (:mod:`repro.ml`),
 4. reproduce the paper's evaluation (:mod:`repro.experiments`).
 
+The names resolve on first use: ``import repro`` loads no subpackage,
+and looking a name up imports the module that defines it (and what
+that module imports), nothing else.  So ``from repro import
+MultiTenantScheduler`` starts without the HTTP service, and ``from
+repro import EaseMLClient`` without the scheduler.
+
 Quickstart::
 
     from repro import (
@@ -32,120 +38,72 @@ Quickstart::
     print(result.render())
 """
 
-from repro.core import (
-    GPUCB,
-    UCB1,
-    AlgorithmOneBeta,
-    FCFSPicker,
-    GPUCBPicker,
-    GreedyPicker,
-    HybridPicker,
-    MatrixOracle,
-    MostCitedPicker,
-    MostRecentPicker,
-    MultiTenantRegretTracker,
-    MultiTenantScheduler,
-    RandomUserPicker,
-    RoundRobinPicker,
-    SingleTenantRegretTracker,
-    TheoremBeta,
-)
-from repro.datasets import (
-    ModelSelectionDataset,
-    generate_syn,
-    load_179classifier,
-    load_benchmark_suite,
-    load_deeplearning,
-)
-from repro.engine import GPUPool, TraceTrainer
-from repro.experiments import (
-    ExperimentConfig,
-    run_experiment,
-)
-from repro.gp import RBF, ConstantKernel, FiniteArmGP, Matern
-from repro.ml import default_zoo
-from repro.platform import (
-    EaseMLServer,
-    parse_program,
-    program_from_shapes,
-)
-from repro.runtime import (
-    AsyncClusterOracle,
-    ClusterRuntime,
-    WorkloadGenerator,
-    WorkloadTrace,
-    diff_event_logs,
-    first_divergence,
-    make_placement,
-    replay_trace,
-)
-from repro.service import (
-    API_VERSION,
-    ApiError,
-    ApiErrorCode,
-    EaseMLClient,
-    ServiceGateway,
-    TenantQuota,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.5.0"
 
-__all__ = [
-    "__version__",
+#: Every re-exported name and the module that defines it.  Importing
+#: ``repro`` loads none of them: a name imports its module on first
+#: use, so the scheduler core starts without the service stack.
+_EXPORTS = {
     # core
-    "GPUCB",
-    "UCB1",
-    "AlgorithmOneBeta",
-    "TheoremBeta",
-    "MatrixOracle",
-    "MultiTenantScheduler",
-    "GPUCBPicker",
-    "MostCitedPicker",
-    "MostRecentPicker",
-    "FCFSPicker",
-    "RoundRobinPicker",
-    "RandomUserPicker",
-    "GreedyPicker",
-    "HybridPicker",
-    "SingleTenantRegretTracker",
-    "MultiTenantRegretTracker",
+    "GPUCB": "repro.core.ucb",
+    "UCB1": "repro.core.ucb",
+    "AlgorithmOneBeta": "repro.core.beta",
+    "TheoremBeta": "repro.core.beta",
+    "MatrixOracle": "repro.core.oracles",
+    "MultiTenantScheduler": "repro.core.multitenant",
+    "GPUCBPicker": "repro.core.model_picking",
+    "MostCitedPicker": "repro.core.model_picking",
+    "MostRecentPicker": "repro.core.model_picking",
+    "FCFSPicker": "repro.core.user_picking",
+    "RoundRobinPicker": "repro.core.user_picking",
+    "RandomUserPicker": "repro.core.user_picking",
+    "GreedyPicker": "repro.core.user_picking",
+    "HybridPicker": "repro.core.user_picking",
+    "SingleTenantRegretTracker": "repro.core.regret",
+    "MultiTenantRegretTracker": "repro.core.regret",
     # datasets
-    "ModelSelectionDataset",
-    "load_deeplearning",
-    "load_179classifier",
-    "load_benchmark_suite",
-    "generate_syn",
+    "ModelSelectionDataset": "repro.datasets.base",
+    "load_deeplearning": "repro.datasets.deeplearning",
+    "load_179classifier": "repro.datasets.classifier179",
+    "load_benchmark_suite": "repro.datasets",
+    "generate_syn": "repro.datasets.synthetic",
     # engine
-    "GPUPool",
-    "TraceTrainer",
+    "GPUPool": "repro.engine.cluster",
+    "TraceTrainer": "repro.engine.trainer",
     # runtime
-    "ClusterRuntime",
-    "AsyncClusterOracle",
-    "WorkloadGenerator",
-    "WorkloadTrace",
-    "make_placement",
-    "replay_trace",
-    "first_divergence",
-    "diff_event_logs",
+    "ClusterRuntime": "repro.runtime.kernel",
+    "AsyncClusterOracle": "repro.runtime.oracle",
+    "WorkloadGenerator": "repro.runtime.workload",
+    "WorkloadTrace": "repro.runtime.workload",
+    "make_placement": "repro.runtime.placement",
+    "replay_trace": "repro.runtime.workload",
+    "first_divergence": "repro.runtime.trace",
+    "diff_event_logs": "repro.runtime.trace",
     # service
-    "API_VERSION",
-    "ApiError",
-    "ApiErrorCode",
-    "ServiceGateway",
-    "TenantQuota",
-    "EaseMLClient",
+    "API_VERSION": "repro.service.api",
+    "ApiError": "repro.errors",
+    "ApiErrorCode": "repro.errors",
+    "ServiceGateway": "repro.service.gateway",
+    "TenantQuota": "repro.service.gateway",
+    "EaseMLClient": "repro.service.client",
     # gp
-    "FiniteArmGP",
-    "RBF",
-    "Matern",
-    "ConstantKernel",
+    "FiniteArmGP": "repro.gp.regression",
+    "RBF": "repro.gp.kernels",
+    "Matern": "repro.gp.kernels",
+    "ConstantKernel": "repro.gp.kernels",
     # ml
-    "default_zoo",
+    "default_zoo": "repro.ml.zoo",
     # platform
-    "EaseMLServer",
-    "parse_program",
-    "program_from_shapes",
+    "EaseMLServer": "repro.platform.server",
+    "parse_program": "repro.platform.dsl",
+    "program_from_shapes": "repro.platform.dsl",
     # experiments
-    "ExperimentConfig",
-    "run_experiment",
-]
+    "ExperimentConfig": "repro.experiments.protocol",
+    "run_experiment": "repro.experiments.harness",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

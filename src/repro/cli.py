@@ -64,39 +64,29 @@ import time
 from contextlib import contextmanager
 from typing import List, Optional
 
-from repro.datasets import load_benchmark_suite
-from repro.engine import GPUPool
-from repro.engine.events import EventKind
-from repro.experiments import ExperimentConfig, run_experiment
-from repro.experiments import figures as figure_drivers
-from repro.experiments.protocol import STRATEGY_NAMES
-from repro.experiments.report import save_curves_csv, save_result_json
-from repro.runtime import (
-    PLACEMENT_POLICIES,
-    AsyncClusterOracle,
-    ClusterRuntime,
-    WorkloadGenerator,
-    WorkloadTrace,
-    first_divergence,
-    make_placement,
-    makespan,
-    replay_trace,
-    time_averaged_regret,
-    write_events_jsonl,
-)
+from repro.runtime import PLACEMENT_POLICIES
 from repro.utils.tables import ascii_table
 
-_FIGURES = {
-    "6b": figure_drivers.figure6b,
-    "8": figure_drivers.figure8,
-    "9": figure_drivers.figure9,
-    "10": figure_drivers.figure10,
-    "11": figure_drivers.figure11,
-    "12": figure_drivers.figure12,
-    "13": figure_drivers.figure13,
-    "14": figure_drivers.figure14,
-    "15": figure_drivers.figure15,
-}
+# Everything else is imported inside the command that uses it: this
+# module is the entry point of every command, so a module-level import
+# here is paid by ``repro serve`` too.
+
+#: The figure drivers, ``repro.experiments.figures.figure<which>``.
+_FIGURES = ("6b", "8", "9", "10", "11", "12", "13", "14", "15")
+
+
+def _strategy(name: str) -> str:
+    """One ``compare --strategies`` item, checked when it is parsed
+    rather than listed as choices, so that building the parser does
+    not import the experiment harness."""
+    from repro.experiments.protocol import STRATEGY_NAMES
+
+    if name not in STRATEGY_NAMES:
+        choices = ", ".join(map(repr, STRATEGY_NAMES))
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {choices})"
+        )
+    return name
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cmp_parser.add_argument(
         "--strategies", nargs="+", default=["easeml", "round_robin"],
-        choices=list(STRATEGY_NAMES), metavar="STRATEGY",
+        type=_strategy, metavar="STRATEGY",
     )
     cmp_parser.add_argument("--trials", type=int, default=10)
     cmp_parser.add_argument("--budget", type=float, default=0.3,
@@ -434,6 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_stats() -> int:
+    from repro.datasets import load_benchmark_suite
+
     suite = load_benchmark_suite(seed=0)
     rows = []
     for name, dataset in suite.items():
@@ -458,9 +450,16 @@ def _cmd_stats() -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    driver = _FIGURES[args.which]
+    from repro.experiments import ExperimentConfig, figures
+
+    driver = getattr(figures, f"figure{args.which}")
     kwargs = {"seed": args.seed}
     if args.trials is not None and args.which != "8":
+        try:  # the check each driver's config makes, before any work
+            ExperimentConfig(n_trials=args.trials)
+        except ValueError as exc:
+            print(f"cannot run figure {args.which}: {exc}", file=sys.stderr)
+            return 2
         kwargs["n_trials"] = args.trials
     report = driver(**kwargs)
     rendered = report.render()
@@ -473,6 +472,20 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.datasets import load_benchmark_suite
+    from repro.experiments import ExperimentConfig, run_experiment
+    from repro.experiments.report import save_curves_csv, save_result_json
+
+    try:
+        config = ExperimentConfig(
+            n_trials=args.trials,
+            budget_fraction=args.budget,
+            cost_aware=args.cost_aware,
+            base_seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"cannot compare: {exc}", file=sys.stderr)
+        return 2
     suite = load_benchmark_suite(seed=args.seed)
     if args.dataset not in suite:
         print(
@@ -481,12 +494,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    config = ExperimentConfig(
-        n_trials=args.trials,
-        budget_fraction=args.budget,
-        cost_aware=args.cost_aware,
-        base_seed=args.seed,
-    )
     result = run_experiment(suite[args.dataset], args.strategies, config)
     print(result.render())
     if len(args.strategies) > 1:
@@ -523,7 +530,15 @@ def _cmd_runtime_arrivals(args: argparse.Namespace, dataset) -> int:
     from repro.core.model_picking import GPUCBPicker
     from repro.core.multitenant import MultiTenantScheduler
     from repro.core.user_picking import HybridPicker
+    from repro.engine import GPUPool
     from repro.engine.trainer import TraceTrainer
+    from repro.runtime import (
+        AsyncClusterOracle,
+        WorkloadTrace,
+        make_placement,
+        makespan,
+        write_events_jsonl,
+    )
 
     try:
         trace = WorkloadTrace.load(args.arrivals)
@@ -612,6 +627,20 @@ def _cmd_runtime_arrivals(args: argparse.Namespace, dataset) -> int:
 
 
 def _cmd_runtime(args: argparse.Namespace) -> int:
+    from repro.datasets import load_benchmark_suite
+    from repro.engine import GPUPool
+    from repro.engine.events import EventKind
+    from repro.runtime import (
+        ClusterRuntime,
+        WorkloadGenerator,
+        WorkloadTrace,
+        make_placement,
+        makespan,
+        replay_trace,
+        time_averaged_regret,
+        write_events_jsonl,
+    )
+
     suite = load_benchmark_suite(seed=args.seed)
     if args.dataset not in suite:
         print(
@@ -683,7 +712,7 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_diff(args: argparse.Namespace) -> int:
-    from repro.runtime import read_events_jsonl
+    from repro.runtime import first_divergence, read_events_jsonl
 
     try:
         left = read_events_jsonl(args.left)

@@ -399,8 +399,11 @@ class MultiTenantScheduler:
 
         ``registry`` is a :class:`repro.obs.MetricsRegistry` (or None
         to unbind — instruments revert to shared no-ops).  The core
-        stays importable without the service stack, so the obs import
-        is local and the default is the disabled registry.
+        stays importable without the service stack: the obs import is
+        local, the default is the disabled registry, and ``repro.obs``
+        resolves its names on first use, so this loads the metrics
+        module and the request context it reads, not tracing, SLOs or
+        logging (``tests/test_import_hygiene.py`` pins it).
         """
         from repro.obs.metrics import NULL_REGISTRY, PICK_LATENCY_BUCKETS
 

@@ -17,12 +17,14 @@ until the horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from repro.datasets.base import ModelSelectionDataset
 from repro.utils.rng import RandomState, SeedLike
+
+if TYPE_CHECKING:  # annotations only: serving never loads the datasets
+    from repro.datasets.base import ModelSelectionDataset
 
 
 @dataclass

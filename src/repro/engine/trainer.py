@@ -12,12 +12,14 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 
 import numpy as np
 
-from repro.datasets.base import ModelSelectionDataset
 from repro.utils.rng import RandomState, SeedLike
+
+if TYPE_CHECKING:  # annotations only: serving never loads the datasets
+    from repro.datasets.base import ModelSelectionDataset
 
 
 class Trainer(ABC):

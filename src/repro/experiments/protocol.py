@@ -131,6 +131,8 @@ class ExperimentConfig:
                 "kernel_mode must be 'empirical' or 'lml', "
                 f"got {self.kernel_mode!r}"
             )
+        if self.n_trials < 1:
+            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
         if not 0.0 < self.budget_fraction <= 1.0:
             raise ValueError(
                 f"budget_fraction must be in (0, 1], got {self.budget_fraction}"

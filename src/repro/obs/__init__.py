@@ -19,65 +19,41 @@ installable with nothing but Python.  Five pieces:
   (:class:`AccessLogger`), human or JSON-lines.
 """
 
-from repro.obs.context import (
-    RequestContext,
-    bind_request,
-    clear_request,
-    current_request,
-    current_request_id,
-    new_request_id,
-)
-from repro.obs.logging import NULL_ACCESS_LOG, AccessLogger
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    PICK_LATENCY_BUCKETS,
-    NULL_REGISTRY,
-    OVERFLOW_LABEL,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullInstrument,
-)
-from repro.obs.slo import (
-    DEFAULT_OBJECTIVE,
-    SLOEngine,
-    SLOObjective,
-    load_slo_config,
-)
-from repro.obs.tracing import (
-    NULL_TRACER,
-    TraceState,
-    Tracer,
-    add_span,
-    span,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessLogger",
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_OBJECTIVE",
-    "PICK_LATENCY_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_ACCESS_LOG",
-    "NULL_REGISTRY",
-    "NULL_TRACER",
-    "NullInstrument",
-    "OVERFLOW_LABEL",
-    "RequestContext",
-    "SLOEngine",
-    "SLOObjective",
-    "TraceState",
-    "Tracer",
-    "add_span",
-    "bind_request",
-    "clear_request",
-    "current_request",
-    "current_request_id",
-    "load_slo_config",
-    "new_request_id",
-    "span",
-]
+#: Every re-exported name and the module that defines it, resolved on
+#: first use: ``from repro.obs.metrics import ...`` (the scheduler's
+#: pick instruments) loads metrics and the context it reads, not
+#: tracing, SLOs or logging.
+_EXPORTS = {
+    "AccessLogger": "repro.obs.logging",
+    "Counter": "repro.obs.metrics",
+    "DEFAULT_LATENCY_BUCKETS": "repro.obs.metrics",
+    "DEFAULT_OBJECTIVE": "repro.obs.slo",
+    "PICK_LATENCY_BUCKETS": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "NULL_ACCESS_LOG": "repro.obs.logging",
+    "NULL_REGISTRY": "repro.obs.metrics",
+    "NULL_TRACER": "repro.obs.tracing",
+    "NullInstrument": "repro.obs.metrics",
+    "OVERFLOW_LABEL": "repro.obs.metrics",
+    "RequestContext": "repro.obs.context",
+    "SLOEngine": "repro.obs.slo",
+    "SLOObjective": "repro.obs.slo",
+    "TraceState": "repro.obs.tracing",
+    "Tracer": "repro.obs.tracing",
+    "add_span": "repro.obs.tracing",
+    "bind_request": "repro.obs.context",
+    "clear_request": "repro.obs.context",
+    "current_request": "repro.obs.context",
+    "current_request_id": "repro.obs.context",
+    "load_slo_config": "repro.obs.slo",
+    "new_request_id": "repro.obs.context",
+    "span": "repro.obs.tracing",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

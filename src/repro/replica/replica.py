@@ -41,8 +41,7 @@ from repro.persist.recovery import (
 )
 from repro.persist.store import acquire_lock, read_config
 from repro.replica.tailer import TailBatch, WalTailer
-from repro.service.api import Request
-from repro.service.http import REPLICA_LAG_HEADER
+from repro.service.api import REPLICA_LAG_HEADER, Request
 
 #: How often an idle replica re-checks the journal for new records.
 DEFAULT_POLL_INTERVAL = 0.05

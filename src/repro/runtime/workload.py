@@ -16,13 +16,23 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
-from repro.datasets.base import ModelSelectionDataset
 from repro.runtime.kernel import ClusterRuntime
 from repro.utils.rng import RandomState, SeedLike
+
+if TYPE_CHECKING:  # annotations only: serving never loads the datasets
+    from repro.datasets.base import ModelSelectionDataset
 
 #: The three things that can happen in a workload stream.
 _ACTIONS = ("arrive", "submit", "depart")

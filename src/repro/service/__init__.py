@@ -13,47 +13,32 @@ The error taxonomy itself is defined in the layer-neutral
 canonical public surface.
 """
 
-from repro.service.api import (
-    API_VERSION,
-    ApiError,
-    ApiErrorCode,
-    JobHandle,
-    Request,
-    Response,
-    from_wire,
-    to_wire,
-)
-from repro.service.client import AmbiguousMutationError, EaseMLClient
-from repro.service.gateway import (
-    MAX_WAIT_SECONDS,
-    ServiceGateway,
-    Tenant,
-    TenantQuota,
-    TenantView,
-)
-from repro.service.http import (
-    AsyncServiceHTTPServer,
-    serve,
-    serve_background,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "API_VERSION",
-    "ApiError",
-    "ApiErrorCode",
-    "JobHandle",
-    "Request",
-    "Response",
-    "to_wire",
-    "from_wire",
-    "MAX_WAIT_SECONDS",
-    "ServiceGateway",
-    "Tenant",
-    "TenantQuota",
-    "TenantView",
-    "AsyncServiceHTTPServer",
-    "serve",
-    "serve_background",
-    "AmbiguousMutationError",
-    "EaseMLClient",
-]
+#: Every re-exported name and the module that defines it, resolved on
+#: first use: the SDK (``EaseMLClient``) loads the wire vocabulary and
+#: its own transport, not the gateway or the HTTP frontend.
+_EXPORTS = {
+    "API_VERSION": "repro.service.api",
+    "ApiError": "repro.errors",
+    "ApiErrorCode": "repro.errors",
+    "JobHandle": "repro.service.api",
+    "Request": "repro.service.api",
+    "Response": "repro.service.api",
+    "to_wire": "repro.service.api",
+    "from_wire": "repro.service.api",
+    "MAX_WAIT_SECONDS": "repro.service.gateway",
+    "ServiceGateway": "repro.service.gateway",
+    "Tenant": "repro.service.gateway",
+    "TenantQuota": "repro.service.gateway",
+    "TenantView": "repro.service.gateway",
+    "AsyncServiceHTTPServer": "repro.service.http",
+    "serve": "repro.service.http",
+    "serve_background": "repro.service.http",
+    "AmbiguousMutationError": "repro.service.client",
+    "EaseMLClient": "repro.service.client",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

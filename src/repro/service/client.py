@@ -35,9 +35,9 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 from urllib.parse import urlencode, urlparse
 
 from repro.obs.context import REQUEST_ID_HEADER, new_request_id
-from repro.service.http import REPLICA_LAG_HEADER
 from repro.service.api import (
     API_VERSION,
+    REPLICA_LAG_HEADER,
     ApiError,
     ApiErrorCode,
     AppStatusResponse,

@@ -125,12 +125,6 @@ METRICS_JSON_PATH = f"{_PREFIX}/metrics"
 #: tenant names and request shapes).
 TRACES_PATH = f"{_PREFIX}/traces"
 
-#: Response header a read replica attaches to every reply: how many
-#: journal records behind the writer the serving replica was at
-#: dispatch time.  The SDK reads it (``EaseMLClient.last_replica_lag``)
-#: to decide when to fall back to the writer.
-REPLICA_LAG_HEADER = "X-Replica-Lag"
-
 
 class _Target(NamedTuple):
     """A request target parsed once: the frontend derives the route,

@@ -46,6 +46,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(train_fraction=1.5)
 
+    @pytest.mark.parametrize("n_trials", [0, -3])
+    def test_needs_at_least_one_trial(self, n_trials):
+        # Accepted once, it reached np.concatenate of zero trials.
+        with pytest.raises(ValueError, match="n_trials must be >= 1"):
+            ExperimentConfig(n_trials=n_trials)
+        with pytest.raises(ValueError, match="n_trials"):
+            ExperimentConfig().with_changes(n_trials=n_trials)
+        assert ExperimentConfig(n_trials=1).n_trials == 1
+
     def test_with_changes(self):
         config = ExperimentConfig()
         changed = config.with_changes(n_trials=3)

@@ -32,6 +32,15 @@ class TestFigure:
         with pytest.raises(SystemExit):
             main(["figure", "99"])
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_is_one_line_and_exit_2(self, capsys, trials):
+        assert main(["figure", "9", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"cannot run figure 9: n_trials must be >= 1, got {trials}\n"
+        )
+
 
 class TestCompare:
     def test_compare_with_exports(self, capsys, tmp_path):
@@ -60,9 +69,26 @@ class TestCompare:
         assert main(["compare", "--dataset", "NOPE", "--trials", "1"]) == 2
         assert "unknown dataset" in capsys.readouterr().err
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["compare", "--strategies", "psychic"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "0"], "n_trials must be >= 1, got 0"),
+            (["--budget", "0"], "budget_fraction must be in (0, 1], got 0.0"),
+        ],
+    )
+    def test_bad_config_is_one_line_and_exit_2(self, capsys, flags, message):
+        assert main(["compare", "--trials", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot compare: {message}\n"
+
+    def test_unknown_strategy_rejected(self, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["compare", "--strategies", "easeml", "psychic"])
+        assert refused.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --strategies: invalid choice: 'psychic'" in err
+        assert "'most_cited'" in err  # the choices are listed
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -1,6 +1,13 @@
 """The top-level package surface stays importable and coherent."""
 
+import importlib
+
+import pytest
+
 import repro
+
+#: The packages whose names resolve on first use.
+LAZY_PACKAGES = ("repro", "repro.obs", "repro.service")
 
 
 def test_version():
@@ -10,6 +17,42 @@ def test_version():
 def test_all_exports_resolve():
     for name in repro.__all__:
         assert hasattr(repro, name), name
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_exports_are_the_defining_modules_objects(package):
+    module = importlib.import_module(package)
+    table = module._EXPORTS
+    assert [n for n in module.__all__ if n != "__version__"] == list(table)
+    for name, defining in table.items():
+        value = getattr(module, name)
+        assert value is getattr(importlib.import_module(defining), name)
+        # Stored on first use: later lookups are plain attribute hits.
+        assert vars(module)[name] is value
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_dir_lists_all(package):
+    module = importlib.import_module(package)
+    assert set(module.__all__) <= set(dir(module))
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_unknown_attribute_raises_attribute_error(package):
+    module = importlib.import_module(package)
+    message = f"module '{package}' has no attribute 'no_such_name'"
+    with pytest.raises(AttributeError, match=message):
+        module.no_such_name
+    assert not hasattr(module, "no_such_name")
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_star_import_binds_every_name(package):
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        assert namespace[name] is getattr(module, name), name
 
 
 def test_docstring_quickstart_runs():
