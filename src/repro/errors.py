@@ -9,28 +9,37 @@ package that sits above them.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from typing import Any, Dict, Optional
 
-import numpy as np
+
+#: Exact types that are already JSON-safe (subclasses such as numpy's
+#: ``float64`` are not, by this test, and take the checks below).
+_JSON_LEAVES = frozenset({str, int, float, bool, type(None)})
 
 
 def jsonify(value: Any) -> Any:
-    """Coerce numpy scalars/arrays (and containers) to JSON-safe types."""
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [jsonify(v) for v in value.tolist()]
+    """Coerce numpy scalars/arrays (and containers) to JSON-safe types.
+
+    numpy's types are looked up in ``sys.modules``, not imported: a
+    process that never loaded numpy holds no numpy values, and the SDK
+    (which imports this module) stays free of numpy's import time.
+    """
+    if type(value) in _JSON_LEAVES:
+        return value
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, dict):
         return {str(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonify(v) for v in value]
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(value, (np.floating, np.integer, np.bool_)):
+            return value.item()
+        if isinstance(value, np.ndarray):
+            return jsonify(value.tolist())
     return value
 
 

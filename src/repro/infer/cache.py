@@ -19,7 +19,9 @@ key.
 A lookup is pure CPU behind one short critical section — it never
 waits on the model or the gateway lock — which is what lets the HTTP
 frontend run it on its event loop and answer a full hit without a
-worker thread (see :mod:`repro.infer.plane`).
+worker thread.  A partial hit's misses are flushed on the loop too
+when the app is idle and its model measured cheap, else on a worker
+(see :mod:`repro.infer.plane`).
 """
 
 from __future__ import annotations

@@ -6,7 +6,10 @@ A request that cannot be covered right now is refused outright — the
 gateway surfaces that as ``QUOTA_EXCEEDED`` (HTTP 429) with a
 ``retry_after`` hint computed from the refill rate, so well-behaved
 SDKs back off for exactly as long as the deficit takes to refill
-instead of hammering the endpoint.
+instead of hammering the endpoint.  A request larger than the whole
+burst never reaches the bucket: no wait could cover it, so the
+inference plane refuses it as ``INVALID_ARGUMENT`` (HTTP 400) and
+asks for the batch to be split.
 
 The bucket never *parks* a request: admission control exists to keep
 one tenant's flood from growing every other tenant's coalescing queue,
@@ -51,8 +54,9 @@ class TokenBucket:
         of seconds until the deficit refills (the Retry-After hint).
 
         A request larger than the whole burst can never succeed; its
-        hint is the time to refill the full shortfall from empty, and
-        callers are expected to split the batch instead of waiting.
+        hint is the time to refill the full shortfall from empty.
+        Callers refuse such a request before charging it (see the
+        module docstring).
         """
         n = max(1, int(n))
         with self._lock:

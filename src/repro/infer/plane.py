@@ -13,11 +13,17 @@ An infer has two halves, split by whether they can block:
   served ``(model, version)``, one cache lookup.  The HTTP frontend
   runs them on its event loop; when every row hits, the request is
   answered there and never costs a thread hop.
-* :meth:`InferPlane.predict` with a miss parks behind a running flush
-  and runs the single vectorized predict under the gateway lock, so it
-  belongs on a worker thread.  It takes the probe's products (hit/miss
-  split, row keys, peeked version) instead of looking up again: one
-  lookup per request, whichever thread finishes it.
+* :meth:`InferPlane.predict` with a miss may park behind a running
+  flush and runs the single vectorized predict under the gateway lock.
+  With ``may_block=False`` it flushes on the calling thread only when
+  the app's convoy is idle and its last flush was timed cheap (see
+  :meth:`BatchQueue.submit <repro.infer.batching.BatchQueue.submit>`),
+  and otherwise returns None, so the request goes to a worker thread.
+  It takes the probe's products (hit/miss split, row keys, peeked
+  version) instead of looking up again: one lookup per request,
+  whichever thread finishes it.  A promotion (:meth:`invalidate_app`)
+  drops the cost estimate with the cached rows, so every model
+  version's first flush runs where it may block.
 
 The plane is configured once at construction and reconfigured whole
 (:meth:`ServiceGateway.configure_infer_plane`) rather than mutated
@@ -184,7 +190,10 @@ class InferPlane:
         ``rate_limit`` is ``(rows_per_second, burst_rows)`` off the
         tenant's quota (either may be None).  Raises ``QUOTA_EXCEEDED``
         with a ``retry_after`` detail — the HTTP frontend turns that
-        into a 429 with a ``Retry-After`` header.
+        into a 429 with a ``Retry-After`` header.  A batch larger than
+        the whole burst could never be admitted, however long the
+        tenant waited: it is ``INVALID_ARGUMENT`` (400), with no
+        ``retry_after``.
         """
         rate, burst = rate_limit
         if rate is None:
@@ -192,6 +201,15 @@ class InferPlane:
         if rate is None:
             return
         bucket = self._bucket(tenant, float(rate), burst)
+        if rows > bucket.burst:
+            raise ApiError(
+                ApiErrorCode.INVALID_ARGUMENT,
+                f"a {rows}-row infer batch exceeds tenant {tenant!r}'s "
+                f"burst of {bucket.burst:g} rows (infer_burst_rows); "
+                "split the batch",
+                rows=int(rows),
+                burst_rows=bucket.burst,
+            )
         wait = bucket.try_acquire(rows)
         if wait > 0.0:
             if self._m_rate_limited is not None:
@@ -247,7 +265,8 @@ class InferPlane:
         execute: Callable[[np.ndarray], Tuple[np.ndarray, Dict[str, Any]]],
         *,
         probe: Optional[_Probe] = None,
-    ) -> Tuple[np.ndarray, Dict[str, Any], int]:
+        may_block: bool = True,
+    ) -> Optional[Tuple[np.ndarray, Dict[str, Any], int]]:
         """Answer one validated ``(B, n)`` batch.
 
         ``execute`` runs the vectorized predict (under the gateway
@@ -256,7 +275,9 @@ class InferPlane:
         :meth:`probe` returned for this ``X`` — possibly on another
         thread, a moment ago; None sends every row to the model and
         caches nothing.  Returns ``(predictions, meta,
-        rows_from_cache)``.
+        rows_from_cache)`` — or, with ``may_block=False``, None when
+        the misses cannot be flushed without a chance of waiting (see
+        :meth:`BatchQueue.submit`; ``off`` mode always says None).
         """
         started = time.perf_counter()
         if probe is None:
@@ -282,7 +303,19 @@ class InferPlane:
                 return predictions, meta, len(X)
             X_miss = X[miss_idx]
 
-        if self.config.mode == "off":
+        if not may_block:
+            # ``off`` mode has no queues, and an app without one never
+            # had a flush timed: either way the flush goes elsewhere.
+            queue = self._queues.get(app)
+            flushed = (
+                None
+                if queue is None
+                else queue.submit(X_miss, may_block=False)
+            )
+            if flushed is None:
+                return None
+            miss_predictions, meta = flushed
+        elif self.config.mode == "off":
             flush_started = time.perf_counter()
             miss_predictions, meta = execute(X_miss)
             self._observe_flush(
@@ -360,5 +393,10 @@ class InferPlane:
 
     # -- promotion hook ------------------------------------------------
     def invalidate_app(self, app: str) -> int:
-        """Drop the app's cached predictions (model promotion)."""
+        """Drop the app's cached predictions and its flush-cost
+        estimate (model promotion): the new model's first flush runs
+        where it may block."""
+        queue = self._queues.get(app)
+        if queue is not None:
+            queue.forget_cost()
         return self.cache.invalidate_app(app)

@@ -39,10 +39,13 @@ the event-loop frontend never parks on the scheduler lock:
   thread, in-process callers on their own.
 
 ``InferRequest`` straddles the two: it takes no outer lock, but a cache
-miss parks behind the model.  Its first half — validation, admission,
-the cache probe — cannot block, so the HTTP frontend runs it on the
-loop (``handle(request, may_block=False)``) and only a request with a
-miss pays a hop to a worker thread, carrying the probe's products.
+miss may park behind the model.  Its first half — validation,
+admission, the cache probe — cannot block, so the HTTP frontend runs it
+on the loop (``handle(request, may_block=False)``).  A miss is flushed
+there too when nothing can make it wait: the gateway lock is free (it
+is tried, never waited for), the app is idle, and its last flush
+measured under ``INLINE_FLUSH_SECONDS``.  Any other miss pays a hop to
+a worker thread, carrying the probe's products.
 
 ``JobStatusRequest.wait`` long-polls server-side: the handler drives
 the cluster toward the handle's completion and parks on the handle's
@@ -765,13 +768,16 @@ class ServiceGateway:
         HTTP frontend's event loop) offers an ``InferRequest``: the
         request is validated, admitted and probed against the
         prediction cache on the calling thread, and answered there
-        when every row hits.  Otherwise the return value is a
-        zero-argument callable holding the blocking remainder — the
-        convoy and the predict — for a worker thread to run; it
-        returns the response (or raises the ``ApiError``) and the
-        request is accounted once, where it finishes.  Other request
-        types ignore the flag: :meth:`is_read` already tells a
-        frontend whether they can block.
+        when every row hits — or when its misses can be flushed
+        without waiting: the gateway lock free, the app idle, and the
+        model's last flush measured under ``INLINE_FLUSH_SECONDS``.
+        Otherwise the return value is a zero-argument callable holding
+        the blocking remainder — the convoy and the predict — for a
+        worker thread to run; it returns the response (or raises the
+        ``ApiError``) and the request is accounted once, where it
+        finishes.  Other request types ignore the flag:
+        :meth:`is_read` already tells a frontend whether they can
+        block.
         """
         if not isinstance(request, Request):
             raise ApiError(
@@ -1183,14 +1189,29 @@ class ServiceGateway:
     ) -> Union[InferResponse, Callable[[], InferResponse]]:
         """``_infer`` for a thread that must not park (see
         :meth:`handle`): answer when the probe found every row in the
-        cache, else hand back the rest — with the probe's products, so
-        nothing is validated, charged or looked up twice."""
+        cache, or when the misses can be flushed here without waiting
+        on anything; else hand back the rest — with the probe's
+        products, so nothing is validated, charged or looked up
+        twice."""
         # One clock per request: the latency the worker half records
         # counts the probe and the hop in between.
         started = time.perf_counter()
         app, X, probe = self._infer_probe(tenant, request)
         if probe is not None and not probe.misses:
             return self._infer_answer(tenant, request, app, X, probe)
+        # Gateway lock, then the convoy, neither waited for: a worker
+        # that leads a flush holds the convoy and then waits for this
+        # lock, so whichever of the two this thread cannot have at once
+        # sends the request to a worker instead.
+        if self._lock.acquire(blocking=False):
+            try:
+                response = self._infer_answer(
+                    tenant, request, app, X, probe, may_block=False
+                )
+            finally:
+                self._lock.release()
+            if response is not None:
+                return response
         return functools.partial(
             self._run,
             functools.partial(
@@ -1238,15 +1259,22 @@ class ServiceGateway:
         app: EaseMLApp,
         X: np.ndarray,
         probe,
-    ) -> InferResponse:
+        may_block: bool = True,
+    ) -> Optional[InferResponse]:
         """The half that may park: whatever the probe left unanswered
-        goes through the convoy to one vectorized predict."""
-        prediction_rows, meta, _cached = self.infer_plane.predict(
+        goes through the convoy to one vectorized predict.  With
+        ``may_block=False``, None when that flush could wait (see
+        :meth:`InferPlane.predict`)."""
+        answer = self.infer_plane.predict(
             request.app,
             X,
             lambda X_flush: self._predict_batch(app, X_flush),
             probe=probe,
+            may_block=may_block,
         )
+        if answer is None:
+            return None
+        prediction_rows, meta, _cached = answer
         predictions = tuple(prediction_rows.tolist())
         return InferResponse(
             app=request.app,

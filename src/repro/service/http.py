@@ -6,10 +6,11 @@ One transport sits over
 preserved).  A request leaves the loop only when it can block:
 read-path requests run inline (the gateway serves them lock-free from
 immutable snapshots), and so does an infer whose every row is in the
-prediction cache; everything else — mutations, polls of live job
-handles, long-polls, infers with a miss — makes one hop to a worker
-thread, so the loop never parks on the scheduler lock or behind the
-model.
+prediction cache, or whose misses the gateway can flush at once (idle
+app, free lock, a model measured under 1 ms); everything else —
+mutations, polls of live job handles, long-polls, the other infers
+with a miss — makes one hop to a worker thread, so the loop never
+waits on the scheduler lock or behind the model.
 
 One route table (:func:`route_request`) maps each exchange onto one
 typed request; the server dispatches it and writes the response's wire
@@ -467,10 +468,14 @@ class AsyncServiceHTTPServer:
       a terminal job handle is one of them;
     * **infers** start inline (``gateway.handle(request,
       may_block=False)``): validation, admission and the cache probe
-      are pure CPU, and a full hit is answered right there.  A request
-      with a miss comes back as the blocking remainder, which runs on
-      the worker pool with the probe's products — it may park behind
-      a running predict;
+      are pure CPU, and a full hit is answered right there.  So is a
+      miss the gateway can flush without waiting — the app idle, the
+      gateway lock free, the model's last flush measured under
+      ``INLINE_FLUSH_SECONDS`` — since such a predict costs the
+      loop's other connections less than the hop would.  Any other
+      miss comes back as the blocking remainder, which runs on the
+      worker pool with the probe's products — it may park behind a
+      running predict or wait for the lock;
     * **mutations and polls of live job handles** run
       ``gateway.handle`` on this server's worker pool (they take the
       gateway lock, which orders writes; a connection sends its next
@@ -920,9 +925,10 @@ class AsyncServiceHTTPServer:
             return gateway.handle(request)
         if isinstance(request, InferRequest):
             # Validation, admission and the cache probe are pure CPU,
-            # so they run here; a full hit is the answer.  Only what
-            # can park behind a running predict — a miss — pays the
-            # hop, and ``work`` carries what the probe already did.
+            # so they run here; a full hit, or a miss the gateway could
+            # flush without waiting, is the answer.  Only what could
+            # park pays the hop, and ``work`` carries what the probe
+            # already did.
             work = gateway.handle(request, may_block=False)
             if not callable(work):
                 return work

@@ -279,3 +279,85 @@ class TestExplicitTimer:
         assert [len(c) for c in execute.calls] == [n]
         for i in range(n):
             assert riders.results[i][0].tolist() == [i + 1]
+
+
+class TestNonBlockingSubmit:
+    """``submit(X, may_block=False)``: lead a flush on the calling
+    thread only when it cannot wait on anything, else return None
+    without touching the queue.  The budget is monkeypatched to either
+    extreme, so no outcome depends on how long a flush takes."""
+
+    @pytest.fixture
+    def cheap(self, monkeypatch):
+        monkeypatch.setattr(batching, "INLINE_FLUSH_SECONDS", 1e9)
+
+    @staticmethod
+    def timed(queue):
+        """Run one blocking flush so the queue has a cost estimate."""
+        predictions, _ = queue.submit(one_row(0))
+        assert predictions.tolist() == [1]
+
+    def test_untimed_queue_refuses_without_touching_it(self, cheap):
+        execute = Staged()
+        queue = BatchQueue(execute)
+        assert queue.submit(one_row(1), may_block=False) is None
+        assert execute.calls == []
+        assert not queue._in_flight and not queue._parked
+
+    def test_timed_cheap_flush_leads_on_the_caller(self, cheap):
+        flushes = []
+        execute = Staged()
+        queue = BatchQueue(
+            execute, on_flush=lambda **kw: flushes.append(kw["requests"])
+        )
+        self.timed(queue)
+        predictions, meta = queue.submit(one_row(4), may_block=False)
+        assert predictions.tolist() == [5]
+        assert meta["batch_requests"] == 1
+        assert flushes == [1, 1]  # metrics as for any other flush
+        assert not queue._in_flight
+
+    def test_refuses_behind_a_flush_in_flight(self, cheap):
+        execute = Staged(gated=[1])
+        queue = BatchQueue(execute)
+        self.timed(queue)
+        riders = Riders(queue)
+        riders.start("leader", one_row(1))
+        wait_until(lambda: execute.running == 1)
+        assert queue.submit(one_row(2), may_block=False) is None
+        assert queue._parked == []
+        execute.release(1)
+        riders.join()
+        assert [len(c) for c in execute.calls] == [1, 1]
+
+    def test_refuses_over_budget(self, monkeypatch):
+        monkeypatch.setattr(batching, "INLINE_FLUSH_SECONDS", -1.0)
+        execute = Staged()
+        queue = BatchQueue(execute)
+        self.timed(queue)
+        assert queue.submit(one_row(1), may_block=False) is None
+        assert len(execute.calls) == 1
+
+    def test_refuses_with_a_timer(self, cheap):
+        execute = Staged()
+        queue = BatchQueue(execute, window=60.0, max_batch=1)
+        self.timed(queue)  # one row reaches the target: no timer wait
+        assert queue.submit(one_row(1), may_block=False) is None
+        assert len(execute.calls) == 1
+
+    def test_forgotten_cost_is_not_rearmed_by_an_older_flush(self, cheap):
+        execute = Staged(gated=[1])
+        queue = BatchQueue(execute)
+        self.timed(queue)
+        riders = Riders(queue)
+        riders.start("old model", one_row(1))
+        wait_until(lambda: execute.running == 1)
+        queue.forget_cost()  # a promotion while flush 1 runs
+        execute.release(1)
+        riders.join()
+        # Flush 1 started before the promotion: its time says nothing
+        # about the new model.  The next blocking flush re-arms.
+        assert queue.submit(one_row(2), may_block=False) is None
+        self.timed(queue)
+        predictions, _ = queue.submit(one_row(3), may_block=False)
+        assert predictions.tolist() == [4]

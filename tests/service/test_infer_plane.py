@@ -2,6 +2,7 @@
 cross-request coalescing, the prediction cache, and rate limits."""
 
 import json
+import sys
 import threading
 import time
 from http.client import HTTPConnection
@@ -265,6 +266,24 @@ class TestRateLimits:
             infer(gateway, token, inputs[:5])
         assert err.value.code is ApiErrorCode.QUOTA_EXCEEDED
 
+    def test_batch_over_the_burst_is_invalid_not_retryable(self):
+        plane = InferPlane(metrics=MetricsRegistry())
+        for _ in range(2):  # the same answer however often it is sent
+            with pytest.raises(ApiError) as err:
+                plane.admit("t", (10.0, None), 64)
+            assert err.value.code is ApiErrorCode.INVALID_ARGUMENT
+            assert err.value.http_status == 400
+            # No retry_after detail, so no Retry-After header either.
+            assert "retry_after" not in err.value.details
+            assert err.value.details["rows"] == 64
+            assert err.value.details["burst_rows"] == 10.0
+            for part in ("64", "10", "infer_burst_rows", "split the batch"):
+                assert part in str(err.value), part
+        limited = plane._m_rate_limited.labels("t")
+        assert limited.value == 0
+        # Nothing was charged: a batch of the whole burst still fits.
+        plane.admit("t", (10.0, None), 10)
+
     def test_unlimited_by_default(self, trained):
         gateway, token, inputs = trained
         for _ in range(5):
@@ -524,6 +543,13 @@ def live(monkeypatch):
         server.server_close()
 
 
+@pytest.fixture
+def cheap(monkeypatch):
+    """Count every model these tests train as cheap enough to flush on
+    the loop, however loaded the host that times its predicts."""
+    monkeypatch.setattr(batching, "INLINE_FLUSH_SECONDS", 1.0)
+
+
 def requests_ok(gateway, tenant="alice"):
     family = gateway.metrics.get("gateway_requests_total")
     return family.labels(tenant, "infer", "ok").value
@@ -566,21 +592,29 @@ class TestFullHitsStayOnTheLoop:
         assert spy.threads["pool"] == []
         assert spy.threads["wait_pool"] == []
 
-    def test_partial_hit_hops_once_with_the_probe(self, live):
+    def test_partial_hit_on_a_measured_model_stays_on_the_loop(
+        self, live, cheap
+    ):
         gateway, server, client, _, inputs, spy = live
         client.infer_batch("moons", inputs[:4])
+        # The app's first flush had no cost estimate: it hopped, and
+        # the probe ran on the loop, once; the worker got its products.
+        for stage in ("validate", "admit", "lookup"):
+            assert spy.threads[stage] == [LOOP_THREAD], stage
+        assert len(spy.threads["pool"]) == 1
+        (worker,) = spy.threads["flush"]
+        assert worker.startswith("easeml-aio_")
+        # The loop offered the misses first, and was told to hop.
+        assert spy.threads["predict"] == [LOOP_THREAD, worker]
+        assert spy.threads["slo"] == [worker]
         spy.reset()
         answer = client.infer_batch("moons", inputs[2:8])  # 2 hit, 4 miss
         assert len(answer.predictions) == 6
-        # The probe ran on the loop, once; the worker got its products.
-        assert spy.threads["validate"] == [LOOP_THREAD]
-        assert spy.threads["admit"] == [LOOP_THREAD]
-        assert spy.threads["lookup"] == [LOOP_THREAD]
-        assert len(spy.threads["pool"]) == 1
-        (worker,) = spy.threads["predict"]
-        assert worker.startswith("easeml-aio_")
-        assert spy.threads["flush"] == [worker]
-        assert spy.threads["slo"] == [worker]
+        # That flush was timed: the partial hit never leaves the loop.
+        for stage in ("validate", "admit", "lookup", "predict", "flush",
+                      "slo"):
+            assert spy.threads[stage] == [LOOP_THREAD], stage
+        assert spy.threads["pool"] == []
         # Only the four misses went to the model.
         flush = gateway.server.log.of_kind(EventKind.INFER)[-1]
         assert flush.payload["rows"] == 4
@@ -597,13 +631,19 @@ class TestFullHitsStayOnTheLoop:
         assert len(spy.threads["pool"]) == 1
         assert spy.threads["flush"][0].startswith("easeml-aio_")
 
-    def test_cache_disabled_always_hops(self, live):
+    def test_cache_disabled_hops_until_a_flush_is_measured(
+        self, live, cheap
+    ):
         gateway, server, client, _, inputs, spy = live
         gateway.configure_infer_plane(InferPlaneConfig(cache_rows=0))
-        client.infer_batch("moons", inputs[:3])
-        client.infer_batch("moons", inputs[:3])
-        assert len(spy.threads["pool"]) == 2
-        assert spy.threads["validate"] == [LOOP_THREAD] * 2
+        for _ in range(3):
+            client.infer_batch("moons", inputs[:3])
+        # Every request is a miss; only the first, with nothing timed
+        # yet, pays the hop.
+        assert len(spy.threads["pool"]) == 1
+        assert spy.threads["validate"] == [LOOP_THREAD] * 3
+        assert spy.threads["flush"][0].startswith("easeml-aio_")
+        assert spy.threads["flush"][1:] == [LOOP_THREAD] * 2
 
     def test_in_process_handle_is_one_pass_too(self, live):
         gateway, _, _, token, inputs, spy = live
@@ -652,6 +692,216 @@ class TestFullHitsStayOnTheLoop:
         assert names.count("gateway.handle") == 2
         assert names.count("batch.coalesce") == 1
         assert trace["tenant"] == "alice"
+
+
+class TestCheapMissesStayOnTheLoop:
+    """A miss is answered on the loop when nothing it needs can make
+    it wait: the gateway lock is free, no flush is in flight, and the
+    app's last flush measured under ``INLINE_FLUSH_SECONDS``."""
+
+    @staticmethod
+    def warm(client, inputs, spy):
+        """One miss, to time the app's first flush (on a worker)."""
+        client.infer_batch("moons", inputs[:4])
+        assert len(spy.threads["pool"]) == 1
+        spy.reset()
+
+    @staticmethod
+    def new_traces(gateway, seen, count):
+        traces = infer_traces(gateway, len(seen) + count)
+        return [t for t in traces if t["trace_id"] not in seen]
+
+    def test_cheap_measured_miss_flushes_on_the_loop(self, live, cheap):
+        gateway, server, client, _, inputs, spy = live
+        self.warm(client, inputs, spy)
+        spy.on(batching.BatchQueue, "submit", "convoy")
+        waits = gateway.metrics.get("infer_queue_wait_seconds").labels()
+        waited = waits.total
+        seen = {t["trace_id"] for t in infer_traces(gateway, 1)}
+        answer = client.infer_batch("moons", inputs[10:18])
+        assert len(answer.predictions) == 8
+        # Probe, convoy, flush and accounting: all on the loop, once.
+        for stage in ("predict", "convoy", "flush", "slo"):
+            assert spy.threads[stage] == [LOOP_THREAD], stage
+        assert spy.threads["pool"] == []
+        # The flush went through the convoy: one queue-wait sample.
+        assert waits.total == waited + 1
+        (trace,) = self.new_traces(gateway, seen, 1)
+        names = [s["name"] for s in trace["spans"]]
+        assert names.count("gateway.handle") == 1
+        assert names.count("batch.coalesce") == 1
+        assert "queue.wait" not in names
+        assert requests_ok(gateway) == 2
+
+    def test_promotion_sends_the_next_miss_to_a_worker(self, live, cheap):
+        gateway, server, client, _, inputs, spy = live
+        self.warm(client, inputs, spy)
+        gateway._on_promotion(gateway.server.get_app("moons"))
+        client.infer_batch("moons", inputs[10:14])
+        client.infer_batch("moons", inputs[20:24])
+        # The promoted model's first flush is timed on a worker; the
+        # next miss uses that measurement.
+        assert len(spy.threads["pool"]) == 1
+        (first, second) = spy.threads["flush"]
+        assert first.startswith("easeml-aio_")
+        assert second == LOOP_THREAD
+
+    def test_miss_while_the_lock_is_held_hops_and_reads_pass(
+        self, live, cheap
+    ):
+        gateway, server, client, token, inputs, spy = live
+        self.warm(client, inputs, spy)
+        reader = EaseMLClient(server.url, token, timeout=30.0)
+        outcome = {}
+
+        def miss():
+            outcome["answer"] = client.infer_batch("moons", inputs[10:14])
+
+        in_flight = threading.Thread(target=miss)
+        try:
+            with gateway._lock:
+                in_flight.start()
+                deadline = time.monotonic() + 10.0
+                while not spy.threads["pool"]:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                # The miss waits for the lock on a worker, not on the
+                # loop, which still answers reads.
+                status = reader.app_status("moons")
+                assert "answer" not in outcome
+        finally:
+            in_flight.join(30.0)
+            reader.close()
+        assert status.app == "moons"
+        assert len(outcome["answer"].predictions) == 4
+        (worker,) = spy.threads["flush"]
+        assert worker.startswith("easeml-aio_")
+
+    def test_miss_behind_an_in_flight_flush_parks_on_a_worker(
+        self, live, cheap, monkeypatch
+    ):
+        gateway, server, client, token, inputs, spy = live
+        self.warm(client, inputs, spy)
+        convoy = spy.on(batching.BatchQueue, "submit", "convoy")
+        flush = gateway._predict_batch
+        entered, release = threading.Event(), threading.Event()
+
+        def held_flush(app, X):
+            # The first flush stalls before it takes the gateway lock,
+            # so the loop can have the lock but not the convoy.
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(10.0)
+            return flush(app, X)
+
+        monkeypatch.setattr(gateway, "_predict_batch", held_flush)
+        leader = threading.Thread(
+            target=infer, args=(gateway, token, inputs[10:14])
+        )
+        outcome = {}
+
+        def rider():
+            outcome["answer"] = client.infer_batch("moons", inputs[20:24])
+
+        riding = threading.Thread(target=rider)
+        leader.start()
+        try:
+            assert entered.wait(10.0)
+            riding.start()
+            deadline = time.monotonic() + 10.0
+            while len(convoy) < 3:  # leader, rider on the loop, rider
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+        finally:
+            release.set()
+            leader.join(30.0)
+            riding.join(30.0)
+        assert convoy[1] == LOOP_THREAD  # refused: a flush in flight
+        assert convoy[2].startswith("easeml-aio_")
+        assert len(spy.threads["pool"]) == 1
+        assert len(outcome["answer"].predictions) == 4
+        # The rider parked and then led the next flush, on its worker.
+        rows = [e.payload["rows"]
+                for e in gateway.server.log.of_kind(EventKind.INFER)]
+        assert rows[-2:] == [4, 4]
+
+    def test_slow_model_keeps_hopping(self, live, monkeypatch):
+        gateway, server, client, _, inputs, spy = live
+        app = gateway.server.get_app("moons")
+        real = app.infer_rows
+
+        def slow(X):
+            time.sleep(2 * batching.INLINE_FLUSH_SECONDS)
+            return real(X)
+
+        monkeypatch.setattr(app, "infer_rows", slow)
+        for start in (0, 10, 20):
+            client.infer_batch("moons", inputs[start:start + 4])
+        assert len(spy.threads["pool"]) == 3
+        assert LOOP_THREAD not in spy.threads["flush"]
+
+    def test_concurrent_misses_and_promotions_answer_every_row(
+        self, live, cheap
+    ):
+        """More clients than cores, all missing on one app, while
+        promotions keep dropping the cost estimate: loop flushes,
+        worker flushes and parked riders interleave, and every request
+        still gets exactly its own rows' predictions."""
+        gateway, server, client, token, inputs, spy = live
+        expected = client.infer_batch("moons", inputs).predictions
+        gateway.configure_infer_plane(InferPlaneConfig(cache_rows=0))
+        app = gateway.server.get_app("moons")
+        stop = threading.Event()
+        errors, answered = [], []
+
+        def rider(k):
+            own = EaseMLClient(server.url, token, timeout=30.0)
+            try:
+                for i in range(25):
+                    start = (7 * k + 3 * i) % (len(inputs) - 4)
+                    rows = inputs[start:start + 4]
+                    got = own.infer_batch("moons", rows).predictions
+                    if got != expected[start:start + 4]:
+                        errors.append((start, got))
+                    answered.append(k)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+            finally:
+                own.close()
+
+        def promote():
+            while not stop.wait(0.0005):
+                gateway._on_promotion(app)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=rider, args=(k,))
+                   for k in range(6)]
+        promoter = threading.Thread(target=promote)
+        try:
+            promoter.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            stop.set()
+            promoter.join(10.0)
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads + [promoter])
+        assert errors == []
+        assert len(answered) == 6 * 25
+
+    @pytest.mark.parametrize("mode", ["fixed", "off"])
+    def test_fixed_and_off_modes_always_hop(self, live, cheap, mode):
+        gateway, server, client, _, inputs, spy = live
+        gateway.configure_infer_plane(InferPlaneConfig(
+            mode=mode, window=0.001, cache_rows=0
+        ))
+        for _ in range(3):
+            client.infer_batch("moons", inputs[:4])
+        assert len(spy.threads["pool"]) == 3
+        assert LOOP_THREAD not in spy.threads["flush"]
 
 
 class TestInlineAdmission:

@@ -8,7 +8,7 @@ The package ``__init__``s of ``repro``, ``repro.obs`` and
 ``repro.service`` resolve their names on first use, and ``repro.cli``
 imports what a command needs inside that command.  So the paper's
 scheduler runs without the service stack, ``repro serve`` without the
-experiment harness, and the SDK without the server.
+experiment harness, and the SDK without the server or numpy.
 
 The checks here are on module presence in a fresh interpreter, not on
 wall-clock.
@@ -167,5 +167,5 @@ def test_the_sdk_loads_without_the_server():
         loaded,
         "repro.service.gateway", "repro.service.http", "repro.platform",
         "repro.ml", "repro.gp", "repro.core", "repro.persist",
-        "repro.runtime",
+        "repro.runtime", "numpy",
     ) == []
