@@ -30,12 +30,14 @@ import time
 from dataclasses import dataclass, field
 from typing import (
     Callable,
+    Container,
     Dict,
     Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -376,6 +378,8 @@ class MultiTenantScheduler:
         self.step_count = 0
         self.total_cost = 0.0
         self.records: List[StepRecord] = []
+        # A busy tenant's pick, served by the next next_dispatch call.
+        self._deferred_pick: Optional[int] = None
         self.bind_metrics(None)
         # Decision cache: per-tenant-id dense arrays of the quantities
         # the user-picking phase ranges over every round.  See the
@@ -615,24 +619,46 @@ class MultiTenantScheduler:
     # ------------------------------------------------------------------
     # The serve loop
     # ------------------------------------------------------------------
-    def step(self) -> StepRecord:
-        """Run one round: pick user, pick model, train, update."""
+    def next_dispatch(
+        self, busy: Container[int] = ()
+    ) -> Optional[Tuple[TenantState, Selection]]:
+        """Algorithm 2's two-level pick: a tenant, then its model.
+
+        The one place the user picker is asked: every driver (:meth:`step`
+        and the cluster oracle's ``run_concurrent``) dispatches through
+        here.  ``busy`` holds the ids of tenants that cannot take a job
+        now.  If the user picker names one, the pick is kept as this
+        scheduler's deferred pick and None is returned; the next call
+        serves it before asking the user picker again, so stateful
+        pickers such as ROUNDROBIN keep their sequence.  A deferred
+        tenant that departed meanwhile is dropped for a fresh pick.
+        """
         if not len(self.tenants):
             raise RuntimeError(
                 "no active tenants to serve; admit one with add_tenant()"
             )
-        user = self.user_picker.pick(self)
-        if not self.tenants.is_active(user):
-            raise IndexError(
-                f"user picker returned {user}, which is not an active "
-                f"tenant (active ids: {self.active_ids()})"
-            )
+        user, self._deferred_pick = self._deferred_pick, None
+        if user is None or not self.tenants.is_active(user):
+            user = self.user_picker.pick(self)
+            if not self.tenants.is_active(user):
+                raise IndexError(
+                    f"user picker returned {user}, which is not an active "
+                    f"tenant (active ids: {self.active_ids()})"
+                )
+        if user in busy:
+            self._deferred_pick = user
+            return None
         tenant = self.tenants[user]
         pick_started = time.perf_counter()
         selection = tenant.picker.select()
         self._m_pick_seconds.observe(time.perf_counter() - pick_started)
         self._m_picks.labels(user).inc()
-        observation = self.oracle.observe(user, selection.arm)
+        return tenant, selection
+
+    def step(self) -> StepRecord:
+        """Run one round: pick user, pick model, train, update."""
+        tenant, selection = self.next_dispatch()
+        observation = self.oracle.observe(tenant.index, selection.arm)
         return self.complete(
             tenant, selection, observation.reward, observation.cost
         )
@@ -682,10 +708,10 @@ class MultiTenantScheduler:
     ) -> RunResult:
         """Run until a step or cost budget is exhausted.
 
-        ``cost_budget`` stops *before* a step that would exceed it when
-        the next model's cost is already known to overflow; the final
-        partial overshoot of at most one model is allowed otherwise
-        (matching how a real cluster finishes its last job).
+        ``cost_budget`` is checked before each step: the run stops once
+        the cumulative cost has reached it, so the last step may
+        overshoot it by up to one model's cost (matching how a real
+        cluster finishes its last job).
         """
         if max_steps is None and cost_budget is None and stop is None:
             raise ValueError(

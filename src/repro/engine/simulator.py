@@ -7,11 +7,11 @@ the single- vs multi-device trade-off can be measured
 :class:`repro.runtime.AsyncClusterOracle` under ``single`` placement.
 
 The simulator is not that runtime under ``dedicated`` placement plus
-``run_concurrent``: there, every dispatch goes through one global user
-picker (a busy tenant's pick is deferred), planning costs are divided
-by the pool speedup, and no wall-clock horizon stops the run.  Here
-each user runs its own GP-UCB on its own device, on profiled costs,
-until the horizon.
+``run_concurrent``: there, every dispatch goes through
+``MultiTenantScheduler.next_dispatch`` (one global user picker; a busy
+tenant's pick is deferred), planning costs are divided by the pool
+speedup, and no wall-clock horizon stops the run.  Here each user runs
+its own GP-UCB on its own device, on profiled costs, until the horizon.
 """
 
 from __future__ import annotations

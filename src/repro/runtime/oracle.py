@@ -83,9 +83,6 @@ class AsyncClusterOracle(RewardOracle):
         )
         #: Dispatches skipped because the picked tenant was busy.
         self.stalled_picks = 0
-        # A busy-tenant pick deferred across run_concurrent calls, so
-        # budget-bounded runs never drop a stateful picker's choice.
-        self._deferred_user: Optional[int] = None
         # Membership wiring: while run_concurrent is live, kernel
         # USER_ARRIVED / USER_DEPARTED events call back into the
         # scheduler's registry through these hooks.
@@ -158,18 +155,7 @@ class AsyncClusterOracle(RewardOracle):
     def observe(self, user: int, model: int) -> Observation:
         """Submit one job and run the kernel until it completes."""
         self._check_pair(user, model)
-        try:
-            reward, gpu_time = self.trainer.train(user, model)
-        except Exception as exc:
-            # Training is computed at dispatch, so the failure happens
-            # before any Job exists; job_id is None (never absent) to
-            # keep the JOB_FAILED payload schema uniform.
-            self.log.append(
-                self.clock.now, EventKind.JOB_FAILED, job_id=None,
-                user=user, model=model, reason=str(exc),
-            )
-            raise
-        job = self.runtime.submit(user, model, gpu_time, reward)
+        job = self._train_and_submit(user, model)
         while job.state not in (JobState.FINISHED, JobState.FAILED):
             if not self.runtime.queue:
                 raise RuntimeError(
@@ -209,14 +195,14 @@ class AsyncClusterOracle(RewardOracle):
 
         Dispatch: while fewer than ``max_in_flight`` jobs are in
         flight (default: the oracle's ``max_in_flight``; one under
-        ``single`` placement) and budgets permit, ask the
-        user picker for a tenant
-        and its model picker for an arm, then submit the job to the
-        runtime.  A tenant keeps at most one job in flight — if the
-        picker selects a busy tenant, that pick is *deferred* (not
-        discarded, so stateful pickers like ROUNDROBIN keep their
-        documented sequence) and dispatch pauses until the next
-        completion (counted in :attr:`stalled_picks`).
+        ``single`` placement) and budgets permit, take a tenant and an
+        arm from :meth:`MultiTenantScheduler.next_dispatch`, then
+        submit the job to the runtime.  A tenant keeps at most one job
+        in flight — if the picker selects a busy tenant, that pick is
+        *deferred* by the scheduler (not discarded, so stateful pickers
+        like ROUNDROBIN keep their documented sequence) and dispatch
+        pauses until the next completion (counted in
+        :attr:`stalled_picks`).
 
         Completion: each finished job is fed back exactly like a
         synchronous :meth:`MultiTenantScheduler.step` — picker
@@ -266,96 +252,65 @@ class AsyncClusterOracle(RewardOracle):
                 else:
                     self.runtime.user_departs(item.user, time=when)
         records_before = len(scheduler.records)
-        in_flight = {}  # job_id -> (tenant, selection)
-        busy_users = set()
+        window = (
+            max_in_flight if max_in_flight is not None else self.max_in_flight
+        )
+        # tenant id -> (job, tenant, selection); a tenant has at most
+        # one job in flight, so the keys are also the busy set.
+        in_flight = {}
         dispatched = 0
-
-        def window() -> int:
-            if max_in_flight is not None:
-                return max_in_flight
-            if self.max_in_flight is not None:
-                return self.max_in_flight
-            return max(1, min(scheduler.n_users, self.pool.n_gpus))
-
-        def may_dispatch() -> bool:
-            if len(in_flight) >= window():
-                return False
-            if max_jobs is not None and dispatched >= max_jobs:
-                return False
-            if cost_budget is not None and (
-                scheduler.total_cost >= cost_budget
-            ):
-                return False
-            return True
-
-        def scrub_cancelled() -> bool:
-            """Drop in-flight jobs a departure cancelled; free slots."""
-            cancelled = [
-                jid for jid in in_flight
-                if self.runtime.jobs[jid].state is JobState.FAILED
-            ]
-            for jid in cancelled:
-                in_flight.pop(jid)
-                busy_users.discard(self.runtime.jobs[jid].user)
-            return bool(cancelled)
-
         self._membership_ctx = (scheduler, picker_factory)
         try:
             while True:
-                while scheduler.n_users > 0 and may_dispatch():
-                    if self._deferred_user is not None:
-                        user, self._deferred_user = self._deferred_user, None
-                        if not scheduler.tenants.is_active(user):
-                            continue  # deferred tenant has departed
-                    else:
-                        user = scheduler.user_picker.pick(scheduler)
-                    if not scheduler.tenants.is_active(user):
-                        raise IndexError(
-                            f"user picker returned {user}, which is not an "
-                            f"active tenant (active: "
-                            f"{scheduler.active_ids()})"
+                limit = window
+                if limit is None:
+                    limit = max(1, min(scheduler.n_users, self.pool.n_gpus))
+                may_dispatch = (
+                    len(in_flight) < limit
+                    and (max_jobs is None or dispatched < max_jobs)
+                    and (
+                        cost_budget is None
+                        or scheduler.total_cost < cost_budget
+                    )
+                )
+                if may_dispatch and scheduler.n_users > 0:
+                    picked = scheduler.next_dispatch(busy=in_flight)
+                    if picked is not None:
+                        tenant, selection = picked
+                        job = self._train_and_submit(
+                            tenant.index, selection.arm
                         )
-                    if user in busy_users:
-                        self._deferred_user = user
-                        self.stalled_picks += 1
-                        break
-                    tenant = scheduler.tenants[user]
-                    selection = tenant.picker.select()
-                    reward, gpu_time = self.trainer.train(
-                        user, selection.arm
-                    )
-                    job = self.runtime.submit(
-                        user, selection.arm, gpu_time, reward
-                    )
-                    in_flight[job.job_id] = (tenant, selection)
-                    busy_users.add(user)
-                    dispatched += 1
+                        in_flight[tenant.index] = (job, tenant, selection)
+                        dispatched += 1
+                        continue
+                    # The picked tenant is busy: wait for a completion.
+                    self.stalled_picks += 1
                 if in_flight:
                     completed: List[Job] = []
                     freed = False
                     while self.runtime.queue and not completed and not freed:
                         completed = self.runtime.step()
-                        freed = scrub_cancelled()
-                    if not completed and not freed and in_flight:
+                        # Drop jobs a departure cancelled; free slots.
+                        for user, entry in list(in_flight.items()):
+                            if entry[0].state is JobState.FAILED:
+                                del in_flight[user]
+                                freed = True
+                    if not completed and not freed:
                         raise RuntimeError(
                             f"runtime stalled with {len(in_flight)} jobs "
                             f"in flight (policy "
                             f"{self.runtime.policy.name!r})"
                         )
                     for job in completed:
-                        if job.job_id not in in_flight:
-                            continue
-                        tenant, selection = in_flight.pop(job.job_id)
-                        busy_users.discard(job.user)
-                        self.absorb(scheduler, tenant, selection, job)
+                        entry = in_flight.get(job.user)
+                        if entry is not None and entry[0] is job:
+                            del in_flight[job.user]
+                            self.absorb(scheduler, *entry[1:], job)
                     continue
-                if (
-                    may_dispatch()
-                    and scheduler.n_users == 0
-                    and self.runtime.queue
-                ):
-                    # Nobody to serve yet (or everybody left): advance
-                    # to the next membership event.
+                if may_dispatch and self.runtime.queue:
+                    # Window open but no active tenant (none arrived
+                    # yet, or everybody left): advance to the next
+                    # membership event.
                     self.runtime.step()
                     continue
                 break
@@ -394,6 +349,22 @@ class AsyncClusterOracle(RewardOracle):
     def on_absorb(self, callback: Callable[[Job], None]) -> None:
         """Register a callback fired after each completion is absorbed."""
         self._absorb_callbacks.append(callback)
+
+    def _train_and_submit(self, user: int, model: int) -> Job:
+        """Train one model and submit its job to the runtime.
+
+        A training failure happens before any Job exists: it is logged
+        as ``JOB_FAILED`` with ``job_id=None`` and propagates.
+        """
+        try:
+            reward, gpu_time = self.trainer.train(user, model)
+        except Exception as exc:
+            self.log.append(
+                self.clock.now, EventKind.JOB_FAILED, job_id=None,
+                user=user, model=model, reason=str(exc),
+            )
+            raise
+        return self.runtime.submit(user, model, gpu_time, reward)
 
     @staticmethod
     def _service_time(job: Job) -> float:

@@ -1474,8 +1474,8 @@ class ServiceGateway:
                     ApiErrorCode.FAILED_PRECONDITION,
                     f"cannot start training: {exc}",
                 ) from None
-            # The simulation-side scheduler (MultiTenantScheduler.step)
-            # reports its own pick latency/counts into this registry.
+            # Picks made by MultiTenantScheduler.next_dispatch (step()
+            # and run_concurrent) report into this registry too.
             bind = getattr(self.server.scheduler, "bind_metrics", None)
             if bind is not None:
                 bind(self.metrics)

@@ -297,6 +297,27 @@ class TestDynamicMembership:
         with pytest.raises(RuntimeError, match="no active tenants"):
             sched.step()
 
+    def test_busy_pick_is_deferred_to_the_next_dispatch(self):
+        sched = make_sched(QUALITY)  # ROUNDROBIN: 0, 1, 0, ...
+        assert sched.next_dispatch(busy={0}) is None
+        assert sched.records == []
+        assert sched.step().user == 0  # the deferred pick, not a new one
+        assert sched.step().user == 1
+
+    def test_departed_deferred_pick_is_dropped(self):
+        sched = make_sched(QUALITY)
+        assert sched.next_dispatch(busy={0}) is None
+        sched.retire_tenant(0)
+        tenant, selection = sched.next_dispatch()
+        assert tenant.index == 1
+        assert 0 <= selection.arm < 2
+
+    def test_next_dispatch_rejects_inactive_pick(self):
+        sched = make_sched(QUALITY)
+        sched.user_picker.pick = lambda scheduler: 7
+        with pytest.raises(IndexError, match="user picker returned 7"):
+            sched.next_dispatch()
+
     def test_serves_per_user_sized_to_max_id(self):
         quality = np.asarray(QUALITY, dtype=float)
         oracle = MatrixOracle(quality)

@@ -11,6 +11,10 @@ only cluster substrate:
   every app's candidate history and best model after 15 steps, per
   strategy and seed.  Those runs charged raw work units, so only picks
   and accuracies are pinned, not the scheduler's costs.
+
+The two Algorithm-2 drivers, ``MultiTenantScheduler.run`` and
+``AsyncClusterOracle.run_concurrent``, are also pinned against each
+other: under ``single`` placement they produce identical records.
 """
 
 import hashlib
@@ -77,6 +81,43 @@ def test_scheduler_run_matches_single_device_golden(strategy, noise):
         expected["cumulative_cost"], rel=1e-12
     )
     assert oracle.clock.now == pytest.approx(expected["clock"], rel=1e-12)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+@pytest.mark.parametrize("strategy", sorted(PICKERS))
+def test_step_is_the_window_one_case_of_run_concurrent(strategy, noise):
+    # Both drivers dispatch through MultiTenantScheduler.next_dispatch;
+    # under single placement run_concurrent has a window of one job,
+    # so it must reproduce scheduler.run() record for record.
+    ds = load_deeplearning(seed=0)
+    runs = []
+    for drive in ("step", "run_concurrent"):
+        oracle = AsyncClusterOracle(
+            TraceTrainer(ds, noise_std=noise, seed=0),
+            GPUPool(24, 0.9),
+            SingleDevicePlacement(),
+        )
+        cov = empirical_model_covariance(ds.quality)
+        pickers = [
+            GPUCBPicker(
+                cov, AlgorithmOneBeta(ds.n_models), oracle.costs(i),
+                noise=0.05,
+            )
+            for i in range(ds.n_users)
+        ]
+        sched = MultiTenantScheduler(oracle, pickers, PICKERS[strategy]())
+        budget = 0.3 * ds.total_cost() / oracle.pool.speedup()
+        if drive == "step":
+            result = sched.run(cost_budget=budget)
+        else:
+            result = oracle.run_concurrent(sched, cost_budget=budget)
+        records = [
+            (r.t, r.user, r.arm, r.reward, r.cost, r.cumulative_cost)
+            for r in result.records
+        ]
+        runs.append((records, oracle.clock.now))
+    assert runs[0][0]
+    assert runs[0] == runs[1]
 
 
 TASKS = {"blobs": (3, 0), "moons": (2, 1), "xor": (2, 2)}

@@ -283,3 +283,51 @@ class TestRunConcurrent:
             t % dataset.n_users for t in range(2 * dataset.n_users)
         ]
         assert dispatch_users == expected
+
+
+class TestOneDispatchSite:
+    def test_failed_training_logged_under_run_concurrent(self, dataset):
+        class ExplodingTrainer(TraceTrainer):
+            def train(self, user, model):
+                raise RuntimeError("OOM")
+
+        oracle = AsyncClusterOracle(
+            ExplodingTrainer(dataset), GPUPool(4), SingleDevicePlacement()
+        )
+        scheduler = MultiTenantScheduler(
+            oracle, pickers_for(dataset, oracle), RoundRobinPicker()
+        )
+        with pytest.raises(RuntimeError, match="OOM"):
+            oracle.run_concurrent(scheduler, max_jobs=1)
+        failed = oracle.log.filter(EventKind.JOB_FAILED)
+        assert len(failed) == 1
+        assert failed[0].payload["reason"] == "OOM"
+        assert failed[0].payload["job_id"] is None
+        assert failed[0].payload["user"] == 0  # ROUNDROBIN's first pick
+        assert not oracle.runtime.jobs
+
+    def test_deferred_pick_is_served_by_the_next_driver(self, dataset):
+        # A budget-bounded concurrent run ends with a busy tenant's pick
+        # deferred.  The deferral is the scheduler's, so the next
+        # dispatch -- here a synchronous step() -- serves that tenant
+        # without asking the user picker, and it is not replayed later.
+        oracle = build(dataset, DynamicPartitionPlacement(), max_in_flight=4)
+        scheduler = MultiTenantScheduler(
+            oracle, pickers_for(dataset, oracle), GreedyPicker(seed=0)
+        )
+        picks = []
+        pick = scheduler.user_picker.pick
+
+        def recording_pick(sched):
+            picks.append(pick(sched))
+            return picks[-1]
+
+        scheduler.user_picker.pick = recording_pick
+        oracle.run_concurrent(scheduler, cost_budget=2.0)
+        assert oracle.stalled_picks > 0
+        n_picks = len(picks)
+        assert scheduler.step().user == picks[-1]
+        assert len(picks) == n_picks
+        oracle.run_concurrent(scheduler, max_jobs=1)
+        assert len(picks) == n_picks + 1
+        assert oracle.runtime.jobs[-1].user == picks[-1]
