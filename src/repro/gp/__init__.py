@@ -10,9 +10,10 @@ from scratch on numpy/scipy:
   for hyperparameter optimisation.
 * :mod:`repro.gp.regression` — :class:`FiniteArmGP`, the posterior over
   a finite arm set (Algorithm 1 lines 6–7 of the paper): O(tK)
-  incremental Cholesky updates in contiguous capacity-doubling buffers,
-  O(K) posterior accumulators, and a blocked ``update_batch`` for
-  replay/warm-start that is bit-identical to looping ``update``.
+  incremental Cholesky updates that store only the pivots, ``V`` and
+  ``z`` in capacity-doubling buffers (O(tK) memory, no t×t factor),
+  O(K) posterior accumulators, and a blocked ``update_batch`` that is
+  bit-identical to looping ``update``.
 * :mod:`repro.gp.likelihood` — log-marginal-likelihood computation and
   multi-restart L-BFGS hyperparameter fitting, mirroring the paper's
   protocol ("all hyperparameters for GP-UCB are tuned by maximizing the

@@ -10,18 +10,17 @@ observations ``y_{1:t}`` at arms ``a_{1:t}``,
     \\sigma_t^2(k) &= \\Sigma(k, k)
                     - \\Sigma_t(k)^T (\\Sigma_t + \\sigma^2 I)^{-1} \\Sigma_t(k)
 
-The implementation grows a Cholesky factor of ``Σ_t + σ²I`` one row per
-observation, so an update costs O(tK) instead of the O(t³ + t²K) of a
-full refit.  The factor lives in a contiguous capacity-doubling buffer;
-the forward-substitution vector each extension needs is a column of the
-maintained ``V = L⁻¹ Σ_t(·)`` matrix, so the update is a strided read
-plus a handful of vectorized dots — no triangular solve, no per-element
-Python arithmetic, and no reallocation on the hot path.  The posterior
-mean and variance are O(K) running accumulators (appending row ``t``
-adds ``z_t·V_t`` and ``V_t²``), so queries never re-reduce the history.
-:meth:`update_batch` absorbs a whole observation block with one
-capacity reservation (recovery/replay uses it so replaying t records
-costs one buffer growth, not t).
+An update extends a Cholesky factorisation of ``Σ_t + σ²I`` by one row
+in O(tK), not the O(t³ + t²K) of a refit, and the state is O(tK): the
+pivots (the factor's diagonal), ``V = L⁻¹ Σ_t(·)``, ``z = L⁻¹ (y − m(a))``
+and two O(K) posterior accumulators.  The factor's off-diagonal is never
+stored: its row ``t`` is ``L⁻¹ Σ_t(a_t)``, column ``a_t`` of ``V``, and
+the log-likelihood reads only the pivots.  In capacity-doubling buffers
+an update is a strided read plus a few vectorized dots — no triangular
+solve, no per-element Python arithmetic, no reallocation on the hot
+path.  Appending row ``t`` adds ``z_t·V_t`` to the mean accumulator and
+``V_t²`` to the explained variance, so queries never re-reduce the
+history.  :meth:`update_batch` is bit-identical to looping :meth:`update`.
 ``refit()`` recomputes everything from scratch through a different code
 path (block Cholesky) and is used by the test suite to validate the
 incremental path.
@@ -44,6 +43,9 @@ _MIN_CAPACITY = 16
 
 class FiniteArmGP:
     """Gaussian-process belief over a finite set of arms.
+
+    After t observations it holds O(tK) floats: the Cholesky pivots,
+    ``V``, ``z`` and the history, never the (t, t) factor itself.
 
     Parameters
     ----------
@@ -85,13 +87,14 @@ class FiniteArmGP:
         self.jitter = check_positive(jitter, "jitter")
 
         # Incremental state, stored in contiguous capacity-doubling
-        # buffers whose first ``_t`` rows are live: ``L`` is the lower
-        # Cholesky factor of (Σ_t + σ²I); V = L⁻¹ Σ_t(·) is (t, K);
-        # z = L⁻¹ (y - m(a)); ``arms``/``y`` are the observation
-        # history.
+        # buffers whose first ``_t`` rows are live: ``pivots`` is the
+        # diagonal of L, the lower Cholesky factor of (Σ_t + σ²I) (its
+        # off-diagonal rows are columns of V and are never stored);
+        # V = L⁻¹ Σ_t(·) is (t, K); z = L⁻¹ (y - m(a)); ``arms``/``y``
+        # are the observation history.
         self._t = 0
         self._capacity = 0
-        self._L = np.empty((0, 0))
+        self._pivots = np.empty(0)
         self._V = np.empty((0, self._n_arms))
         self._z = np.empty(0)
         self._arms = np.empty(0, dtype=np.intp)
@@ -150,19 +153,19 @@ class FiniteArmGP:
         capacity = max(_MIN_CAPACITY, self._capacity)
         while capacity < rows:
             capacity *= 2
-        L = np.zeros((capacity, capacity))
+        pivots = np.empty(capacity)
         V = np.empty((capacity, self._n_arms))
         z = np.empty(capacity)
         arms = np.empty(capacity, dtype=np.intp)
         y = np.empty(capacity)
         t = self._t
         if t:
-            L[:t, :t] = self._L[:t, :t]
+            pivots[:t] = self._pivots[:t]
             V[:t] = self._V[:t]
             z[:t] = self._z[:t]
             arms[:t] = self._arms[:t]
             y[:t] = self._y[:t]
-        self._L, self._V, self._z = L, V, z
+        self._pivots, self._V, self._z = pivots, V, z
         self._arms, self._y = arms, y
         self._capacity = capacity
 
@@ -170,7 +173,7 @@ class FiniteArmGP:
     # Updates
     # ------------------------------------------------------------------
     def _append_row(self, arm: int, reward: float) -> None:
-        """Extend the Cholesky factor by one observation (O(tK)).
+        """Extend the factorisation by one observation (O(tK)).
 
         The caller has already validated ``arm``/``reward`` and
         reserved capacity for the new row.
@@ -180,11 +183,11 @@ class FiniteArmGP:
         # the already observed points, plus its own noisy variance.
         d = self._cov[arm, arm] + self.noise**2
         if t:
-            # The forward-substitution solution w = L⁻¹ Σ_t(a_new) is
-            # column a_new of V = L⁻¹ Σ_t(·), which the recurrence
-            # below already maintains — a strided O(t) read replaces
-            # the O(t²) triangular solve (and the 2t²-byte copy scipy
-            # would make of the non-contiguous L[:t, :t] view).
+            # The forward-substitution solution w = L⁻¹ Σ_t(a_new) —
+            # the new off-diagonal row of L — is column a_new of
+            # V = L⁻¹ Σ_t(·), which the recurrence below already
+            # maintains: a strided O(t) read replaces the O(t²)
+            # triangular solve, and the row itself need not be kept.
             w = np.ascontiguousarray(self._V[:t, arm])
             pivot_sq = d - w @ w
         else:
@@ -192,9 +195,8 @@ class FiniteArmGP:
             pivot_sq = d
         pivot = math.sqrt(max(pivot_sq, self.jitter))
 
-        self._L[t, t] = pivot
+        self._pivots[t] = pivot
         if t:
-            self._L[t, :t] = w
             # V row: (Σ(a_new, ·) − wᵀ V) / pivot.
             self._V[t] = (self._cov[arm, :] - w @ self._V[:t]) / pivot
             # z entry: centred residual.
@@ -229,9 +231,7 @@ class FiniteArmGP:
         per ``(arm, reward)`` pair — the same incremental kernel runs
         row by row — but the buffers are reserved once for the whole
         block, inputs are validated in bulk, and the posterior cache is
-        invalidated once.  Recovery/replay uses this so absorbing a
-        t-record history costs a single capacity reservation instead of
-        t reallocations.
+        invalidated once.
         """
         arms = np.asarray(arms, dtype=np.intp).ravel()
         rewards = np.asarray(rewards, dtype=float).ravel()
@@ -303,7 +303,7 @@ class FiniteArmGP:
         if t == 0:
             return 0.0
         z = self._z[:t]
-        log_det_half = float(np.sum(np.log(np.diag(self._L[:t, :t]))))
+        log_det_half = float(np.sum(np.log(self._pivots[:t])))
         return float(-0.5 * (z @ z) - log_det_half - 0.5 * t * _LOG_2PI)
 
     def refit(self) -> "FiniteArmGP":
@@ -325,7 +325,7 @@ class FiniteArmGP:
             gram = self._cov[np.ix_(arms, arms)] + self.noise**2 * np.eye(t)
             L = np.linalg.cholesky(gram + self.jitter * np.eye(t))
             clone._reserve(t)
-            clone._L[:t, :t] = L
+            clone._pivots[:t] = np.diag(L)
             clone._V[:t] = solve_triangular(
                 L, self._cov[arms, :], lower=True
             )
@@ -352,7 +352,7 @@ class FiniteArmGP:
         t = self._t
         if t:
             clone._reserve(t)
-            clone._L[:t, :t] = self._L[:t, :t]
+            clone._pivots[:t] = self._pivots[:t]
             clone._V[:t] = self._V[:t]
             clone._z[:t] = self._z[:t]
             clone._mean_acc = self._mean_acc.copy()

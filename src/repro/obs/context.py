@@ -55,7 +55,7 @@ def sanitize_client_id(raw: Optional[str]) -> Optional[str]:
     raw = raw.strip()
     if not raw or len(raw) > _MAX_CLIENT_ID_LEN:
         return None
-    if any(c in "\r\n\t" or not c.isprintable() for c in raw):
+    if not (raw.isascii() and raw.isprintable()):
         return None
     return raw
 

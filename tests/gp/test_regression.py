@@ -1,5 +1,7 @@
 """Tests for the finite-arm GP posterior (Algorithm 1 lines 6–7)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.gp.kernels import RBF, ConstantKernel
 from repro.gp.covariance import covariance_from_features
-from repro.gp.regression import FiniteArmGP
+from repro.gp.regression import _LOG_2PI, FiniteArmGP
 
 
 def make_gp(n_arms=6, noise=0.1, seed=0):
@@ -289,3 +291,97 @@ class TestLongHorizonParity:
         assert gp.log_marginal_likelihood() == pytest.approx(
             ref.log_marginal_likelihood(), rel=1e-3
         )
+
+
+class _FullFactorGP:
+    """The same one-row extension, keeping the whole (t, t) factor L."""
+
+    def __init__(self, cov, noise, n, jitter=1e-10):
+        self.cov, self.noise, self.jitter, self.t = cov, noise, jitter, 0
+        self.L = np.zeros((n, n))
+        self.V = np.empty((n, cov.shape[0]))
+        self.z = np.empty(n)
+        self.mean_acc = np.zeros(cov.shape[0])
+        self.explained_acc = np.zeros(cov.shape[0])
+
+    def update(self, arm, reward):
+        t, L, V, z = self.t, self.L, self.V, self.z
+        w = np.ascontiguousarray(V[:t, arm])
+        pivot_sq = self.cov[arm, arm] + self.noise**2
+        if t:
+            pivot_sq -= w @ w
+        L[t, t] = pivot = math.sqrt(max(pivot_sq, self.jitter))
+        L[t, :t] = w
+        if t:
+            V[t] = (self.cov[arm, :] - w @ V[:t]) / pivot
+            z[t] = (reward - w @ z[:t]) / pivot
+        else:
+            V[t] = self.cov[arm, :] / pivot
+            z[t] = reward / pivot
+        self.mean_acc += z[t] * V[t]
+        self.explained_acc += V[t] * V[t]
+        self.t = t + 1
+
+    def posterior(self):
+        variance = np.diag(self.cov) - self.explained_acc
+        return self.mean_acc.copy(), np.maximum(variance, 0.0)
+
+    def log_marginal_likelihood(self):
+        t, z = self.t, self.z[: self.t]
+        log_det_half = float(np.sum(np.log(np.diag(self.L[:t, :t]))))
+        return float(-0.5 * (z @ z) - log_det_half - 0.5 * t * _LOG_2PI)
+
+
+class TestPivotsOnly:
+    """The GP keeps the factor's diagonal only; nothing it computes may
+    differ from keeping the whole factor, and its memory is O(tK)."""
+
+    def test_bit_identical_to_full_factor(self):
+        gp, cov, rng = make_gp(n_arms=6, seed=11)
+        ref = _FullFactorGP(cov, gp.noise, n=500)
+        arms = rng.integers(0, 6, size=500)
+        rewards = rng.normal(scale=0.3, size=500)
+        # One-at-a-time updates up to t = 200, then chunked batches of
+        # uneven sizes: the capacity doubles 16 -> 32 -> ... -> 512.
+        bounds = list(range(0, 201)) + [237, 256, 300, 411, 500]
+        for lo, hi in zip(bounds, bounds[1:]):
+            if hi - lo == 1:
+                gp.update(int(arms[lo]), float(rewards[lo]))
+            else:
+                gp.update_batch(arms[lo:hi], rewards[lo:hi])
+            for a, r in zip(arms[lo:hi], rewards[lo:hi]):
+                ref.update(int(a), float(r))
+            t = gp.n_observations
+            assert t == ref.t == hi
+            for mine, theirs in zip(gp.posterior(), ref.posterior()):
+                assert np.array_equal(mine, theirs)
+            assert np.array_equal(gp._V[:t], ref.V[:t])
+            assert np.array_equal(gp._z[:t], ref.z[:t])
+            assert np.array_equal(gp._pivots[:t], np.diag(ref.L[:t, :t]))
+            assert gp.log_marginal_likelihood() == (
+                ref.log_marginal_likelihood()
+            )
+        assert gp._capacity == 512
+        # Every off-diagonal row of the factor is a column of V.
+        for t in range(1, 500):
+            assert np.array_equal(ref.L[t, :t], gp._V[:t, arms[t]])
+
+    def test_memory_is_linear_in_t_and_copy_keeps_the_likelihood(self):
+        gp, _, rng = make_gp(n_arms=4, seed=5)
+        arms = rng.integers(0, 4, size=700)
+        rewards = rng.normal(scale=0.3, size=700)
+        for a, r in zip(arms[:600], rewards[:600]):
+            gp.update(int(a), float(r))
+        held = sum(
+            v.nbytes for v in vars(gp).values() if isinstance(v, np.ndarray)
+        )
+        # A (capacity, capacity) factor would be 8 MiB at capacity 1024.
+        assert held < 256 * 1024
+        clone = gp.copy()
+        assert clone.log_marginal_likelihood() == gp.log_marginal_likelihood()
+        for a, r in zip(arms[600:], rewards[600:]):
+            gp.update(int(a), float(r))
+            clone.update(int(a), float(r))
+        for mine, theirs in zip(gp.posterior(), clone.posterior()):
+            assert np.array_equal(mine, theirs)
+        assert clone.log_marginal_likelihood() == gp.log_marginal_likelihood()

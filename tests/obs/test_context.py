@@ -32,6 +32,7 @@ class TestRequestIds:
         assert sanitize_client_id("a\tb") is None
         assert sanitize_client_id("x" * 129) is None
         assert sanitize_client_id("caf\x00e") is None
+        assert sanitize_client_id("caf\xe9") is None
 
 
 class TestBinding:
