@@ -1,42 +1,31 @@
-"""Scale-out serving plane: read scaling, replica lag, promotion time.
+"""Standby failover: SIGKILL the writer, stopwatch to the first write.
 
-Spins up a real :class:`~repro.replica.ServingPlane` (writer + N
-WAL-tailing read replicas, each its own OS process) per configuration
-and measures the three numbers the scale-out design trades on:
+Spins up a real :class:`~repro.replica.ServingPlane` (writer + one
+standby that follows the journal, each its own OS process), waits
+until the standby reports ``following`` at the writer's sequence, then
+SIGKILLs the writer.  One client on the plane's one address retries a
+write until it is acked; the report records kill → first acked write
+per run, next to ``nproc``.
 
-* **read scaling** — aggregate read throughput (app-status / list-apps
-  over HTTP) as replicas are added, against the single-writer
-  baseline.  Replicas serve reads from their own follower state and
-  never take the writer's lock, so the ceiling is CPU, not locking.
-* **replica lag** — the staleness distribution (the ``X-Replica-Lag``
-  header, in records) observed by a reader while the writer sustains
-  a mutation load.  This is the bound ``--max-lag-records`` enforces.
-* **promotion time** — SIGKILL the writer, stopwatch until the
-  supervisor's promoted replica acknowledges a write.
+Replicas serve no reads: the read-scaling table this bench used to
+print read 1.02×, 0.83× and 1.16× at 1, 2 and 4 replicas on one core,
+and that path was deleted.  Failover is what standbys are for; compare
+the numbers here with a cold restart's ``restart_to_ready_s``.
 
-Caveat for the recorded numbers: read scaling across replica
-*processes* needs CPU cores to scale onto.  On a single-core host
-(``nproc`` is printed in the report) the replicas time-share one core
-and aggregate throughput stays roughly flat — the honest expectation
-there is "no worse than baseline, plus isolation and failover", not a
-speedup.  Run on a multi-core host to see the scaling curve the
-design targets (2 replicas > 1.5x baseline).
+Run standalone::
 
-Run standalone (CI smoke uses ``--quick``)::
-
-    PYTHONPATH=src python benchmarks/bench_replica_scaleout.py --quick
+    PYTHONPATH=src python benchmarks/bench_replica_scaleout.py [--quick]
 """
 
 import argparse
 import os
+import random
 import shutil
 import signal
+import statistics
 import tempfile
-import threading
 import time
 from pathlib import Path
-
-import numpy as np
 
 from conftest import save_report
 
@@ -49,228 +38,98 @@ PROGRAM = "{input: {[Tensor[2]], []}, output: {[Tensor[2]], []}}"
 GATEWAY_KWARGS = dict(
     placement="partition", n_gpus=4, min_examples=10, seed=0
 )
+#: The supervisor's monitor tick: it notices a dead writer on the next.
+HEARTBEAT = 0.25
 
 
-def _start_plane(state_dir, replicas):
+def _caught_up(state_dir):
+    """Is every standby following at the writer's applied seq?"""
+    members = read_cluster(state_dir)["members"]
+    writer = next(m for m in members if m["role"] == "writer")
+    return all(
+        m.get("following") and m.get("applied_seq") == writer.get("applied_seq")
+        for m in members
+        if m["role"] == "standby"
+    )
+
+
+def run_failover(state_dir):
+    """SIGKILL the writer; seconds until a write is acked again."""
     plane = ServingPlane(
         state_dir,
-        replicas=replicas,
+        replicas=1,
         tenants=["bench"],
         sync="buffered",
         gateway_kwargs=dict(GATEWAY_KWARGS),
-        heartbeat_interval=0.25,
+        heartbeat_interval=HEARTBEAT,
     )
     plane.start()
-    return plane
-
-
-def _onboard(plane, app="bench-app", n=60):
-    token = plane.tokens["bench"]
-    writer = EaseMLClient(plane.writer_url, token)
-    writer.register_app(app, PROGRAM)
-    X, y = make_task(TaskSpec("moons", n, 0.3, seed=0))
-    writer.feed(app, X.tolist(), [int(v) for v in y])
-    # Wait for every replica to catch up before measuring.
-    deadline = time.monotonic() + 60
-    for url in plane.replica_urls():
-        client = EaseMLClient(url, token)
-        while app not in client.list_apps().apps:
-            if time.monotonic() > deadline:
-                raise RuntimeError(f"replica {url} never caught up")
-            time.sleep(0.1)
-        client.close()
-    return token, writer, app
-
-
-def _read_loop(url, token, app, n_requests, latencies):
-    client = EaseMLClient(url, token)
-    for i in range(n_requests):
-        start = time.perf_counter()
-        if i % 2:
-            client.app_status(app)
-        else:
-            client.list_apps()
-        latencies.append(time.perf_counter() - start)
-    client.close()
-
-
-def run_read_scaling(replica_counts, n_threads, n_requests, state_root):
-    """Aggregate read throughput per replica count; returns rows."""
-    rows = []
-    for count in replica_counts:
-        plane = _start_plane(state_root / f"scale-{count}", count)
-        try:
-            token, writer, app = _onboard(plane)
-            writer.close()
-            targets = plane.replica_urls() or [plane.writer_url]
-            buckets = [[] for _ in range(n_threads)]
-            threads = [
-                threading.Thread(
-                    target=_read_loop,
-                    args=(targets[i % len(targets)], token, app,
-                          n_requests, buckets[i]),
-                )
-                for i in range(n_threads)
-            ]
-            wall_start = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            wall = time.perf_counter() - wall_start
-        finally:
-            plane.stop()
-        latencies = np.array([v for b in buckets for v in b])
-        rows.append([
-            count,
-            int(latencies.size),
-            round(latencies.size / wall, 1),
-            round(1e3 * float(np.percentile(latencies, 50)), 2),
-            round(1e3 * float(np.percentile(latencies, 99)), 2),
-        ])
-    return rows
-
-
-def run_lag_under_write_load(n_mutations, state_root):
-    """Lag (records) seen by a reader while the writer mutates."""
-    plane = _start_plane(state_root / "lag", 1)
-    lags = []
     try:
-        token, writer, app = _onboard(plane)
-        replica = EaseMLClient(plane.replica_urls()[0], token)
-        X, y = make_task(TaskSpec("moons", 40, 0.3, seed=1))
-        stop = threading.Event()
-
-        def sample():
-            while not stop.is_set():
-                replica.list_apps()
-                if replica.last_replica_lag is not None:
-                    lags.append(replica.last_replica_lag)
-
-        sampler = threading.Thread(target=sample)
-        sampler.start()
-        batch = [list(map(float, row)) for row in X[:5]]
-        labels = [int(v) for v in y[:5]]
-        for _ in range(n_mutations):
-            writer.feed(app, batch, labels)
-        stop.set()
-        sampler.join(timeout=10)
-        writer.close()
-        replica.close()
-    finally:
-        plane.stop()
-    lags_arr = np.array(lags or [0])
-    return [
-        ["lag samples", int(lags_arr.size)],
-        ["lag p50 (records)", int(np.percentile(lags_arr, 50))],
-        ["lag p99 (records)", int(np.percentile(lags_arr, 99))],
-        ["lag max (records)", int(lags_arr.max())],
-    ]
-
-
-def run_promotion_time(state_root):
-    """SIGKILL the writer; stopwatch to the first post-failover write."""
-    plane = _start_plane(state_root / "promote", 1)
-    try:
-        token, writer, app = _onboard(plane)
-        writer.close()
-        cluster = read_cluster(plane.state_dir)
-        start = time.perf_counter()
-        os.kill(cluster["writer_pid"], signal.SIGKILL)
-        deadline = time.monotonic() + 120
-        while plane.promotions < 1:
+        client = EaseMLClient(plane.url, plane.tokens["bench"])
+        client.register_app("bench-app", PROGRAM)
+        X, y = make_task(TaskSpec("moons", 60, 0.3, seed=0))
+        client.feed("bench-app", X.tolist(), [int(v) for v in y])
+        deadline = time.monotonic() + 60
+        while not _caught_up(state_dir):
             if time.monotonic() > deadline:
-                raise RuntimeError("promotion never happened")
+                raise RuntimeError("the standby never caught up")
             time.sleep(0.05)
-        detected = time.perf_counter() - start
-        promoted = EaseMLClient(plane.writer_url, token)
-        promoted.register_app("post-failover", PROGRAM)
+        # cluster.json is rewritten on a monitor tick, so the loop above
+        # ends in phase with it; a crash comes at any phase.
+        time.sleep(random.uniform(0.0, HEARTBEAT))
+        start = time.perf_counter()
+        os.kill(read_cluster(state_dir)["writer_pid"], signal.SIGKILL)
+        deadline = time.monotonic() + 120
+        while True:
+            try:
+                client.register_app("post-failover", PROGRAM)
+                break
+            except (ConnectionError, OSError):
+                if time.monotonic() > deadline:
+                    raise RuntimeError("no write acked after the kill")
+                time.sleep(0.01)
         to_write = time.perf_counter() - start
-        promoted.close()
+        promoted = plane.promotions
+        client.close()
     finally:
         plane.stop()
-    return [
-        ["kill to promotion (s)", round(detected, 2)],
-        ["kill to first write (s)", round(to_write, 2)],
-    ]
+    if promoted != 1:
+        raise RuntimeError(f"expected one promotion, saw {promoted}")
+    return to_write
 
 
-def render(scaling, lag, promotion, *, n_threads):
-    baseline = scaling[0][2]
-    scale_rows = [
-        row + [round(row[2] / baseline, 2) if baseline else "-"]
-        for row in scaling
-    ]
-    return (
-        ascii_table(
-            ["replicas", "requests", "reads/sec", "p50 (ms)",
-             "p99 (ms)", "vs baseline"],
-            scale_rows,
-            title=f"Read scaling ({n_threads} reader threads; "
-            f"nproc={os.cpu_count()}; replicas time-share cores — "
-            f"see module docstring)",
-        )
-        + "\n\n"
-        + ascii_table(
-            ["metric", "value"], lag,
-            title="Replica lag under sustained writer mutations "
-            "(X-Replica-Lag, records)",
-        )
-        + "\n\n"
-        + ascii_table(
-            ["metric", "value"], promotion,
-            title="Writer SIGKILL to replica promotion",
-        )
+def render(seconds):
+    rows = [[i + 1, round(s, 3)] for i, s in enumerate(seconds)]
+    rows.append(["median", round(statistics.median(seconds), 3)])
+    return ascii_table(
+        ["run", "kill to first write (s)"],
+        rows,
+        title=f"Writer SIGKILL to the first write acked on the same "
+        f"port (1 standby; nproc={os.cpu_count()})",
     )
 
 
 def test_replica_scaleout(once, tmp_path):
-    """Pytest entry point: one small plane, all three measurements."""
-    scaling = once(
-        run_read_scaling, [0, 1], 2, 20, tmp_path / "scale"
-    )
-    lag = run_lag_under_write_load(5, tmp_path / "lag")
-    promotion = run_promotion_time(tmp_path / "promote")
-    save_report(
-        "replica_scaleout",
-        render(scaling, lag, promotion, n_threads=2),
-    )
-    assert all(row[2] > 0 for row in scaling)
-    assert dict(promotion)["kill to first write (s)"] > 0
+    """Pytest entry point: one failover."""
+    seconds = [once(run_failover, tmp_path / "failover")]
+    save_report("replica_scaleout", render(seconds))
+    assert seconds[0] > 0
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--replicas", type=int, nargs="+",
-                        default=[0, 1, 2, 4],
-                        help="replica counts for the scaling curve")
-    parser.add_argument("--threads", type=int, default=4,
-                        help="concurrent reader threads")
-    parser.add_argument("--requests", type=int, default=200,
-                        help="reads per thread")
-    parser.add_argument("--mutations", type=int, default=30,
-                        help="writer mutations during the lag probe")
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="small smoke configuration ([0, 1, 2] x 2 x 40)",
-    )
+    parser.add_argument("--quick", action="store_true",
+                        help="time one failover instead of seven")
     args = parser.parse_args(argv)
-    if args.quick:
-        args.replicas, args.threads = [0, 1, 2], 2
-        args.requests, args.mutations = 40, 10
+    runs = 1 if args.quick else 7
     state_root = Path(tempfile.mkdtemp(prefix="bench-replica-"))
     try:
-        scaling = run_read_scaling(
-            args.replicas, args.threads, args.requests, state_root
-        )
-        lag = run_lag_under_write_load(args.mutations, state_root)
-        promotion = run_promotion_time(state_root)
+        seconds = [
+            run_failover(state_root / f"run-{i}") for i in range(runs)
+        ]
     finally:
         shutil.rmtree(state_root, ignore_errors=True)
-    save_report(
-        "replica_scaleout",
-        render(scaling, lag, promotion, n_threads=args.threads),
-    )
+    save_report("replica_scaleout", render(seconds))
     return 0
 
 

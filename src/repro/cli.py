@@ -26,12 +26,13 @@ Commands
     journaled before it is acked (``--sync group`` shares one fsync
     per commit convoy), and a restart from the same directory recovers
     tenants, tokens, quotas, apps, and job handles.  ``--replicas N``
-    adds N WAL-tailing read-replica processes behind a shared
-    ``SO_REUSEPORT`` front port; one is promoted to writer if the
-    writer dies (``--max-lag-records`` bounds read staleness).
+    adds N standby processes that follow the journal and serve
+    nothing; one is promoted to writer, on the same port, if the
+    writer dies.
 ``replica status``
-    Topology and per-member replication lag for a running serving
-    plane (reads the plane's ``cluster.json``, scrapes each member).
+    Topology and per-member replication progress for a running
+    serving plane (reads the plane's ``cluster.json``; scrapes only
+    the writer, for its pick latency).
 ``state {inspect,compact}``
     Operator tools over a ``--state-dir``: summarise the journal and
     its last checkpoint (and print tenant tokens), or replay-verify
@@ -286,19 +287,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--replicas", type=int, default=0, metavar="N",
-        help="scale-out serving: run N WAL-tailing read-replica "
-        "processes next to the writer, all sharing the front port "
-        "(SO_REUSEPORT).  Replicas serve reads, answer writes with a "
-        "redirect to the writer, and one of them is promoted to "
-        "writer if the writer dies.  Requires --state-dir",
-    )
-    srv.add_argument(
-        "--max-lag-records", type=int, default=None, metavar="M",
-        help="staleness bound for replica reads: a replica more than "
-        "M journal records behind the writer answers reads with 503 "
-        "UNAVAILABLE_RECOVERING instead of stale data (default: "
-        "serve regardless of lag; every response carries "
-        "X-Replica-Lag either way)",
+        help="standby failover: run N processes next to the writer "
+        "that follow its journal and serve nothing; if the writer "
+        "dies, the most caught-up one is promoted and serves on the "
+        "same --port.  Requires --state-dir",
     )
 
     met = sub.add_parser(
@@ -350,8 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     status = replica_sub.add_parser(
         "status",
-        help="cluster topology and per-member replication lag (reads "
-        "cluster.json and scrapes each member's metrics endpoint)",
+        help="cluster topology and per-member replication progress "
+        "(reads cluster.json; scrapes the writer's pick latency)",
     )
     status.add_argument("--state-dir", required=True, metavar="DIR")
     status.add_argument(
@@ -360,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     status.add_argument(
         "--metrics-token", default=None, metavar="TOKEN",
-        help="bearer token for members started with --metrics-token",
+        help="bearer token for a writer started with --metrics-token",
     )
 
     slow = sub.add_parser(
@@ -936,13 +928,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_plane(args: argparse.Namespace) -> int:
-    """``serve --replicas N``: writer + N replicas + front tier."""
+    """``serve --replicas N``: writer + N standbys on one port."""
     from repro.persist import JournalError
     from repro.replica import ServingPlane
 
     if not getattr(args, "state_dir", None):
         print(
-            "--replicas requires --state-dir: replicas tail the "
+            "--replicas requires --state-dir: standbys follow the "
             "writer's journal",
             file=sys.stderr,
         )
@@ -954,7 +946,6 @@ def _cmd_serve_plane(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             replicas=args.replicas,
-            max_lag_records=args.max_lag_records,
             tenants=args.tenant or ["default"],
             sync=args.sync,
             snapshot_every=args.snapshot_every,
@@ -975,12 +966,9 @@ def _cmd_serve_plane(args: argparse.Namespace) -> int:
             plane.stop()
         return 2
     print(
-        f"ease.ml serving plane on {plane.front_url} "
-        "(SO_REUSEPORT; API v1)"
+        f"ease.ml serving plane on {plane.url} "
+        f"(API v1; standbys: {plane.n_replicas})"
     )
-    print(f"  writer: {plane.writer_url}")
-    for url in plane.replica_urls():
-        print(f"  replica: {url}")
     for name, token in plane.tokens.items():
         print(f"tenant {name}: {token}")
     try:
@@ -1011,7 +999,7 @@ def _scrape_json_metrics(url, path, token=None, timeout=5.0):
 
 
 def _cmd_replica(args: argparse.Namespace) -> int:
-    """``replica status``: topology + per-member lag."""
+    """``replica status``: topology + per-member progress."""
     import json
 
     from repro.replica import read_cluster
@@ -1025,84 +1013,62 @@ def _cmd_replica(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-
-    def gauge(document, name):
-        if not document:
-            return None
-        metrics = document.get("metrics", document)
-        series = metrics.get(name, {}).get("series") or []
-        return series[0]["value"] if series else None
-
-    def histogram(document, name):
-        """count + p50/p95/p99 of a histogram family, or None."""
-        if not document:
-            return None
-        metrics = document.get("metrics", document)
-        series = metrics.get(name, {}).get("series") or []
-        if not series:
-            return None
-        entry = series[0]
-        return {
-            key: entry.get(key) for key in ("count", "p50", "p95", "p99")
-        }
-
+    # Standbys serve nothing: their progress is what their last
+    # heartbeat said.  Only the writer is scraped, for the percentiles
+    # of one serving-path model pick.
+    metrics = _scrape_json_metrics(
+        cluster.get("url", ""),
+        METRICS_JSON_PATH,
+        token=getattr(args, "metrics_token", None),
+    )
+    document = (metrics or {}).get("metrics", metrics or {})
+    series = document.get("scheduler_pick_seconds", {}).get("series")
+    pick = (
+        {k: series[0].get(k) for k in ("count", "p50", "p95", "p99")}
+        if series
+        else None
+    )
     members = []
     for member in cluster.get("members", []):
-        metrics = _scrape_json_metrics(
-            member.get("url", ""),
-            METRICS_JSON_PATH,
-            token=getattr(args, "metrics_token", None),
-        )
-        members.append(
-            {
-                "name": member.get("name"),
-                "role": member.get("role"),
-                "url": member.get("url"),
-                "pid": member.get("pid"),
-                "reachable": metrics is not None,
-                "applied_seq": gauge(metrics, "replica_applied_seq"),
-                "lag_records": gauge(metrics, "replica_lag_records"),
-                "lag_seconds": gauge(metrics, "replica_lag_seconds"),
-                "is_writer": gauge(metrics, "replica_is_writer"),
-                # The writer's decision latency, next to its replicas'
-                # lag: percentiles of one serving-path model pick.
-                "pick_seconds": histogram(
-                    metrics, "scheduler_pick_seconds"
-                ),
-            }
-        )
+        row = dict(member)
+        if member.get("role") == "writer":
+            row.update(reachable=metrics is not None, pick_seconds=pick)
+        members.append(row)
     out = {
-        "front_url": cluster.get("front_url"),
-        "writer_url": cluster.get("writer_url"),
+        "url": cluster.get("url"),
         "promotions": cluster.get("promotions", 0),
         "members": members,
     }
     if args.json:
         print(json.dumps(out, indent=2, sort_keys=True))
         return 0
-    print(f"front:  {out['front_url']}")
-    print(f"writer: {out['writer_url']}")
+    print(f"url: {out['url']}")
     if out["promotions"]:
         print(f"promotions: {out['promotions']}")
     for member in members:
-        lag = member["lag_records"]
-        lag_text = "-" if lag is None else f"{int(lag)}"
-        applied = member["applied_seq"]
-        applied_text = "-" if applied is None else f"{int(applied)}"
-        state = "up" if member["reachable"] else "unreachable"
-        pick = member["pick_seconds"]
-        if pick and pick.get("count"):
-            pick_text = (
-                f" pick_p50={pick['p50'] * 1e6:.0f}us"
-                f" p95={pick['p95'] * 1e6:.0f}us"
-                f" p99={pick['p99'] * 1e6:.0f}us"
-            )
+        applied = member.get("applied_seq")
+        text = "applied=" + ("-" if applied is None else f"{int(applied)}")
+        if member.get("role") == "writer":
+            state = "up" if member["reachable"] else "unreachable"
+            pick = member["pick_seconds"]
+            if pick and pick.get("count"):
+                text += (
+                    f" pick_p50={pick['p50'] * 1e6:.0f}us"
+                    f" p95={pick['p95'] * 1e6:.0f}us"
+                    f" p99={pick['p99'] * 1e6:.0f}us"
+                )
         else:
-            pick_text = ""
+            state = {True: "following", False: "stopped"}.get(
+                member.get("following"), "no heartbeat"
+            )
+            text += f" lag={member.get('lag_records', '-')}"
+            if member.get("error"):
+                text += f" error={member['error']}"
+        if not member.get("alive", True):
+            state = "dead"
         print(
-            f"  {member['name']:<12} {member['role']:<8} "
-            f"{member['url']:<28} {state:<12} "
-            f"applied={applied_text} lag={lag_text}{pick_text}"
+            f"  {member.get('name', '?'):<12} {member.get('role', '?'):<8} "
+            f"pid={member.get('pid', 0):<8} {state:<12} {text}"
         )
     return 0
 

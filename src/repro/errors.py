@@ -69,11 +69,6 @@ class ApiErrorCode(str, Enum):
     #: once recovery completes (the only retryable error in the
     #: taxonomy).
     UNAVAILABLE_RECOVERING = "unavailable_recovering"
-    #: The target is a read replica: it serves reads but cannot accept
-    #: this mutation.  ``details["writer_url"]`` carries the current
-    #: writer's address when the replica knows it, so clients can
-    #: re-issue the request there (the SDK does this automatically).
-    NOT_WRITER = "not_writer"
     #: Anything the service failed to classify (a bug, by definition).
     INTERNAL = "internal"
 
@@ -90,7 +85,6 @@ HTTP_STATUS: Dict[ApiErrorCode, int] = {
     ApiErrorCode.UNSUPPORTED: 422,
     ApiErrorCode.UNSUPPORTED_VERSION: 400,
     ApiErrorCode.UNAVAILABLE_RECOVERING: 503,
-    ApiErrorCode.NOT_WRITER: 503,
     ApiErrorCode.INTERNAL: 500,
 }
 

@@ -4,9 +4,7 @@ PR 6 propagated a ``request_id`` socket → gateway → WAL; this module
 grows that id into a **trace**.  A trace is the set of timed spans one
 request produced on its way through the service — frontend decode,
 the wait for a worker thread, the gateway handler, scheduler picks,
-journal append/fsync/commit, long-poll parking — plus, when read
-replicas tail the WAL, a replica-side apply span joined to the
-writer's trace by the ``request_id`` stamped into the journal record.
+journal append/fsync/commit, long-poll parking.
 
 Design constraints, in order:
 
@@ -320,44 +318,6 @@ class Tracer:
         }
         self._insert(entry)
 
-    def record_remote(
-        self,
-        trace_id: str,
-        name: str,
-        duration: float,
-        **attrs: Any,
-    ) -> None:
-        """A span measured in *this* process for a trace born in
-        another (replica apply joining the writer's trace by the
-        ``request_id`` read out of the WAL record).
-
-        Monotonic clocks do not compare across processes, so the
-        remote entry stands alone — same ``trace_id``, own timeline.
-        """
-        duration_ms = round(duration * 1000.0, 4)
-        span_entry: Dict[str, Any] = {
-            "sid": 0,
-            "name": name,
-            "parent": None,
-            "start_ms": 0.0,
-            "duration_ms": duration_ms,
-        }
-        if attrs:
-            span_entry["attrs"] = attrs
-        entry = {
-            "trace_id": trace_id,
-            "route": "",
-            "tenant": str(attrs.get("tenant", "")),
-            "frontend": "replica",
-            "status": 0,
-            "error": False,
-            "duration_ms": duration_ms,
-            "start_ts": round(time.time(), 6),
-            "kept": "remote",
-            "spans": [span_entry],
-        }
-        self._insert(entry)
-
     # -- retention machinery -------------------------------------------
     def _is_slow(self, route: str, duration_ms: float) -> bool:
         with self._lock:
@@ -380,13 +340,13 @@ class Tracer:
     def _evict_locked(self) -> None:
         """Drop one entry, preferring the least interesting oldest.
 
-        Probabilistic/remote keeps go first, then slow-per-route, then
+        Probabilistic keeps go first, then slow-per-route, then
         (only when the whole ring is errors) the oldest error — the
         "eviction keeps error traces" guarantee.
         """
-        for tier in (("sampled", "remote"), ("slow",), ("error",)):
+        for tier in ("sampled", "slow", "error"):
             for index, held in enumerate(self._ring):
-                if held["kept"] in tier:
+                if held["kept"] == tier:
                     del self._ring[index]
                     return
         del self._ring[0]  # pragma: no cover - every entry has a tier
@@ -413,7 +373,7 @@ class Tracer:
         return entries[: max(int(limit), 0)]
 
     def get(self, trace_id: str) -> List[Dict[str, Any]]:
-        """Every kept entry for one trace id (writer + remote joins)."""
+        """Every kept entry for one trace id."""
         with self._lock:
             return [
                 e for e in self._ring if e["trace_id"] == trace_id
@@ -441,11 +401,6 @@ class NullTracer:
 
     def finish(self, context: RequestContext, **kwargs: Any) -> None:
         context.trace = None
-
-    def record_remote(
-        self, trace_id: str, name: str, duration: float, **attrs: Any
-    ) -> None:
-        pass
 
     def snapshot(self, **kwargs: Any) -> List[Dict[str, Any]]:
         return []

@@ -1,4 +1,4 @@
-"""ReadReplica: serve reads off a tailed WAL; promote on writer death.
+"""ReadReplica: a standby that follows a writer's WAL; promote on death.
 
 A replica is recovery run *continuously*: it builds the same follower
 gateway a cold start does (same config, same seeded RNG, same zoo
@@ -7,15 +7,8 @@ then applies journal records through
 :func:`~repro.persist.recovery.replay_records` as the tailer surfaces
 them.  Applying records never re-journals and replay-fired effects are
 byte-verified against the writer's effect records — a replica that
-diverges fails loudly instead of serving wrong answers.
-
-:class:`ReplicaGateway` is the serving facade: it exposes the exact
-duck type the HTTP frontend drives (``is_read`` / ``handle``;
-``add_wait_abort``, ``metrics`` and the rest pass through), serves
-every read route from the follower gateway, and answers mutations with
-``NOT_WRITER`` carrying the writer's address so the SDK can re-issue
-them there.  Reads beyond the configured staleness bound come back
-``UNAVAILABLE_RECOVERING`` instead of silently stale.
+diverges stops following (and says why) instead of being promoted
+with wrong state.  A replica serves no client traffic.
 
 :meth:`ReadReplica.promote` is a cold start that skips the part this
 process already did: take the flock (the dead writer's OS-released
@@ -31,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.errors import ApiError, ApiErrorCode
 from repro.persist.journal import JournalError
 from repro.persist.recovery import (
     IN_FLIGHT_POLICIES,
@@ -41,7 +33,6 @@ from repro.persist.recovery import (
 )
 from repro.persist.store import acquire_lock, read_config
 from repro.replica.tailer import TailBatch, WalTailer
-from repro.service.api import REPLICA_LAG_HEADER, Request
 
 #: How often an idle replica re-checks the journal for new records.
 DEFAULT_POLL_INTERVAL = 0.05
@@ -79,9 +70,8 @@ class ReadReplica:
     state_dir:
         The *writer's* state directory (shared filesystem).
     metrics:
-        A :class:`~repro.obs.metrics.MetricsRegistry` the replica
-        exports its staleness gauges into (and the follower gateway
-        its request metrics).
+        The follower gateway's :class:`~repro.obs.metrics.MetricsRegistry`
+        (default: a fresh one); it is the writer's after a promotion.
     poll_interval:
         Idle sleep between journal polls, seconds.
     gateway_factory:
@@ -113,55 +103,25 @@ class ReadReplica:
         self.poll_interval = float(poll_interval)
         self.promoted = False
         self.applied_seq = 0
+        #: The exception that ended the tail loop, if one did.
+        self.error: Optional[BaseException] = None
         self._target_seq = 0
-        self._behind_since: Optional[float] = None
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self._bind_metrics(self.gateway.metrics)
 
-    def _bind_metrics(self, registry) -> None:
-        self._m_applied = registry.gauge(
-            "replica_applied_seq",
-            "Highest journal sequence number applied by this replica.",
-        )
-        self._m_lag_records = registry.gauge(
-            "replica_lag_records",
-            "Journal records observed on disk but not yet applied.",
-        )
-        self._m_lag_seconds = registry.gauge(
-            "replica_lag_seconds",
-            "Seconds this replica has been behind the observed tail "
-            "(0 when caught up).",
-        )
-        self._m_is_writer = registry.gauge(
-            "replica_is_writer",
-            "1 once this process promoted itself to writer, else 0.",
-        )
-        self._m_is_writer.set(0.0)
-
-    # ------------------------------------------------------------------
-    # Staleness
-    # ------------------------------------------------------------------
     @property
     def lag_records(self) -> int:
         """Records known to exist on disk but not yet applied here."""
         return max(0, self._target_seq - self.applied_seq)
 
     @property
-    def lag_seconds(self) -> float:
-        if self._behind_since is None:
-            return 0.0
-        return max(0.0, time.monotonic() - self._behind_since)
-
-    def _publish_lag(self) -> None:
-        lag = self.lag_records
-        if lag <= 0:
-            self._behind_since = None
-        elif self._behind_since is None:
-            self._behind_since = time.monotonic()
-        self._m_applied.set(float(self.applied_seq))
-        self._m_lag_records.set(float(lag))
-        self._m_lag_seconds.set(self.lag_seconds)
+    def following(self) -> bool:
+        """Is the tail loop running (neither stopped nor failed)?"""
+        return (
+            self.error is None
+            and self._thread is not None
+            and self._thread.is_alive()
+        )
 
     # ------------------------------------------------------------------
     # The tail loop
@@ -169,7 +129,6 @@ class ReadReplica:
     def start(self) -> None:
         """Seed synchronously (caller returns caught-up), then follow."""
         self._apply(self.tailer.seed())
-        self._publish_lag()
         self._thread = threading.Thread(
             target=self._run, name="wal-tailer", daemon=True
         )
@@ -178,11 +137,8 @@ class ReadReplica:
     def step(self) -> int:
         """One poll+apply cycle (tests and embedders); records applied."""
         batch = self.tailer.poll()
-        n = len(batch.records)
-        if batch:
-            self._apply(batch)
-        self._publish_lag()
-        return n
+        self._apply(batch)
+        return len(batch.records)
 
     def stop(self) -> None:
         self._stop.set()
@@ -191,60 +147,25 @@ class ReadReplica:
             self._thread = None
 
     def _run(self) -> None:
-        while not self._stop.is_set():
-            if self.promoted:
-                return
-            # An uncaught exception here (corrupt directory, replay
-            # divergence) kills the tail loop: the gauges freeze at
-            # the last applied seq and lag grows — exactly the signal
-            # the supervisor and the staleness bound act on.
-            applied = self.step()
-            if not applied:
-                self._stop.wait(self.poll_interval)
+        try:
+            while not self._stop.is_set() and not self.promoted:
+                if not self.step():
+                    self._stop.wait(self.poll_interval)
+        except Exception as exc:  # noqa: BLE001 - kept for the heartbeat
+            # A corrupt directory or a replay divergence ends the loop:
+            # applied_seq and lag_records freeze where they were, so
+            # only ``following`` and ``error`` tell a dead standby
+            # from a caught-up one.
+            self.error = exc
 
     def _apply(self, batch: TailBatch) -> None:
         """Apply one batch through the recovery replay path."""
         if not batch.records:
             return
         self._target_seq = self.tailer.emitted_seq
-        self._publish_lag()
-        apply_started = time.perf_counter()
         with self.gateway._lock:
             replay_records(self.gateway, batch.records)
-        apply_duration = time.perf_counter() - apply_started
-        self._record_apply_spans(batch.records, apply_duration)
         self.applied_seq = batch.records[-1].seq
-        self._publish_lag()
-
-    def _record_apply_spans(
-        self, records, duration: float
-    ) -> None:
-        """Join replica-side apply time to the writer's traces.
-
-        Primary WAL records carry the ``request_id`` of the request
-        that produced them (stamped by the gateway), and the tracer's
-        ``trace_id`` *is* that id — so a replica apply span lands in
-        this replica's ring under the same id the writer's trace
-        kept, and a cross-process waterfall is one ring lookup per
-        side.  The whole batch replays under one lock hold, so each
-        joined record reports the batch duration with the batch size
-        attached.
-        """
-        tracer = getattr(self.gateway, "tracer", None)
-        if tracer is None or not tracer.enabled:
-            return
-        for record in records:
-            request_id = record.payload.get("request_id")
-            if not request_id:
-                continue
-            tracer.record_remote(
-                str(request_id),
-                "replica.apply",
-                duration,
-                seq=record.seq,
-                type=record.type,
-                batch=len(records),
-            )
 
     # ------------------------------------------------------------------
     # Promotion
@@ -309,8 +230,6 @@ class ReadReplica:
             lock_handle.close()
             raise
         self.promoted = True
-        self._m_is_writer.set(1.0)
-        self._publish_lag()
         return PromotionReport(
             state_dir=str(self.state_dir),
             final_seq=final_seq,
@@ -320,76 +239,3 @@ class ReadReplica:
             dropped_tail=batch.dropped,
             duration_seconds=time.perf_counter() - started,
         )
-
-
-class ReplicaGateway:
-    """The serving facade the frontend drives instead of a ServiceGateway.
-
-    Reads flow to the follower gateway (subject to the staleness
-    bound); mutations come back ``NOT_WRITER`` with the writer's
-    address in the error details.  After :meth:`ReadReplica.promote`
-    the facade becomes transparent — every request flows through to
-    the (now writing) gateway.
-    """
-
-    def __init__(
-        self,
-        replica: ReadReplica,
-        *,
-        max_lag_records: Optional[int] = None,
-        writer_url: Optional[str] = None,
-    ) -> None:
-        self.replica = replica
-        self.max_lag_records = (
-            None if max_lag_records is None else int(max_lag_records)
-        )
-        self.writer_url = writer_url
-
-    # -- staleness contract -------------------------------------------
-    def extra_response_headers(self) -> Dict[str, str]:
-        """Stamped on every HTTP response by the frontend."""
-        return {REPLICA_LAG_HEADER: str(self.replica.lag_records)}
-
-    def _check_staleness(self) -> None:
-        lag = self.replica.lag_records
-        if (
-            self.max_lag_records is not None
-            and lag > self.max_lag_records
-        ):
-            raise ApiError(
-                ApiErrorCode.UNAVAILABLE_RECOVERING,
-                f"replica is {lag} records behind the writer "
-                f"(bound: {self.max_lag_records}); retry here "
-                "shortly or read from the writer",
-                replica_lag_records=lag,
-                writer_url=self.writer_url,
-            )
-
-    def _not_writer(self) -> ApiError:
-        return ApiError(
-            ApiErrorCode.NOT_WRITER,
-            "this endpoint is a read replica; send mutations to the "
-            "writer",
-            writer_url=self.writer_url,
-            replica_lag_records=self.replica.lag_records,
-        )
-
-    # -- the frontend duck type ---------------------------------------
-    def is_read(self, request) -> bool:
-        return self.replica.gateway.is_read(request)
-
-    def handle(self, request, *, may_block: bool = True):
-        gateway = self.replica.gateway
-        if self.replica.promoted:
-            return gateway.handle(request, may_block=may_block)
-        if not isinstance(request, Request):
-            return gateway.handle(request)  # proper INVALID_ARGUMENT
-        if gateway.is_read(request):
-            self._check_staleness()
-            return gateway.handle(request)
-        raise self._not_writer()
-
-    def __getattr__(self, name: str) -> Any:
-        # Everything else (metrics, add_wait_abort, tracing
-        # attributes) behaves exactly like the underlying gateway.
-        return getattr(self.replica.gateway, name)

@@ -1,36 +1,32 @@
-"""ServingPlane: one writer + N read replicas as supervised processes.
+"""ServingPlane: one writer + N standbys as supervised processes.
 
 The supervisor owns the cluster topology:
 
 * the **writer** child runs ``open_gateway`` (taking the state
-  directory's flock) and serves the full API on its direct port;
-* each **replica** child runs a :class:`~repro.replica.ReadReplica`
-  behind a :class:`~repro.replica.ReplicaGateway` facade on its own
-  direct port;
-* every member *additionally* binds the shared **front port** with
-  ``SO_REUSEPORT`` — the kernel spreads incoming connections across
-  the live members, replicas absorb the read load, and mutations that
-  land on a replica bounce to the writer via the ``NOT_WRITER``
-  redirect the SDK follows automatically.  A platform without
-  ``SO_REUSEPORT`` cannot run a plane (:class:`ServingPlane` refuses
-  to start); plain ``repro serve`` is the single-process alternative.
+  directory's flock) and serves the full API on the plane's one port
+  (``port=0`` binds an ephemeral port, which the writer reports);
+* each **standby** child runs a :class:`~repro.replica.ReadReplica`
+  that follows the journal and binds no socket.
 
 Liveness is heartbeat-over-pipe plus ``Process.is_alive``.  When the
-writer dies, the monitor elects the replica with the highest applied
-sequence, sends it ``promote`` (it takes the flock the kernel just
-released, drains the tail, and starts journaling), points the other
-replicas' redirects at the new writer, and rewrites ``cluster.json`` —
-the on-disk topology document ``repro replica status`` reads.
+writer dies, the monitor elects a standby — following ones first, then
+the highest applied sequence — and sends it ``promote``: it takes the
+flock the kernel just released, drains the tail, starts journaling and
+binds the plane's port, which the dead writer's socket no longer
+holds.  The flock is the only single-writer arbitration, so a platform
+without ``flock`` cannot run a plane (:class:`ServingPlane` refuses to
+start); plain ``repro serve`` is the single-process alternative.
 
-Port layout (``port`` = the front port): writer direct = ``port+1``,
-replica *i* direct = ``port+2+i``.
+``cluster.json`` is the on-disk topology document ``repro replica
+status`` reads: the plane's address, the promotion count and each
+member's last heartbeat, rewritten (by atomic rename) only when a
+value in it changed.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -46,7 +42,7 @@ CLUSTER_NAME = "cluster.json"
 #: it (cold numpy imports on a loaded box take a while).
 READY_TIMEOUT = 120.0
 
-#: Seconds the monitor waits for an elected replica to finish
+#: Seconds the monitor waits for an elected standby to finish
 #: promotion before trying the next one.
 PROMOTE_TIMEOUT = 60.0
 
@@ -75,23 +71,31 @@ def _write_cluster(
     os.replace(tmp, path)
 
 
-def free_port(host: str = "127.0.0.1") -> int:
-    """An ephemeral port that was free a moment ago (tests/CLI)."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.bind((host, 0))
-        return sock.getsockname()[1]
-
-
 # ----------------------------------------------------------------------
 # Child process entry points (module-level: must survive pickling
 # under the spawn start method)
 # ----------------------------------------------------------------------
+def _writer_beat(gateway) -> Dict[str, Any]:
+    return {"applied_seq": gateway.store.last_seq if gateway.store else 0}
+
+
+def _standby_beat(replica) -> Dict[str, Any]:
+    if replica.promoted:
+        return _writer_beat(replica.gateway)
+    error = replica.error
+    return {
+        "applied_seq": replica.applied_seq,
+        "lag_records": replica.lag_records,
+        "following": replica.following,
+        "error": None if error is None else f"{type(error).__name__}: {error}",
+    }
+
+
 def _writer_main(
     conn,
     state_dir: str,
     host: str,
-    front_port: int,
-    direct_port: int,
+    port: int,
     tenants: List[str],
     service: Dict[str, Any],
 ) -> None:
@@ -100,7 +104,7 @@ def _writer_main(
     from repro.service.http import serve_background
 
     try:
-        gateway, report = open_gateway(
+        gateway, _ = open_gateway(
             state_dir,
             sync=service.get("sync"),
             snapshot_every=service.get("snapshot_every"),
@@ -116,41 +120,29 @@ def _writer_main(
             name: gateway.tenant_token(name)
             for name in gateway.tenant_names()
         }
-        direct, _ = serve_background(gateway, host, direct_port)
-        serve_background(gateway, host, front_port, reuse_port=True)
+        server, _ = serve_background(gateway, host, port)
     except BaseException as exc:  # noqa: BLE001 - report, then die
         conn.send({"event": "failed", "error": f"{exc}"})
         raise
     conn.send(
         {
             "event": "ready",
-            "role": "writer",
             "pid": os.getpid(),
-            "url": direct.url,
+            "port": server.port,
             "tokens": tokens,
-            "recovered": report is not None,
         }
     )
-    _child_loop(
-        conn,
-        heartbeat=lambda: {
-            "role": "writer",
-            "seq": gateway.store.last_seq if gateway.store else 0,
-        },
-    )
+    _child_loop(conn, heartbeat=lambda: _writer_beat(gateway))
 
 
-def _replica_main(
+def _standby_main(
     conn,
     state_dir: str,
     host: str,
-    front_port: int,
-    direct_port: int,
-    writer_url: str,
-    max_lag_records: Optional[int],
+    port: int,
     in_flight: str,
 ) -> None:
-    from repro.replica.replica import ReadReplica, ReplicaGateway
+    from repro.replica.replica import ReadReplica
     from repro.service.http import serve_background
 
     try:
@@ -166,75 +158,44 @@ def _replica_main(
             time.sleep(0.05)
         replica = ReadReplica(state_dir)
         replica.start()
-        facade = ReplicaGateway(
-            replica,
-            max_lag_records=max_lag_records,
-            writer_url=writer_url,
-        )
-        direct, _ = serve_background(facade, host, direct_port)
-        serve_background(facade, host, front_port, reuse_port=True)
     except BaseException as exc:  # noqa: BLE001 - report, then die
         conn.send({"event": "failed", "error": f"{exc}"})
         raise
-    conn.send(
-        {
-            "event": "ready",
-            "role": "replica",
-            "pid": os.getpid(),
-            "url": direct.url,
-        }
-    )
+    conn.send({"event": "ready", "pid": os.getpid()})
 
-    def handle(msg: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        if msg.get("cmd") == "promote":
-            report = replica.promote(
-                in_flight=msg.get("in_flight", in_flight)
-            )
-            facade.writer_url = direct.url
-            return {
-                "event": "promoted",
-                "url": direct.url,
-                "pid": os.getpid(),
-                "final_seq": report.final_seq,
-                "recovered": report.recovered,
-                "lost": report.lost,
-                "duration_seconds": report.duration_seconds,
-            }
-        if msg.get("cmd") == "writer_changed":
-            facade.writer_url = msg.get("writer_url")
-            return None
-        return None
+    def promote(msg: Dict[str, Any]) -> Dict[str, Any]:
+        # A failure here (lock timeout, port taken) ends this process,
+        # which releases the flock; the monitor tries the next standby.
+        report = replica.promote(in_flight=msg.get("in_flight", in_flight))
+        serve_background(replica.gateway, host, port)
+        return {
+            "event": "promoted",
+            "pid": os.getpid(),
+            "final_seq": report.final_seq,
+            "recovered": report.recovered,
+            "lost": report.lost,
+            "duration_seconds": report.duration_seconds,
+        }
 
     _child_loop(
-        conn,
-        heartbeat=lambda: {
-            "role": "replica",
-            "applied_seq": replica.applied_seq,
-            "lag_records": replica.lag_records,
-            "promoted": replica.promoted,
-        },
-        handle=handle,
+        conn, heartbeat=lambda: _standby_beat(replica), promote=promote
     )
 
 
-def _child_loop(conn, *, heartbeat, handle=None, interval=0.5) -> None:
+def _child_loop(conn, *, heartbeat, promote=None, interval=0.5) -> None:
     """Heartbeat until the parent says shutdown (or disappears)."""
     while True:
         try:
-            if conn.poll(interval):
-                msg = conn.recv()
-                if not isinstance(msg, dict) or msg.get("cmd") == "shutdown":
-                    return
-                if handle is not None:
-                    reply = handle(msg)
-                    if reply is not None:
-                        conn.send(reply)
-            else:
-                beat = {"event": "heartbeat"}
-                beat.update(heartbeat())
-                conn.send(beat)
+            if not conn.poll(interval):
+                conn.send({"event": "heartbeat", **heartbeat()})
+                continue
+            msg = conn.recv()
         except (EOFError, BrokenPipeError, OSError):
             return  # the supervisor died; daemon servers die with us
+        if not isinstance(msg, dict) or msg.get("cmd") == "shutdown":
+            return
+        if promote is not None and msg.get("cmd") == "promote":
+            conn.send(promote(msg))
 
 
 # ----------------------------------------------------------------------
@@ -243,14 +204,13 @@ def _child_loop(conn, *, heartbeat, handle=None, interval=0.5) -> None:
 @dataclass
 class _Member:
     name: str
-    role: str  # "writer" | "replica"
+    role: str  # "writer" | "standby"
     process: Any = None
     conn: Any = None
-    url: str = ""
     pid: int = 0
-    applied_seq: int = 0
-    promoted: bool = False
-    last_seen: float = field(default_factory=time.monotonic)
+    #: The last heartbeat's values (``applied_seq``; a standby adds
+    #: ``lag_records``, ``following`` and ``error``).
+    health: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def alive(self) -> bool:
@@ -258,7 +218,7 @@ class _Member:
 
 
 class ServingPlane:
-    """Supervise one writer plus N replicas over a shared front port."""
+    """Supervise one writer plus N standbys behind one port."""
 
     def __init__(
         self,
@@ -267,7 +227,6 @@ class ServingPlane:
         host: str = "127.0.0.1",
         port: int = 0,
         replicas: int = 1,
-        max_lag_records: Optional[int] = None,
         tenants: Optional[List[str]] = None,
         sync: Optional[str] = None,
         snapshot_every: Optional[int] = None,
@@ -277,24 +236,23 @@ class ServingPlane:
         auto_promote: bool = True,
         mp_start_method: str = "spawn",
     ) -> None:
-        from repro.service.http import supports_reuse_port
-
-        if not supports_reuse_port():
-            # Also the one platform where persist.store.acquire_lock
-            # takes no flock, i.e. where promotion has no single-writer
-            # arbitration: a plane was never safe there.
+        try:
+            import fcntl  # noqa: F401 - the single-writer arbiter
+        except ImportError:
+            # persist.store.acquire_lock takes no lock without fcntl:
+            # two members could both promote themselves to writer.
             raise RuntimeError(
-                "the serving plane needs SO_REUSEPORT (every member "
-                "binds the shared front port) and this platform has "
-                "none; run a single process with plain `repro serve`"
-            )
+                "the serving plane needs flock (promotion takes the "
+                "state directory's lock to be its only writer) and "
+                "this platform has none; run a single process with "
+                "plain `repro serve`"
+            ) from None
         if int(replicas) < 0:
             raise ValueError(f"replicas must be >= 0, got {replicas}")
         self.state_dir = Path(state_dir)
         self.host = host
-        self.front_port = int(port) if int(port) else free_port(host)
+        self.port = int(port)
         self.n_replicas = int(replicas)
-        self.max_lag_records = max_lag_records
         self.tenants = list(tenants or ["default"])
         self.service = {
             "sync": sync,
@@ -310,84 +268,53 @@ class ServingPlane:
         self.members: List[_Member] = []
         self.writer: Optional[_Member] = None
         self.promotions = 0
+        self._published: Optional[Dict[str, Any]] = None
         self._stop = threading.Event()
         self._monitor: Optional[threading.Thread] = None
         self._lock = threading.Lock()
 
-    # -- addresses -----------------------------------------------------
     @property
-    def front_url(self) -> str:
-        return f"http://{self.host}:{self.front_port}"
-
-    @property
-    def writer_url(self) -> Optional[str]:
-        return self.writer.url if self.writer else None
-
-    def replica_urls(self) -> List[str]:
-        return [
-            m.url
-            for m in self.members
-            if m.role == "replica" and not m.promoted and m.alive
-        ]
+    def url(self) -> str:
+        """The plane's one address: whichever member is the writer."""
+        return f"http://{self.host}:{self.port}"
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
         import multiprocessing
 
         ctx = multiprocessing.get_context(self._mp_start_method)
-        writer = _Member(name="writer", role="writer")
-        parent, child = ctx.Pipe()
-        writer.conn = parent
-        writer.process = ctx.Process(
-            target=_writer_main,
-            name="easeml-writer",
-            args=(
-                child,
-                str(self.state_dir),
-                self.host,
-                self.front_port,
-                self.front_port + 1,
-                self.tenants,
-                self.service,
-            ),
-            daemon=False,
-        )
-        writer.process.start()
-        child.close()
-        ready = self._await(writer, "ready", READY_TIMEOUT)
-        writer.url = ready["url"]
-        writer.pid = ready["pid"]
-        self.tokens = dict(ready["tokens"])
-        self.writer = writer
-        self.members.append(writer)
 
-        for i in range(self.n_replicas):
-            member = _Member(name=f"replica-{i}", role="replica")
+        def spawn(member: _Member, target, *args) -> Dict[str, Any]:
             parent, child = ctx.Pipe()
             member.conn = parent
             member.process = ctx.Process(
-                target=_replica_main,
+                target=target,
                 name=f"easeml-{member.name}",
-                args=(
-                    child,
-                    str(self.state_dir),
-                    self.host,
-                    self.front_port,
-                    self.front_port + 2 + i,
-                    writer.url,
-                    self.max_lag_records,
-                    self.in_flight,
-                ),
+                args=(child, str(self.state_dir), self.host) + args,
                 daemon=False,
             )
             member.process.start()
             child.close()
+            self.members.append(member)  # stop() reaps it either way
             ready = self._await(member, "ready", READY_TIMEOUT)
-            member.url = ready["url"]
             member.pid = ready["pid"]
-            self.members.append(member)
+            return ready
 
-        self._write_topology()
+        writer = _Member(name="writer", role="writer")
+        ready = spawn(
+            writer, _writer_main, self.port, self.tenants, self.service
+        )
+        self.port = ready["port"]
+        self.tokens = dict(ready["tokens"])
+        self.writer = writer
+        for i in range(self.n_replicas):
+            spawn(
+                _Member(name=f"standby-{i}", role="standby"),
+                _standby_main,
+                self.port,
+                self.in_flight,
+            )
+        self._publish()
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="plane-monitor", daemon=True
         )
@@ -438,38 +365,31 @@ class ServingPlane:
         )
 
     def _note(self, member: _Member, msg: Dict[str, Any]) -> None:
-        member.last_seen = time.monotonic()
-        if "applied_seq" in msg:
-            member.applied_seq = int(msg["applied_seq"])
-        if "seq" in msg:
-            member.applied_seq = int(msg["seq"])
-        if msg.get("promoted"):
-            member.promoted = True
+        if msg.get("event") == "heartbeat":
+            member.health = {
+                k: v for k, v in msg.items() if k != "event"
+            }
 
-    def _write_topology(self) -> None:
-        _write_cluster(
-            self.state_dir,
-            {
-                "front_url": self.front_url,
-                "writer_url": self.writer_url,
-                "writer_pid": self.writer.pid if self.writer else 0,
-                "promotions": self.promotions,
-                "members": [
-                    {
-                        "name": m.name,
-                        "role": (
-                            "writer"
-                            if m is self.writer or m.promoted
-                            else m.role
-                        ),
-                        "url": m.url,
-                        "pid": m.pid,
-                        "alive": m.alive,
-                    }
-                    for m in self.members
-                ],
-            },
-        )
+    def _publish(self) -> None:
+        """Rewrite cluster.json if anything in it changed."""
+        document = {
+            "url": self.url,
+            "writer_pid": self.writer.pid if self.writer else 0,
+            "promotions": self.promotions,
+            "members": [
+                {
+                    "name": m.name,
+                    "role": m.role,
+                    "pid": m.pid,
+                    "alive": m.alive,
+                    **m.health,
+                }
+                for m in self.members
+            ],
+        }
+        if document != self._published:
+            _write_cluster(self.state_dir, document)
+            self._published = document
 
     def _monitor_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_interval):
@@ -488,20 +408,19 @@ class ServingPlane:
                 and self.auto_promote
             ):
                 self._promote_best()
+            self._publish()
 
     def _promote_best(self) -> None:
         with self._lock:
             dead = self.writer
             candidates = sorted(
-                (
-                    m
-                    for m in self.members
-                    if m.role == "replica" and m.alive and not m.promoted
+                (m for m in self.members if m.role == "standby" and m.alive),
+                key=lambda m: (
+                    bool(m.health.get("following")),
+                    m.health.get("applied_seq", 0),
                 ),
-                key=lambda m: m.applied_seq,
                 reverse=True,
             )
-            promoted = None
             for candidate in candidates:
                 try:
                     candidate.conn.send(
@@ -512,25 +431,13 @@ class ServingPlane:
                     )
                 except (RuntimeError, BrokenPipeError, OSError):
                     continue
-                candidate.promoted = True
-                candidate.url = reply.get("url", candidate.url)
-                promoted = candidate
                 break
-            if promoted is None:
+            else:
                 return  # nothing left to promote; keep watching
-            self.writer = promoted
+            candidate.role = "writer"
+            candidate.health = {"applied_seq": reply["final_seq"]}
+            self.writer = candidate
             self.promotions += 1
             if dead is not None and dead in self.members:
                 self.members.remove(dead)
-            for member in self.members:
-                if member.role == "replica" and member is not promoted:
-                    try:
-                        member.conn.send(
-                            {
-                                "cmd": "writer_changed",
-                                "writer_url": promoted.url,
-                            }
-                        )
-                    except (BrokenPipeError, OSError):
-                        pass
-            self._write_topology()
+            self._publish()

@@ -33,12 +33,6 @@ from repro.errors import (  # noqa: F401 - canonical re-export
 #: The one schema version this server generation speaks.
 API_VERSION = "v1"
 
-#: Response header a read replica attaches to every reply: how many
-#: journal records behind the writer the serving replica was at
-#: dispatch time.  The SDK reads it (``EaseMLClient.last_replica_lag``)
-#: to decide when to fall back to the writer.
-REPLICA_LAG_HEADER = "X-Replica-Lag"
-
 
 # ----------------------------------------------------------------------
 # Requests

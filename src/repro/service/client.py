@@ -37,7 +37,6 @@ from urllib.parse import urlencode, urlparse
 from repro.obs.context import REQUEST_ID_HEADER, new_request_id
 from repro.service.api import (
     API_VERSION,
-    REPLICA_LAG_HEADER,
     ApiError,
     ApiErrorCode,
     AppStatusResponse,
@@ -68,7 +67,6 @@ _MAX_HEADERS = 100
 _BAD_TARGET = re.compile(r"[\x00-\x20\x7f]")
 
 _REQUEST_ID = REQUEST_ID_HEADER.lower()
-_REPLICA_LAG = REPLICA_LAG_HEADER.lower()
 
 
 class _Connection:
@@ -229,36 +227,13 @@ class EaseMLClient:
         # one client per thread parallelises better.
         self._connection: Optional[_Connection] = None
         self._lock = threading.Lock()
-        # Scale-out awareness: when the base URL points at a read
-        # replica, mutations come back NOT_WRITER with the writer's
-        # address in the error details.  The client learns it once and
-        # routes subsequent mutations there directly (reads keep
-        # hitting the replica); a dead learned writer is forgotten and
-        # re-learned from the next redirect.
-        self._writer: Optional[Tuple[str, int]] = None
-        self._writer_connection: Optional[_Connection] = None
-        #: Records-behind-the-writer reported by the last response
-        #: that carried an ``X-Replica-Lag`` header (None when the
-        #: server is not a replica).
-        self.last_replica_lag: Optional[int] = None
 
     def close(self) -> None:
-        """Drop the persistent connections (reopened on next request)."""
+        """Drop the persistent connection (reopened on next request)."""
         with self._lock:
             if self._connection is not None:
                 self._connection.close()
                 self._connection = None
-            if self._writer_connection is not None:
-                self._writer_connection.close()
-                self._writer_connection = None
-
-    @property
-    def writer_url(self) -> Optional[str]:
-        """The writer address learned from a replica redirect, if any."""
-        if self._writer is None:
-            return None
-        host, port = self._writer
-        return f"http://{host}:{port}"
 
     # ------------------------------------------------------------------
     # Transport
@@ -269,7 +244,6 @@ class EaseMLClient:
         path: str,
         body: Optional[Dict[str, Any]] = None,
         query: Optional[Dict[str, Any]] = None,
-        _via_writer: bool = False,
     ) -> Any:
         if query:
             path = f"{path}?{urlencode(query)}"
@@ -286,46 +260,10 @@ class EaseMLClient:
         if body is not None:
             payload = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        idempotent = method == "GET"
         with self._lock:
-            # Mutations go straight to a learned writer; reads keep
-            # hitting the (possibly replica) base address unless this
-            # call is an explicit writer-side retry.
-            use_writer = self._writer is not None and (
-                _via_writer or not idempotent
+            status, response_headers, raw = self._exchange(
+                method, path, payload, headers, idempotent=method == "GET"
             )
-            try:
-                status, response_headers, raw = self._exchange(
-                    method,
-                    path,
-                    payload,
-                    headers,
-                    idempotent=idempotent,
-                    writer=use_writer,
-                )
-            except AmbiguousMutationError:
-                raise
-            except (ConnectionError, OSError):
-                if not use_writer:
-                    raise
-                # The learned writer went away (a promotion elects a
-                # new one): forget it and fall back to the base
-                # address, which will re-redirect us if needed.
-                self._writer = None
-                status, response_headers, raw = self._exchange(
-                    method,
-                    path,
-                    payload,
-                    headers,
-                    idempotent=idempotent,
-                    writer=False,
-                )
-        lag = response_headers.get(_REPLICA_LAG)
-        if lag is not None:
-            try:
-                self.last_replica_lag = int(lag)
-            except ValueError:  # pragma: no cover - malformed header
-                pass
         echoed = response_headers.get(_REQUEST_ID) or request_id
         try:
             data = json.loads(raw.decode("utf-8"))
@@ -341,63 +279,28 @@ class EaseMLClient:
             # Older servers omit the id from the body; the header (or
             # our own minted id) still correlates the failure.
             error.request_id = error.request_id or echoed
-            writer = (error.details or {}).get("writer_url")
-            if (
-                writer
-                and not _via_writer
-                and error.code
-                in (ApiErrorCode.NOT_WRITER, ApiErrorCode.UNAVAILABLE_RECOVERING)
-            ):
-                # A replica told us where the writer lives: learn the
-                # address and re-issue this one request there (the
-                # guard keeps a confused cluster from bouncing us
-                # around forever).
-                self._learn_writer(writer)
-                if self._writer is not None:
-                    return self._request(
-                        method, path, body=body, _via_writer=True
-                    )
             raise error
         return from_wire(data)
 
-    def _learn_writer(self, url: str) -> None:
-        parsed = urlparse(url if "//" in url else f"//{url}")
-        if not parsed.hostname or not parsed.port:
-            return
-        with self._lock:
-            if self._writer != (parsed.hostname, parsed.port):
-                self._writer = (parsed.hostname, parsed.port)
-                if self._writer_connection is not None:
-                    self._writer_connection.close()
-                    self._writer_connection = None
-
-    def _exchange(
-        self, method, path, payload, headers, *, idempotent=False, writer=False
-    ):
+    def _exchange(self, method, path, payload, headers, *, idempotent=False):
         """One HTTP exchange over a persistent connection.
 
         A stale keep-alive socket (server closed it between requests)
         surfaces as a connection error on the first attempt; reconnect
         and retry.  Idempotent reads get an extra attempt with a short
-        grace sleep (a replica restart shows up as a reset mid-read);
+        grace sleep (a server restart shows up as a reset mid-read);
         a mutation is never replayed once the request bytes may have
         reached the server — re-sending it could apply it twice.
         """
         attempts = 3 if idempotent else 2
         for attempt in range(attempts):
-            conn = self._writer_connection if writer else self._connection
+            conn = self._connection
             reused = conn is not None
             sent = False
             try:
                 if conn is None:
-                    host, port = (
-                        self._writer if writer else (self.host, self.port)
-                    )
-                    conn = _Connection(host, port, self.timeout)
-                    if writer:
-                        self._writer_connection = conn
-                    else:
-                        self._connection = conn
+                    conn = _Connection(self.host, self.port, self.timeout)
+                    self._connection = conn
                 conn.send(method, path, headers, payload)
                 sent = True
                 status, response_headers = conn.read_head()
@@ -406,18 +309,12 @@ class EaseMLClient:
                     # The server ends this connection: the next call
                     # opens a fresh one (and knows it is fresh).
                     conn.close()
-                    if writer:
-                        self._writer_connection = None
-                    else:
-                        self._connection = None
+                    self._connection = None
                 return status, response_headers, raw
             except (ConnectionError, OSError) as exc:
                 if conn is not None:
                     conn.close()
-                if writer:
-                    self._writer_connection = None
-                else:
-                    self._connection = None
+                self._connection = None
                 if sent and not idempotent and not reused:
                     # The request bytes left on a fresh connection and
                     # no response came back: the server may or may not
@@ -645,8 +542,7 @@ class EaseMLClient:
         "job_completed" | "model_promoted", ...}`` — until the server
         closes the stream, ``timeout`` seconds pass with no event
         (None = wait forever), or the caller abandons the generator.
-        A server that publishes no stream (a read replica) answers
-        ``UNSUPPORTED``, surfaced as an :class:`ApiError`.
+        A refused subscription raises the server's :class:`ApiError`.
 
         The subscription rides its own connection (the persistent
         keep-alive socket must stay request/response), so a streaming

@@ -501,27 +501,18 @@ class AsyncServiceHTTPServer:
         *,
         access_log: Optional[AccessLogger] = None,
         metrics_token: Optional[str] = None,
-        reuse_port: bool = False,
     ) -> None:
         self.gateway = gateway
         self.access_log = access_log or NULL_ACCESS_LOG
         self.metrics_token = metrics_token
         self.tracer = getattr(gateway, "tracer", NULL_TRACER)
-        #: Optional per-response header hook: a gateway (the replica
-        #: facade) exposing ``extra_response_headers()`` gets its
-        #: headers (e.g. ``X-Replica-Lag``) attached to every reply.
-        self.extra_headers = getattr(
-            gateway, "extra_response_headers", None
-        )
         (
             self.m_requests,
             self.m_latency,
             self.m_errors,
             self.m_worker_wait,
         ) = _register_http_metrics(gateway)
-        self._socket = socket.create_server(
-            address, reuse_port=reuse_port
-        )
+        self._socket = socket.create_server(address)
         #: Remembered at bind time: the loop closes the socket on its
         #: way out, and ``url`` is still read after that (shutdown
         #: logging).
@@ -779,13 +770,6 @@ class AsyncServiceHTTPServer:
                         body_bytes = json.dumps(payload).encode("utf-8")
                         content_type = "application/json"
                     closing = fatal or not keep_alive
-                    extra = (
-                        dict(self.extra_headers())
-                        if self.extra_headers is not None
-                        else {}
-                    )
-                    if error_hdrs:
-                        extra.update(error_hdrs)
                     await self._write_response(
                         writer,
                         status,
@@ -793,7 +777,7 @@ class AsyncServiceHTTPServer:
                         closing=closing,
                         content_type=content_type,
                         request_id=context.request_id,
-                        extra_headers=extra or None,
+                        extra_headers=error_hdrs,
                     )
             finally:
                 duration = context.elapsed()
@@ -972,15 +956,7 @@ class AsyncServiceHTTPServer:
         """
         gateway = self.gateway
         token = bearer_token(headers.get("authorization", ""))
-        broker = getattr(gateway, "events_broker", None)
         try:
-            if broker is None:
-                raise ApiError(
-                    ApiErrorCode.UNSUPPORTED,
-                    "this server does not publish an event stream "
-                    "(replicas serve snapshot reads only; subscribe "
-                    "on the writer)",
-                )
             tenant = gateway.authenticate_token(token)
         except ApiError as exc:
             exc.request_id = exc.request_id or context.request_id
@@ -996,7 +972,7 @@ class AsyncServiceHTTPServer:
             ).inc()
             return exc.http_status
         context.tenant = tenant
-        subscription = broker.subscribe(tenant)
+        subscription = gateway.events_broker.subscribe(tenant)
         writer.write(
             (
                 "HTTP/1.1 200 OK\r\n"
@@ -1047,11 +1023,6 @@ def _wants_stream(method: str, target: _Target) -> bool:
 # ----------------------------------------------------------------------
 # Construction helpers
 # ----------------------------------------------------------------------
-def supports_reuse_port() -> bool:
-    """Can this platform stack server processes on one port?"""
-    return hasattr(socket, "SO_REUSEPORT")
-
-
 def serve(
     gateway: ServiceGateway,
     host: str = "127.0.0.1",
@@ -1059,23 +1030,18 @@ def serve(
     *,
     access_log: Optional[AccessLogger] = None,
     metrics_token: Optional[str] = None,
-    reuse_port: bool = False,
 ) -> AsyncServiceHTTPServer:
     """Bind (but do not start) the HTTP server for ``gateway``.
 
     ``port=0`` picks a free port.  ``access_log`` enables per-request
     structured logging (default: disabled).  ``metrics_token`` gates
     the otherwise-unauthenticated ``/metrics`` endpoints behind a
-    bearer token (default: open).  ``reuse_port`` binds with
-    ``SO_REUSEPORT`` so multiple server processes (the replica front
-    tier) can share one listening port — the kernel balances
-    connections across them.  Call ``serve_forever()`` to block, or
+    bearer token (default: open).  Call ``serve_forever()`` to block, or
     :func:`serve_background` to run it on a daemon thread.
     """
     return AsyncServiceHTTPServer(
         (host, port), gateway,
         access_log=access_log, metrics_token=metrics_token,
-        reuse_port=reuse_port,
     )
 
 
@@ -1086,13 +1052,11 @@ def serve_background(
     *,
     access_log: Optional[AccessLogger] = None,
     metrics_token: Optional[str] = None,
-    reuse_port: bool = False,
 ) -> Tuple[AsyncServiceHTTPServer, threading.Thread]:
     """Start the HTTP server on a daemon thread; returns (server, thread)."""
     server = serve(
         gateway, host, port,
         access_log=access_log, metrics_token=metrics_token,
-        reuse_port=reuse_port,
     )
     thread = threading.Thread(
         target=server.serve_forever, name="easeml-http", daemon=True

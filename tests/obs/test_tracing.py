@@ -1,4 +1,4 @@
-"""The span tracer: sampling, retention, eviction, remote joins."""
+"""The span tracer: sampling, retention, eviction."""
 
 import pytest
 
@@ -54,7 +54,6 @@ class TestFastPath:
         NULL_TRACER.start(context)
         NULL_TRACER.finish(context)
         assert context.trace is None
-        NULL_TRACER.record_remote("req-1", "replica.apply", 0.001)
         assert NULL_TRACER.snapshot() == []
         assert NULL_TRACER.get("req-1") == []
         assert len(NULL_TRACER) == 0
@@ -173,19 +172,3 @@ class TestRetention:
                 for e in tracer.snapshot(route="/v1/jobs", min_ms=6.0)
                 ] == ["t-3"]
         assert [e["trace_id"] for e in tracer.snapshot(limit=1)] == ["t-2"]
-
-
-class TestRemoteJoin:
-    def test_remote_span_joins_by_trace_id(self):
-        tracer = Tracer(retain_rate=0.0, slow_per_route=1)
-        context = bind_request(RequestContext(request_id="req-1"))
-        tracer.start(context)
-        tracer.finish(context, **finish_kwargs())
-        tracer.record_remote("req-1", "replica.apply", 0.002, seq=4)
-        entries = tracer.get("req-1")
-        assert {e["kept"] for e in entries} == {"slow", "remote"}
-        remote = next(e for e in entries if e["kept"] == "remote")
-        assert remote["frontend"] == "replica"
-        assert remote["spans"][0]["name"] == "replica.apply"
-        assert remote["spans"][0]["duration_ms"] == pytest.approx(2.0)
-        assert remote["spans"][0]["attrs"]["seq"] == 4

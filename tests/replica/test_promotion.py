@@ -22,7 +22,7 @@ from repro.service.api import (
     RegisterAppRequest,
     SubmitTrainingRequest,
 )
-from repro.replica import ReadReplica, ReplicaGateway
+from repro.replica import ReadReplica
 
 
 def follow(state_dir):
@@ -71,8 +71,7 @@ class TestPromotionBasics:
         assert state_digest(replica.gateway) == pre_kill
 
         # The promoted replica is a writer: mutations persist.
-        facade = ReplicaGateway(replica)
-        facade.handle(
+        replica.gateway.handle(
             RegisterAppRequest(
                 auth_token=token, app="after", program=MOONS_PROGRAM
             )
@@ -129,7 +128,7 @@ class TestDispositions:
         report = replica.promote(in_flight="requeue")
         assert report.recovered == in_flight
         assert report.lost == []
-        facade = ReplicaGateway(replica)
+        facade = replica.gateway
         for handle_id in in_flight:
             status = facade.handle(
                 JobStatusRequest(auth_token=token, job_id=handle_id)
@@ -146,7 +145,7 @@ class TestDispositions:
         replica = follow(state_dir)
         report = replica.promote(in_flight="mark-lost")
         assert report.lost == in_flight
-        facade = ReplicaGateway(replica)
+        facade = replica.gateway
         for handle_id in in_flight:
             status = facade.handle(
                 JobStatusRequest(auth_token=token, job_id=handle_id)
@@ -210,7 +209,7 @@ class TestParkedWaiters:
         # replica and rides it to a terminal state.
         replica = follow(state_dir)
         replica.promote(in_flight="requeue")
-        facade = ReplicaGateway(replica)
+        facade = replica.gateway
         status = facade.handle(
             JobStatusRequest(auth_token=token, job_id=target, wait=30)
         )

@@ -1,166 +1,181 @@
-"""ReadReplica + ReplicaGateway: reads, redirects, staleness, HTTP."""
+"""ReadReplica as a standby: follows the writer, reports a dead tail.
+
+A standby serves no client traffic, so what its heartbeat says —
+``applied_seq``, ``following`` and the error that ended its tail
+loop — is the only sign of its health.  Everything here runs in one
+process: the writer gateway, the follower, and the supervisor's
+bookkeeping (no child processes).
+"""
+
+import time
 
 import pytest
 
 from replica_helpers import MOONS_PROGRAM, open_writer
-from repro.errors import ApiError, ApiErrorCode
-from repro.replica import ReadReplica, ReplicaGateway
+from repro.replica import ReadReplica, ServingPlane, read_cluster
+from repro.replica.supervisor import _Member, _standby_beat
 from repro.service.api import (
     AppStatusRequest,
     ListAppsRequest,
     RegisterAppRequest,
 )
-from repro.service.client import EaseMLClient
-from repro.service.http import serve_background
+
+
+def register(gateway, token, app):
+    gateway.handle(
+        RegisterAppRequest(auth_token=token, app=app, program=MOONS_PROGRAM)
+    )
 
 
 @pytest.fixture
 def plane(state_dir):
     """In-process writer + caught-up replica; manual stepping."""
     gateway, token = open_writer(state_dir)
-    gateway.handle(
-        RegisterAppRequest(
-            auth_token=token, app="moons", program=MOONS_PROGRAM
-        )
-    )
+    register(gateway, token, "moons")
     replica = ReadReplica(state_dir)
     replica._apply(replica.tailer.seed())
-    facade = ReplicaGateway(
-        replica, max_lag_records=100, writer_url="http://writer:1"
-    )
-    yield gateway, token, replica, facade
+    yield gateway, token, replica
     gateway.store.close()
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 class TestReplicaReads:
     def test_reads_match_the_writer(self, plane):
-        gateway, token, replica, facade = plane
-        mine = facade.handle(ListAppsRequest(auth_token=token))
+        gateway, token, replica = plane
+        mine = replica.gateway.handle(ListAppsRequest(auth_token=token))
         theirs = gateway.handle(ListAppsRequest(auth_token=token))
         assert mine.apps == theirs.apps == ("moons",)
-        status = facade.handle(
+        status = replica.gateway.handle(
             AppStatusRequest(auth_token=token, app="moons")
         )
         assert status.app == "moons"
 
     def test_new_writes_appear_after_step(self, plane):
-        gateway, token, replica, facade = plane
-        gateway.handle(
-            RegisterAppRequest(
-                auth_token=token, app="blobs", program=MOONS_PROGRAM
-            )
-        )
+        gateway, token, replica = plane
+        register(gateway, token, "blobs")
         assert replica.step() > 0
-        assert facade.handle(
+        assert replica.gateway.handle(
             ListAppsRequest(auth_token=token)
         ).apps == ("blobs", "moons")
         assert replica.applied_seq == gateway.store.last_seq
 
-    def test_writes_rejected_with_writer_address(self, plane):
-        gateway, token, replica, facade = plane
-        with pytest.raises(ApiError) as err:
-            facade.handle(
-                RegisterAppRequest(
-                    auth_token=token, app="x", program=MOONS_PROGRAM
-                )
+
+class TestStandbyHealth:
+    def test_dead_tail_loop_is_reported(self, state_dir, monkeypatch):
+        """A replay failure ends the tail loop: applied_seq and
+        lag_records freeze while the writer moves on, and only
+        ``following`` and ``error`` say so."""
+        gateway, token = open_writer(state_dir)
+        try:
+            replica = ReadReplica(state_dir, poll_interval=0.01)
+            replica.start()
+            assert replica.following
+            assert _standby_beat(replica)["following"] is True
+
+            def diverge(gateway, records):
+                raise RuntimeError("injected replay divergence")
+
+            monkeypatch.setattr(
+                "repro.replica.replica.replay_records", diverge
             )
-        assert err.value.code is ApiErrorCode.NOT_WRITER
-        assert err.value.details["writer_url"] == "http://writer:1"
-        assert err.value.http_status == 503
+            frozen = replica.applied_seq
+            register(gateway, token, "moons")
+            assert wait_until(lambda: not replica.following)
+            register(gateway, token, "blobs")
+            time.sleep(0.05)
+            assert replica.applied_seq == frozen < gateway.store.last_seq
+            assert isinstance(replica.error, RuntimeError)
+            beat = _standby_beat(replica)
+            assert beat["following"] is False
+            assert beat["error"] == "RuntimeError: injected replay divergence"
+            assert beat["applied_seq"] == frozen
+            replica.stop()
+        finally:
+            gateway.store.close()
 
-    def test_stale_reads_beyond_bound_503(self, plane):
-        gateway, token, replica, facade = plane
-        facade.max_lag_records = 3
-        replica._target_seq = replica.applied_seq + 10  # behind
-        with pytest.raises(ApiError) as err:
-            facade.handle(ListAppsRequest(auth_token=token))
-        assert err.value.code is ApiErrorCode.UNAVAILABLE_RECOVERING
-        assert err.value.details["replica_lag_records"] == 10
-        assert err.value.details["writer_url"] == "http://writer:1"
-        # catching up clears the bound
-        replica._target_seq = replica.applied_seq
-        assert facade.handle(ListAppsRequest(auth_token=token)).apps
-
-    def test_staleness_gauges_advance(self, plane):
-        gateway, token, replica, facade = plane
-        metrics = replica.gateway.metrics.to_dict()
-        applied = metrics["replica_applied_seq"]["series"][0]["value"]
-        assert applied == replica.applied_seq > 0
-        gateway.rotate_token("acme")
-        replica.step()
-        metrics = replica.gateway.metrics.to_dict()
-        assert (
-            metrics["replica_applied_seq"]["series"][0]["value"]
-            == replica.applied_seq
-            > applied
+    def test_cluster_json_carries_each_heartbeat(self, state_dir):
+        plane = ServingPlane(state_dir, replicas=1, port=8123)
+        standby = _Member(name="standby-0", role="standby", pid=7)
+        plane.members.append(standby)
+        plane._note(
+            standby,
+            {
+                "event": "heartbeat",
+                "applied_seq": 4,
+                "lag_records": 2,
+                "following": False,
+                "error": "RuntimeError: boom",
+            },
         )
-        assert (
-            metrics["replica_lag_records"]["series"][0]["value"] == 0
+        state_dir.mkdir()
+        plane._publish()
+        (member,) = read_cluster(state_dir)["members"]
+        assert member == {
+            "name": "standby-0",
+            "role": "standby",
+            "pid": 7,
+            "alive": False,
+            "applied_seq": 4,
+            "lag_records": 2,
+            "following": False,
+            "error": "RuntimeError: boom",
+        }
+        assert read_cluster(state_dir)["url"] == "http://127.0.0.1:8123"
+        # Unchanged values are not rewritten.
+        (state_dir / "cluster.json").unlink()
+        plane._publish()
+        assert read_cluster(state_dir) is None
+
+
+class _Alive:
+    def is_alive(self):
+        return True
+
+
+class _Pipe:
+    """The supervisor's end of a standby's pipe, answering promote."""
+
+    def __init__(self, log, name):
+        self.log, self.name, self.replies = log, name, []
+
+    def send(self, msg):
+        self.log.append(self.name)
+        self.replies.append({"event": "promoted", "final_seq": 9})
+
+    def poll(self, timeout=0.0):
+        return bool(self.replies)
+
+    def recv(self):
+        return self.replies.pop(0)
+
+
+class TestElection:
+    def test_following_standbys_are_tried_first(self, state_dir):
+        plane = ServingPlane(state_dir, replicas=2)
+        plane.writer = _Member(name="writer", role="writer")
+        asked = []
+        ahead_but_dead = _Member(
+            name="stuck", role="standby", process=_Alive(),
+            conn=_Pipe(asked, "stuck"),
+            health={"applied_seq": 12, "following": False},
         )
-
-
-class TestReplicaHTTP:
-    def test_lag_header_and_redirect_over_http(self, plane):
-        gateway, token, replica, facade = plane
-        writer_server, _ = serve_background(gateway)
-        facade.writer_url = writer_server.url
-        replica_server, _ = serve_background(facade)
-        try:
-            client = EaseMLClient(replica_server.url, token)
-            # read served by the replica, lag header echoed
-            assert client.list_apps().apps == ("moons",)
-            assert client.last_replica_lag == 0
-            # mutation transparently redirected to the writer
-            response = client.register_app("redirected", MOONS_PROGRAM)
-            assert response.app == "redirected"
-            assert client.writer_url == writer_server.url
-            # the replica catches up and serves the new app
-            replica.step()
-            assert "redirected" in client.list_apps().apps
-            # subsequent mutations go straight to the learned writer
-            response = client.register_app("direct", MOONS_PROGRAM)
-            assert response.app == "direct"
-        finally:
-            for server in (writer_server, replica_server):
-                server.shutdown()
-                server.server_close()
-
-    def test_stale_read_falls_back_to_writer_over_http(self, plane):
-        gateway, token, replica, facade = plane
-        writer_server, _ = serve_background(gateway)
-        facade.writer_url = writer_server.url
-        facade.max_lag_records = 0
-        replica_server, _ = serve_background(facade)
-        try:
-            replica._target_seq = replica.applied_seq + 5
-            client = EaseMLClient(replica_server.url, token)
-            # the replica 503s; the client re-reads from the writer
-            assert client.list_apps().apps == ("moons",)
-        finally:
-            for server in (writer_server, replica_server):
-                server.shutdown()
-                server.server_close()
-
-    def test_mutation_is_refused_then_served_after_promotion(self, plane):
-        """The facade's whole write story is ``handle``: NOT_WRITER
-        until ``promote()``, the writing gateway after."""
-        gateway, token, replica, facade = plane
-        server, _ = serve_background(facade)
-        # The redirect points back here, so the SDK's one re-issue
-        # meets the same replica and the refusal reaches the caller.
-        facade.writer_url = server.url
-        try:
-            client = EaseMLClient(server.url, token)
-            with pytest.raises(ApiError) as err:
-                client.register_app("late", MOONS_PROGRAM)
-            assert err.value.code is ApiErrorCode.NOT_WRITER
-            assert err.value.details["writer_url"] == server.url
-            assert err.value.request_id
-            gateway.store.close()  # the writer dies; flock released
-            replica.promote()
-            assert client.register_app("late", MOONS_PROGRAM).app == "late"
-            assert "late" in client.list_apps().apps
-        finally:
-            server.shutdown()
-            server.server_close()
-            replica.gateway.store.close()
+        behind_but_following = _Member(
+            name="live", role="standby", process=_Alive(),
+            conn=_Pipe(asked, "live"),
+            health={"applied_seq": 9, "following": True},
+        )
+        plane.members = [plane.writer, ahead_but_dead, behind_but_following]
+        state_dir.mkdir()
+        plane._promote_best()
+        assert asked == ["live"]
+        assert plane.writer is behind_but_following
+        assert plane.promotions == 1
+        assert [m.name for m in plane.members] == ["stuck", "live"]

@@ -1,13 +1,15 @@
-"""ServingPlane end to end: spawn, tail, SIGKILL the writer, promote.
+"""ServingPlane end to end: spawn, follow, SIGKILL the writer, promote.
 
 One deliberately small multiprocess scenario (spawn startup on this
 class of host is seconds per child); the fine-grained promotion and
-staleness semantics live in the in-process suites next door.
+standby-health semantics live in the in-process suites next door.
 """
 
 import multiprocessing
 import os
 import signal
+import socket
+import sys
 import time
 
 import pytest
@@ -26,6 +28,15 @@ def wait_until(predicate, timeout, interval=0.2):
     return predicate()
 
 
+def refused(port):
+    """Does nothing listen on ``port``?"""
+    try:
+        socket.create_connection(("127.0.0.1", port), timeout=2).close()
+    except ConnectionRefusedError:
+        return True
+    return False
+
+
 class TestServingPlane:
     def test_failover_end_to_end(self, state_dir):
         plane = ServingPlane(
@@ -37,53 +48,58 @@ class TestServingPlane:
         )
         plane.start()
         try:
-            token = plane.tokens["acme"]
-            writer = EaseMLClient(plane.writer_url, token)
-            writer.register_app("moons", MOONS_PROGRAM)
+            client = EaseMLClient(plane.url, plane.tokens["acme"])
+            client.register_app("moons", MOONS_PROGRAM)
 
-            # The replica tails the WAL and serves the read.
-            replica_url = plane.replica_urls()[0]
-            replica = EaseMLClient(replica_url, token)
-            assert wait_until(
-                lambda: "moons" in replica.list_apps().apps, timeout=30
-            ), "replica never caught up"
-            assert replica.last_replica_lag == 0
-
-            # Topology is published for operators and the CLI.
+            # One address for the whole plane; the standby binds
+            # nothing (the old layout had direct ports at +1 and +2).
             cluster = read_cluster(state_dir)
-            assert cluster["writer_url"] == plane.writer_url
+            assert cluster["url"] == plane.url
+            assert "url" not in cluster["members"][1]
             assert (state_dir / CLUSTER_NAME).exists()
-
-            # SIGKILL the writer: the supervisor promotes the replica.
-            old_writer_url = plane.writer_url
-            os.kill(cluster["writer_pid"], signal.SIGKILL)
+            assert refused(plane.port + 1) and refused(plane.port + 2)
             assert wait_until(
-                lambda: plane.promotions == 1, timeout=60
-            ), "writer death did not trigger a promotion"
-            assert plane.writer_url == replica_url != old_writer_url
+                lambda: read_cluster(state_dir)["members"][1].get(
+                    "following"
+                ),
+                timeout=30,
+            ), "the standby never reported following"
 
-            # The promoted member serves reads AND writes.
-            promoted = EaseMLClient(plane.writer_url, token)
-            assert "moons" in promoted.list_apps().apps
-            promoted.register_app("after-failover", MOONS_PROGRAM)
-            assert "after-failover" in promoted.list_apps().apps
+            # SIGKILL the writer: the same client, on the same address,
+            # retries until the promoted standby acks a write.
+            os.kill(cluster["writer_pid"], signal.SIGKILL)
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    client.register_app("after-failover", MOONS_PROGRAM)
+                    break
+                except (ConnectionError, OSError):
+                    assert time.monotonic() < deadline, "no write acked"
+                    time.sleep(0.1)
+            assert plane.promotions == 1
+            assert set(client.list_apps().apps) == {
+                "moons", "after-failover"
+            }
 
             # The published topology reflects the new writer.
+            assert wait_until(
+                lambda: read_cluster(state_dir)["promotions"] == 1,
+                timeout=10,
+            )
             cluster = read_cluster(state_dir)
-            assert cluster["writer_url"] == plane.writer_url
-            assert cluster["promotions"] == 1
+            assert cluster["url"] == plane.url
+            (member,) = cluster["members"]
+            assert member["role"] == "writer"
+            assert member["pid"] == cluster["writer_pid"]
+            assert refused(plane.port + 1) and refused(plane.port + 2)
         finally:
             plane.stop()
 
-    def test_refuses_to_start_without_reuse_port(
-        self, state_dir, monkeypatch
-    ):
-        """No SO_REUSEPORT, no plane: the constructor says so before a
-        single child exists (there is no userspace front tier)."""
-        monkeypatch.setattr(
-            "repro.service.http.supports_reuse_port", lambda: False
-        )
-        with pytest.raises(RuntimeError, match="SO_REUSEPORT") as err:
+    def test_refuses_to_start_without_flock(self, state_dir, monkeypatch):
+        """No flock, no single-writer arbitration, no plane: the
+        constructor says so before a single child exists."""
+        monkeypatch.setitem(sys.modules, "fcntl", None)
+        with pytest.raises(RuntimeError, match="flock") as err:
             ServingPlane(state_dir, replicas=1, tenants=["acme"])
         assert "repro serve" in str(err.value)
         assert multiprocessing.active_children() == []

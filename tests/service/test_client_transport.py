@@ -187,29 +187,19 @@ class TestConnectionReuse:
 
 
 class TestHeaders:
-    def test_replica_lag_and_echoed_request_id_come_from_headers(
-        self, scripted
-    ):
+    def test_echoed_request_id_comes_from_the_header(self, scripted):
         error = json.dumps(
             {"api_version": "v1",
              "error": {"code": "not_found", "message": "no app 'x'"}}
         ).encode()
         server = scripted([
-            reply(extra=b"x-replica-lag: 3\r\n"),
-            reply(
-                error,
-                "404 Not Found",
-                extra=b"X-Request-ID: trace-77\r\nX-Replica-Lag: 5\r\n",
-            ),
+            reply(error, "404 Not Found", extra=b"X-Request-ID: trace-77\r\n"),
         ])
         client = EaseMLClient(server.url, "tok")
-        client.info()
-        assert client.last_replica_lag == 3
         with pytest.raises(ApiError) as excinfo:
             client.app_status("x")
         assert excinfo.value.code is ApiErrorCode.NOT_FOUND
         assert excinfo.value.request_id == "trace-77"
-        assert client.last_replica_lag == 5
         client.close()
 
     def test_targets_that_would_split_the_request_line_are_refused(

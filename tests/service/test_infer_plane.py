@@ -986,26 +986,6 @@ class TestErrorParity:
         assert spy.threads["validate"] == []  # refused before the probe
         assert spy.threads["pool"] == []
 
-    def test_follower_replica_still_answers_not_writer(self, live):
-        from repro.replica.replica import ReplicaGateway
-
-        gateway, _, _, token, inputs, spy = live
-
-        class Follower:
-            promoted = False
-            lag_records = 0
-
-        Follower.gateway = gateway
-        facade = ReplicaGateway(Follower(), writer_url="http://writer")
-        request = InferRequest(
-            auth_token=token, app="moons", rows=(inputs[0],)
-        )
-        for kwargs in ({}, {"may_block": False}):
-            with pytest.raises(ApiError) as err:
-                facade.handle(request, **kwargs)
-            assert err.value.code is ApiErrorCode.NOT_WRITER
-        assert spy.threads["validate"] == []
-
 
 class TestVersionRaces:
     def test_all_hit_answer_carries_the_peeked_version(self, live):

@@ -215,19 +215,21 @@ class TestServe:
             _build_parser().parse_args(["serve", "--frontend", "asyncio"])
         assert refused.value.code == 2
 
-    def test_serve_replicas_needs_reuse_port(
+    def test_serve_replicas_needs_flock(
         self, tmp_path, monkeypatch, capsys
     ):
-        monkeypatch.setattr(
-            "repro.service.http.supports_reuse_port", lambda: False
-        )
+        import multiprocessing
+        import sys
+
+        monkeypatch.setitem(sys.modules, "fcntl", None)
         state = tmp_path / "state"
         code = main(
             ["serve", "--replicas", "1", "--state-dir", str(state)]
         )
         assert code == 2
+        assert multiprocessing.active_children() == []
         captured = capsys.readouterr()
-        assert "SO_REUSEPORT" in captured.err
+        assert "flock" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not state.exists()
@@ -618,24 +620,22 @@ class TestMetricsTextRendering:
     """`replica status` surfaces the writer's pick-latency histogram."""
 
     CLUSTER = {
-        "front_url": "http://127.0.0.1:9000",
-        "writer_url": "http://127.0.0.1:9001",
+        "url": "http://127.0.0.1:9000",
+        "writer_pid": 111,
         "promotions": 0,
         "members": [
             {
                 "name": "writer",
                 "role": "writer",
-                "url": "http://127.0.0.1:9001",
                 "pid": 111,
+                "alive": True,
+                "applied_seq": 42,
             }
         ],
     }
 
     METRICS = {
         "metrics": {
-            "replica_applied_seq": {"series": [{"value": 42}]},
-            "replica_lag_records": {"series": [{"value": 0}]},
-            "replica_is_writer": {"series": [{"value": 1}]},
             "scheduler_pick_seconds": {
                 "series": [
                     {
@@ -711,6 +711,45 @@ class TestMetricsTextRendering:
         out = capsys.readouterr().out
         assert "unreachable" in out
         assert "pick_p50" not in out
+
+    def test_text_output_names_a_stopped_standby_and_its_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import json
+
+        import repro.replica as replica_mod
+
+        cluster = dict(self.CLUSTER)
+        cluster["members"] = self.CLUSTER["members"] + [
+            {
+                "name": "standby-0",
+                "role": "standby",
+                "pid": 222,
+                "alive": True,
+                "applied_seq": 2,
+                "lag_records": 2,
+                "following": False,
+                "error": "RuntimeError: replay diverged",
+            }
+        ]
+        self._patch(monkeypatch)
+        monkeypatch.setattr(
+            replica_mod, "read_cluster", lambda state_dir: cluster
+        )
+        assert main(
+            ["replica", "status", "--state-dir", str(tmp_path)]
+        ) == 0
+        (line,) = [
+            l for l in capsys.readouterr().out.splitlines() if "standby-0" in l
+        ]
+        assert "stopped" in line
+        assert "lag=2 error=RuntimeError: replay diverged" in line
+        assert main(
+            ["replica", "status", "--state-dir", str(tmp_path), "--json"]
+        ) == 0
+        standby = json.loads(capsys.readouterr().out)["members"][1]
+        assert standby["following"] is False
+        assert standby["error"] == "RuntimeError: replay diverged"
 
 
 class TestServeSignals:
