@@ -38,7 +38,9 @@ PROGRAM = "{input: {[Tensor[2]], []}, output: {[Tensor[2]], []}}"
 GATEWAY_KWARGS = dict(
     placement="partition", n_gpus=4, min_examples=10, seed=0
 )
-#: The supervisor's monitor tick: it notices a dead writer on the next.
+#: The supervisor's monitor tick: how stale cluster.json may get.  A
+#: dead writer wakes the monitor at once (it waits on the process
+#: sentinel), so the failover time does not include a tick.
 HEARTBEAT = 0.25
 
 

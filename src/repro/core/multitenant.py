@@ -256,7 +256,7 @@ class TenantRegistry:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """One scheduler round, as recorded for analysis.
 

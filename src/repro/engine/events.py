@@ -8,11 +8,13 @@ scraping stdout.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -55,10 +57,21 @@ class Event:
 
 
 class EventLog:
-    """Append-only, time-ordered event store."""
+    """Append-only, time-ordered event store.
 
-    def __init__(self) -> None:
-        self._events: List[Event] = []
+    ``capacity`` bounds the log to its newest ``capacity`` events, a
+    ring in which each append past the bound drops the oldest event; a
+    long-running service keeps its log this way.  ``None`` (the
+    default) keeps every event, as traces and their goldens need.
+    """
+
+    def __init__(self, capacity: Optional[int] = None) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._events: Union[List[Event], Deque[Event]] = (
+            [] if capacity is None else deque(maxlen=capacity)
+        )
 
     def append(
         self,

@@ -30,7 +30,7 @@ class JobState(str, Enum):
 LIVE_STATES = (JobState.PENDING, JobState.RUNNING, JobState.PREEMPTED)
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """One (user, model) training run.
 

@@ -232,7 +232,7 @@ def cancel_in_flight(
             )
         gateway.server._deferred_outcomes.pop(record.job.job_id, None)
         record.cancelled = True
-        record.done_event.set()  # wake any long-poll on this handle
+        record.wake()  # release any long-poll on this handle
         if disposition is not None:
             record.disposition = disposition
 

@@ -57,6 +57,11 @@ from repro.platform.templates import Template, WorkloadKind, match_template
 from repro.errors import ApiError, ApiErrorCode
 from repro.utils.rng import RandomState, SeedLike
 
+#: Events a served platform (``EaseMLServer(served=True)``) keeps: the
+#: newest ones, in a ring, so a long-running service holds a fixed
+#: window of its timeline.
+SERVED_EVENT_LOG_CAPACITY = 1024
+
 #: Workload kinds the live trainer can serve (classification-shaped).
 _TRAINABLE_KINDS = (
     WorkloadKind.IMAGE_CLASSIFICATION,
@@ -80,7 +85,7 @@ class LiveCandidate:
         return f"{self.zoo_name}+{self.normalization.name}"
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainingOutcome:
     """One completed training run for an app."""
 
@@ -141,57 +146,82 @@ class EaseMLApp:
         """Store input/output example pairs (the ``feed`` operator).
 
         Outputs may be integer class labels (converted to one-hot of
-        the declared output size) or full output tensors.
+        the declared output size) or full output tensors.  The pairs
+        land as one block, all or none: a bad row rejects the call
+        before anything is stored.
         """
         if len(inputs) != len(outputs):
             raise ValueError(
                 f"got {len(inputs)} inputs but {len(outputs)} outputs"
             )
-        ids: List[int] = []
-        input_size = self.program.input.flat_size
-        for x, y in zip(inputs, outputs):
-            x = np.asarray(x, dtype=float)
-            if x.size != input_size:
-                raise ValueError(
-                    f"input has {x.size} scalars, schema declares "
-                    f"{input_size}"
-                )
-            y_vec = self._encode_output(y)
-            ids.append(self.store.add(x, y_vec))
+        inputs, X = self._input_block(inputs)
+        Y = self._output_block(outputs)
+        ids = list(self.store.add_block(X, Y))
         self._server.log.append(
             self._server.clock.now, EventKind.FEED, app=self.name,
             count=len(ids),
         )
         self._server._notify_persist(
             "feed", app=self.name, inputs=inputs, outputs=outputs,
-            example_ids=list(ids),
+            example_ids=ids,
         )
         return ids
 
-    def _encode_output(self, y: Union[int, np.ndarray]) -> np.ndarray:
-        if isinstance(y, (int, np.integer)):
-            label = int(y)
-            if not 0 <= label < self.n_classes:
+    def _input_block(self, inputs) -> Tuple[object, np.ndarray]:
+        """``(inputs as float, (k, d) block)`` for a feed's inputs.
+
+        The first is what the journal records: the rows as sent, in
+        float64, nested shape kept.
+        """
+        input_size = self.program.input.flat_size
+        k = len(inputs)
+        try:
+            rows = np.asarray(inputs, dtype=float)
+        except ValueError:
+            # Rows of different shapes (equal sizes are still fine).
+            rows = [np.asarray(x, dtype=float) for x in inputs]
+            sizes = [x.size for x in rows]
+        else:
+            sizes = [rows[0].size] if k else []
+        for size in sizes:
+            if size != input_size:
                 raise ValueError(
-                    f"label {label} out of range [0, {self.n_classes})"
+                    f"input has {size} scalars, schema declares "
+                    f"{input_size}"
                 )
-            vec = np.zeros(self.n_classes)
-            vec[label] = 1.0
-            return vec
-        y = np.asarray(y, dtype=float)
-        if y.size != self.program.output.flat_size:
-            raise ValueError(
-                f"output has {y.size} scalars, schema declares "
-                f"{self.program.output.flat_size}"
-            )
-        return y.ravel()
+        if k == 0:
+            return rows, np.empty((0, input_size))
+        if isinstance(rows, list):
+            return rows, np.stack([x.ravel() for x in rows])
+        return rows, rows.reshape(k, input_size)
+
+    def _output_block(self, outputs) -> np.ndarray:
+        """The ``(k, c)`` output block: labels one-hot, tensors flat."""
+        c = self.program.output.flat_size
+        Y = np.zeros((len(outputs), c))
+        for i, y in enumerate(outputs):
+            if isinstance(y, (int, np.integer)):
+                label = int(y)
+                if not 0 <= label < self.n_classes:
+                    raise ValueError(
+                        f"label {label} out of range [0, {self.n_classes})"
+                    )
+                Y[i, label] = 1.0
+                continue
+            y = np.asarray(y, dtype=float)
+            if y.size != c:
+                raise ValueError(
+                    f"output has {y.size} scalars, schema declares {c}"
+                )
+            Y[i] = y.ravel()
+        return Y
 
     def refine(self) -> List[Tuple[int, bool]]:
         """All fed examples and their enabled flags (``refine`` view)."""
         self._server.log.append(
             self._server.clock.now, EventKind.REFINE, app=self.name,
         )
-        return [(e.example_id, e.enabled) for e in self.store]
+        return self.store.flags()
 
     def set_example_enabled(self, example_id: int, enabled: bool) -> None:
         """Toggle one example on/off (the ``refine`` action)."""
@@ -287,6 +317,11 @@ class EaseMLServer:
     preemption_overhead:
         Single-GPU work units lost per preemption (checkpoint/restore
         cost).
+    served:
+        Build the platform of a long-running service (what
+        ``ServiceGateway`` does): :attr:`log` keeps only the newest
+        :data:`SERVED_EVENT_LOG_CAPACITY` events, so it holds a fixed
+        window of the timeline however long the service runs.
     """
 
     _STRATEGIES = ("hybrid", "greedy", "round_robin", "random")
@@ -306,6 +341,7 @@ class EaseMLServer:
         scaling_efficiency: float = 0.9,
         preemption_overhead: float = 0.0,
         seed: SeedLike = 0,
+        served: bool = False,
     ) -> None:
         if strategy not in self._STRATEGIES:
             raise ValueError(
@@ -335,7 +371,7 @@ class EaseMLServer:
         self.storage = SharedStorage()
         self.apps: List[EaseMLApp] = []
         self.clock = SimClock()
-        self.log = EventLog()
+        self.log = EventLog(SERVED_EVENT_LOG_CAPACITY if served else None)
         #: Persistence observers: callbacks fired on feed / admit /
         #: retire so a write-ahead journal (repro.persist) can record
         #: platform mutations even when they bypass the gateway.

@@ -4,19 +4,31 @@ Every ``feed`` lands the input/output pair in the centralized store
 (Figure 1's "Shared Storage"); ``refine`` exposes all pairs a user has
 ever fed and lets them be turned on and off — the data-cleaning loop
 the paper describes for weak/distant supervision.
+
+The store is columnar: one ``(n, d)`` float64 input block, one
+``(n, c)`` output block and a bool ``enabled`` mask, grown by capacity
+doubling.  A fed row costs its ``8 (d + c)`` bytes and one mask byte;
+no Python object is kept per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
+#: Rows allocated for a store's first block (then doubled as needed).
+_MIN_CAPACITY = 16
 
-@dataclass
+
+@dataclass(frozen=True)
 class Example:
-    """One stored input/output pair."""
+    """One stored input/output pair, read out of the store's columns.
+
+    Built on demand by :meth:`ExampleStore.get`; ``x`` and ``y`` are
+    flat copies of the stored rows.
+    """
 
     example_id: int
     x: np.ndarray
@@ -25,25 +37,79 @@ class Example:
 
 
 class ExampleStore:
-    """Append-only example collection with enable/disable flags."""
+    """Append-only example collection with enable/disable flags.
+
+    Rows are published by bumping the row count after they are written,
+    so a lock-free reader that reads ``len(store)`` first only ever sees
+    whole rows.
+    """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._examples: List[Example] = []
-        #: Maintained by ``add`` / ``set_enabled`` (the only writers
-        #: of ``Example.enabled``), so reading it is O(1).
+        self._n = 0
+        self._X = np.zeros((0, 0))
+        self._Y = np.zeros((0, 0))
+        self._enabled = np.zeros(0, dtype=bool)
+        #: Maintained by ``add_block`` / ``set_enabled`` (the only
+        #: writers of the mask), so reading it is O(1).
         self.n_enabled = 0
+
+    def add_block(self, X: np.ndarray, Y: np.ndarray) -> range:
+        """Store ``len(X)`` pairs at once; returns their ids.
+
+        Each row of ``X`` / ``Y`` is flattened; every row of a store
+        has the width of the first one it was fed.
+        """
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        k = len(X)
+        if len(Y) != k:
+            raise ValueError(f"got {k} inputs but {len(Y)} outputs")
+        n = self._n
+        if k == 0:
+            return range(n, n)
+        X = X.reshape(k, -1)
+        Y = Y.reshape(k, -1)
+        if len(self._X) == 0:
+            self._allocate(max(_MIN_CAPACITY, k), X.shape[1], Y.shape[1])
+        elif (X.shape[1], Y.shape[1]) != (self._X.shape[1], self._Y.shape[1]):
+            raise ValueError(
+                f"rows of {X.shape[1]} input and {Y.shape[1]} output "
+                f"scalars do not fit store {self.name!r}, which holds "
+                f"{self._X.shape[1]} and {self._Y.shape[1]}"
+            )
+        elif n + k > len(self._X):
+            self._grow(max(2 * len(self._X), n + k))
+        self._X[n:n + k] = X
+        self._Y[n:n + k] = Y
+        self._enabled[n:n + k] = True
+        self.n_enabled += k
+        self._n = n + k
+        return range(n, n + k)
+
+    def _allocate(self, capacity: int, d: int, c: int) -> None:
+        self._X = np.empty((capacity, d))
+        self._Y = np.empty((capacity, c))
+        self._enabled = np.zeros(capacity, dtype=bool)
+
+    def _grow(self, capacity: int) -> None:
+        # New arrays are filled before they are swapped in, so a reader
+        # holding the old ones still sees every published row.
+        n = self._n
+        X, Y, enabled = self._X, self._Y, self._enabled
+        new_X = np.empty((capacity, X.shape[1]))
+        new_Y = np.empty((capacity, Y.shape[1]))
+        new_enabled = np.zeros(capacity, dtype=bool)
+        new_X[:n] = X[:n]
+        new_Y[:n] = Y[:n]
+        new_enabled[:n] = enabled[:n]
+        self._X, self._Y, self._enabled = new_X, new_Y, new_enabled
 
     def add(self, x: np.ndarray, y: np.ndarray) -> int:
         """Store one pair; returns its id."""
-        example = Example(
-            example_id=len(self._examples),
-            x=np.asarray(x, dtype=float),
-            y=np.asarray(y, dtype=float),
-        )
-        self._examples.append(example)
-        self.n_enabled += 1
-        return example.example_id
+        x = np.asarray(x, dtype=float).reshape(1, -1)
+        y = np.asarray(y, dtype=float).reshape(1, -1)
+        return self.add_block(x, y)[0]
 
     def add_pairs(
         self, pairs: Iterable[Tuple[np.ndarray, np.ndarray]]
@@ -52,43 +118,62 @@ class ExampleStore:
         return [self.add(x, y) for x, y in pairs]
 
     def __len__(self) -> int:
-        return len(self._examples)
+        return self._n
 
-    def __iter__(self):
-        return iter(self._examples)
+    def __iter__(self) -> Iterator[Example]:
+        return (self.get(i) for i in range(self._n))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stored input and output rows."""
+        return self._n * (self._X.shape[1] + self._Y.shape[1]) * 8
 
     def get(self, example_id: int) -> Example:
-        if not 0 <= example_id < len(self._examples):
+        if not 0 <= example_id < self._n:
             raise IndexError(
-                f"example {example_id} out of range [0, {len(self._examples)})"
+                f"example {example_id} out of range [0, {self._n})"
             )
-        return self._examples[example_id]
+        return Example(
+            example_id=example_id,
+            x=self._X[example_id].copy(),
+            y=self._Y[example_id].copy(),
+            enabled=bool(self._enabled[example_id]),
+        )
 
     def set_enabled(self, example_id: int, enabled: bool) -> None:
         """The ``refine`` toggle."""
-        example = self.get(example_id)
-        self.n_enabled += bool(enabled) - example.enabled
-        example.enabled = bool(enabled)
+        if not 0 <= example_id < self._n:
+            raise IndexError(
+                f"example {example_id} out of range [0, {self._n})"
+            )
+        enabled = bool(enabled)
+        self.n_enabled += enabled - bool(self._enabled[example_id])
+        self._enabled[example_id] = enabled
+
+    def flags(self) -> List[Tuple[int, bool]]:
+        """``(example id, enabled)`` for every stored pair, in id order."""
+        n = self._n
+        return list(enumerate(self._enabled[:n].tolist()))
 
     def enabled_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Stacked (X, Y) of the enabled examples.
 
-        X rows are flattened inputs; Y rows are flattened outputs.
+        X rows are flattened inputs; Y rows are flattened outputs.  Both
+        are fresh C-ordered float64 copies.
         """
-        enabled = [e for e in self._examples if e.enabled]
-        if not enabled:
+        if self.n_enabled == 0:
             raise ValueError(
                 f"store {self.name!r} has no enabled examples"
             )
-        X = np.stack([e.x.ravel() for e in enabled])
-        Y = np.stack([e.y.ravel() for e in enabled])
-        return X, Y
+        n = self._n
+        mask = self._enabled[:n]
+        return self._X[:n][mask], self._Y[:n][mask]
 
     def summary(self) -> Dict[str, int]:
         return {
-            "total": len(self._examples),
+            "total": self._n,
             "enabled": self.n_enabled,
-            "disabled": len(self._examples) - self.n_enabled,
+            "disabled": self._n - self.n_enabled,
         }
 
 

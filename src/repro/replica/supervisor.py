@@ -315,16 +315,16 @@ class ServingPlane:
                 self.in_flight,
             )
         self._publish()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="plane-monitor", daemon=True
-        )
-        self._monitor.start()
+        self._start_monitor()
 
     def stop(self) -> None:
         self._stop.set()
         if self._monitor is not None:
+            self._wake_send.send(None)
             self._monitor.join(timeout=5.0)
             self._monitor = None
+            self._wake_recv.close()
+            self._wake_send.close()
         for member in self.members:
             if member.conn is not None:
                 try:
@@ -391,8 +391,28 @@ class ServingPlane:
             _write_cluster(self.state_dir, document)
             self._published = document
 
+    def _start_monitor(self) -> None:
+        from multiprocessing import Pipe
+
+        self._wake_recv, self._wake_send = Pipe(duplex=False)
+        self._monitor = threading.Thread(
+            target=self._monitor_loop, name="plane-monitor", daemon=True
+        )
+        self._monitor.start()
+
     def _monitor_loop(self) -> None:
-        while not self._stop.wait(self.heartbeat_interval):
+        """Drain heartbeats, promote when the writer dies, publish.
+
+        Between rounds the loop waits, for at most
+        ``heartbeat_interval``, on the stop pipe, every live member's
+        pipe and the writer's process sentinel: a writer's death wakes
+        it when it happens, not at the next tick.  A dead writer no
+        standby could replace is left out of the wait (its sentinel,
+        ready for good, would spin the loop) and retried each tick.
+        """
+        from multiprocessing.connection import wait
+
+        while not self._stop.is_set():
             for member in self.members:
                 while member.conn is not None and member.conn.poll():
                     try:
@@ -402,13 +422,24 @@ class ServingPlane:
                     if isinstance(msg, dict):
                         self._note(member, msg)
             writer = self.writer
-            if (
-                writer is not None
-                and not writer.alive
-                and self.auto_promote
-            ):
-                self._promote_best()
+            stuck = False
+            if writer is not None and not writer.alive:
+                if self.auto_promote:
+                    self._promote_best()
+                stuck = self.writer is writer
             self._publish()
+            waitables = [self._wake_recv] + [
+                member.conn for member in self.members if member.alive
+            ]
+            writer = self.writer
+            sentinel = None
+            if writer is not None and writer.process is not None and not stuck:
+                sentinel = writer.process.sentinel
+                waitables.append(sentinel)
+            if sentinel in wait(waitables, timeout=self.heartbeat_interval):
+                # Exited, maybe not yet reapable: reap it, so the next
+                # round sees it dead instead of spinning.
+                writer.process.join(timeout=1.0)
 
     def _promote_best(self) -> None:
         with self._lock:

@@ -359,7 +359,9 @@ class ClusterRuntime:
             (self.clock.now - slice_.resumed_at)
             * self.pool.speedup(slice_.n_gpus)
         )
-        job.finish(self.clock.now, self._rewards[jid])
+        job.finish(self.clock.now, self._rewards.pop(jid))
+        # A finished job is never placed again: drop its bookkeeping.
+        del self._arrival_order[jid], self._epochs[jid]
         self.log.append(
             self.clock.now, EventKind.JOB_FINISHED, job_id=jid,
             user=job.user, model=job.model, reward=job.reward,

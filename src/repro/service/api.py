@@ -164,8 +164,10 @@ class ListAppsRequest(Request):
 class EventsRequest(Request):
     """Slice the server's event log (timeline introspection).
 
-    Only events attributable to the requesting tenant's own apps are
-    returned.  ``kinds`` filters by event-kind value strings;
+    A served gateway keeps the newest ``SERVED_EVENT_LOG_CAPACITY``
+    events (:mod:`repro.platform.server`); the slice is taken from
+    those.  Only events attributable to the requesting tenant's own
+    apps are returned.  ``kinds`` filters by event-kind value strings;
     ``since`` drops events before that simulated time.
 
     ``stream`` asks for a live Server-Sent Events subscription instead

@@ -255,7 +255,15 @@ class Tenant:
         self.view = TenantView(self.name, tuple(self.apps), self.retired)
 
 
-@dataclass
+#: Guards making and dropping a job handle's long-poll event.
+_WAITERS = threading.Lock()
+#: The event every terminal handle's waiters find: already set, so a
+#: park after the wake returns at once.
+_WOKEN = threading.Event()
+_WOKEN.set()
+
+
+@dataclass(slots=True)
 class _JobRecord:
     """Gateway-side bookkeeping for one async training job."""
 
@@ -277,13 +285,30 @@ class _JobRecord:
     #: What crash recovery did to this handle (``"recovered"`` /
     #: ``"lost"``); session-local, never persisted.
     disposition: Optional[str] = None
-    #: Set exactly when the handle reaches a terminal state
-    #: (completion hook, gateway cancellation, recovery mark-lost);
-    #: long-poll waiters (``JobStatusRequest.wait``) park on it
-    #: instead of spinning when they cannot advance the cluster.
-    done_event: threading.Event = field(
-        default_factory=threading.Event, repr=False, compare=False
+    #: What long-poll waiters (``JobStatusRequest.wait``) park on when
+    #: they cannot advance the cluster: made by the first waiter
+    #: (:meth:`park`), set and swapped for the shared, already-set
+    #: :data:`_WOKEN` when the handle turns terminal (:meth:`wake`:
+    #: completion hook, gateway cancellation, recovery mark-lost).  A
+    #: finished handle holds no event of its own.
+    waiter: Optional[threading.Event] = field(
+        default=None, repr=False, compare=False
     )
+
+    def park(self, timeout: float) -> None:
+        """Block up to ``timeout`` seconds, or until :meth:`wake`."""
+        with _WAITERS:
+            event = self.waiter
+            if event is None:
+                event = self.waiter = threading.Event()
+        event.wait(timeout)
+
+    def wake(self) -> None:
+        """The handle is terminal: release its waiters, drop the event."""
+        with _WAITERS:
+            event, self.waiter = self.waiter, _WOKEN
+        if event is not None:
+            event.set()
 
 
 class ServiceGateway:
@@ -334,6 +359,7 @@ class ServiceGateway:
                 preemption_overhead=preemption_overhead,
                 min_examples=min_examples,
                 seed=seed,
+                served=True,
             )
         self.server = server
         self.default_quota = default_quota or TenantQuota()
@@ -398,9 +424,10 @@ class ServiceGateway:
         self._tenant_names: Dict[str, Tenant] = {}
         self._jobs: Dict[str, _JobRecord] = {}  # handle id -> record
         self._jobs_by_runtime_id: Dict[int, _JobRecord] = {}
-        #: ``(app, history index) -> job handle id`` so infer can name
-        #: the training run that produced the served model.
-        self._handles_by_outcome: Dict[tuple, str] = {}
+        #: ``app -> (history index, job handle id)`` of the newest run
+        #: that improved the app, so infer can name the training run
+        #: that produced the served model.
+        self._best_handles: Dict[str, Tuple[int, str]] = {}
         self._lock = threading.RLock()
         self._absorb_hook_installed = False
         #: Frontend shutdown events (see :meth:`add_wait_abort`): a set
@@ -663,9 +690,7 @@ class ServiceGateway:
                     )
                 app = self.server.get_app(app_name)  # NOT_FOUND if absent
                 tenant.apps.append(app_name)
-                tenant.store_bytes += sum(
-                    e.x.nbytes + e.y.nbytes for e in app.store
-                )
+                tenant.store_bytes += app.store.nbytes
             tenant.republish()
             self._tenants[token] = tenant
             self._tenant_names[name] = tenant
@@ -745,7 +770,7 @@ class ServiceGateway:
                         record = self._jobs_by_runtime_id.get(jid)
                         if record is not None:
                             record.cancelled = True
-                            record.done_event.set()  # wake long-polls
+                            record.wake()  # release long-polls
                             cancelled.append(record.handle_id)
             tenant.retired = True
             tenant.republish()
@@ -1107,7 +1132,6 @@ class ServiceGateway:
                 limit=tenant.quota.max_store_bytes,
             )
         try:
-            inputs = [np.asarray(x, dtype=float) for x in request.inputs]
             outputs = [
                 int(y) if np.isscalar(y) or isinstance(y, (int, float))
                 else np.asarray(y, dtype=float)
@@ -1117,7 +1141,7 @@ class ServiceGateway:
             # mid-call; the context names the owning tenant for it.
             self._feed_ctx = tenant.name
             try:
-                ids = app.feed(inputs, outputs)
+                ids = app.feed(request.inputs, outputs)
             finally:
                 self._feed_ctx = None
         except (ValueError, TypeError) as exc:
@@ -1143,13 +1167,11 @@ class ServiceGateway:
         # the platform helper also appends a REFINE event to the
         # shared log, and the lock-free read path must be side-effect
         # free (an unlocked append racing a clock advance would trip
-        # the log's monotonicity check).  The store is append-only, so
-        # iterating it without a lock is a consistent snapshot.
+        # the log's monotonicity check).  The store publishes a row
+        # only once it is written, so reading it without a lock is a
+        # consistent snapshot.
         return RefineResponse(
-            app=request.app,
-            examples=tuple(
-                (e.example_id, e.enabled) for e in app.store
-            ),
+            app=request.app, examples=tuple(app.store.flags())
         )
 
     def _set_example_enabled(
@@ -1374,10 +1396,10 @@ class ServiceGateway:
         """The job handle (or run number) that trained the served model."""
         if app.best_version is None:
             return None
-        return self._handles_by_outcome.get(
-            (app.name, app.best_version - 1),
-            f"run-{app.best_version:05d}",
-        )
+        index, handle = self._best_handles.get(app.name, (None, None))
+        if index != app.best_version - 1:
+            return f"run-{app.best_version:05d}"
+        return handle
 
     def _close_app(
         self, tenant: Tenant, request: CloseAppRequest
@@ -1408,7 +1430,7 @@ class ServiceGateway:
         ]
         for record in records:
             record.cancelled = True
-            record.done_event.set()  # wake long-polls on these handles
+            record.wake()  # release long-polls on these handles
         cancelled = tuple(sorted(r.handle_id for r in records))
         if cancelled:
             self._push_effect("job_cancelled", {"handles": list(cancelled)})
@@ -1581,18 +1603,21 @@ class ServiceGateway:
             return
         app = self.server.get_app(record.app)
         record.history_index = len(app.history) - 1
-        self._handles_by_outcome[(record.app, record.history_index)] = (
-            record.handle_id
-        )
+        if app.best_version == record.history_index + 1:
+            self._best_handles[record.app] = (
+                record.history_index, record.handle_id
+            )
         self.server._runtime_oracle.absorb(
             self.server.scheduler,
             record.tenant_state,
             record.selection,
             job,
         )
+        # Absorbed: the pick's scheduler state is no longer needed.
+        record.tenant_state = record.selection = None
         # Absorption done: the handle is terminal and fully consistent
         # (history row assigned), so long-poll waiters may wake now.
-        record.done_event.set()
+        record.wake()
         outcome = (
             app.history[record.history_index]
             if 0 <= record.history_index < len(app.history)
@@ -1700,7 +1725,7 @@ class ServiceGateway:
                     self._m_wakes.labels("abort").inc()
                     return response
                 if not advanced:
-                    record.done_event.wait(min(remaining, 0.05))
+                    record.park(min(remaining, 0.05))
                 response, advanced = self._poll_job(request, record)
                 if response.done:
                     reason = "done"
@@ -1858,6 +1883,7 @@ class ServiceGateway:
                 return payload["user"] in users
             return False
 
+        # A served log is a ring: this scans the retained window.
         events = tuple(
             event_to_dict(event)
             for event in self.server.log

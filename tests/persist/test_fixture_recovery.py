@@ -55,3 +55,22 @@ def test_serves_the_recorded_predictions(recovered):
         rows=tuple(tuple(p) for p in RECORD["probes"]),
     ))
     assert list(response.predictions) == RECORD["predictions"]
+
+
+def test_streamed_digest_hashes_the_whole_document(recovered, monkeypatch):
+    """The checkpoint digest encodes its rows a chunk at a time; any
+    chunk size hashes the bytes of the one-shot encoding."""
+    import hashlib
+
+    from repro.errors import jsonify
+    from repro.persist import digest, state_view
+
+    gateway, _ = recovered
+    whole = json.dumps(
+        state_view(gateway), sort_keys=True, separators=(",", ":"),
+        default=jsonify,
+    )
+    expected = hashlib.sha256(whole.encode("utf-8")).hexdigest()
+    for chunk in (1, 3, 256):
+        monkeypatch.setattr(digest, "_CHUNK", chunk)
+        assert state_digest(gateway) == expected

@@ -55,6 +55,49 @@ class TestExampleStore:
                 len(store) - store.n_enabled
             )
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 3),
+        st.lists(
+            st.one_of(
+                st.integers(1, 7),  # feed a block of this many rows
+                st.tuples(st.integers(0, 60), st.booleans()),  # toggle
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_enabled_arrays_match_stacking_the_rows(self, d, c, ops):
+        """Block feeds and a masked copy give the bytes, dtype, shape
+        and C order of stacking the enabled rows one by one."""
+        rng = np.random.default_rng(d * 10 + c)
+        store, rows, flags = ExampleStore(), [], []
+        for op in ops:
+            if isinstance(op, int):
+                X, Y = rng.standard_normal((op, d)), rng.standard_normal((op, c))
+                assert list(store.add_block(X, Y)) == list(
+                    range(len(rows), len(rows) + op)
+                )
+                rows += list(zip(X, Y))
+                flags += [True] * op
+            elif rows:
+                i = op[0] % len(rows)
+                store.set_enabled(i, op[1])
+                flags[i] = op[1]
+        assert store.flags() == list(enumerate(flags))
+        kept = [row for row, on in zip(rows, flags) if on]
+        if not kept:
+            return
+        X, Y = store.enabled_arrays()
+        for got, want in (
+            (X, np.stack([x for x, _ in kept])),
+            (Y, np.stack([y for _, y in kept])),
+        ):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
     def test_enabled_arrays_filters(self):
         store = ExampleStore()
         store.add(np.array([1.0, 2.0]), np.array([1.0]))

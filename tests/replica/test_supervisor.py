@@ -10,6 +10,7 @@ import os
 import signal
 import socket
 import sys
+import threading
 import time
 
 import pytest
@@ -94,6 +95,54 @@ class TestServingPlane:
             assert refused(plane.port + 1) and refused(plane.port + 2)
         finally:
             plane.stop()
+
+    def test_promotion_starts_at_the_writer_death_not_the_next_tick(
+        self, state_dir
+    ):
+        """The monitor waits on the writer's process sentinel: a kill
+        just after a tick starts promotion at once, where a sleeping
+        loop would notice it a whole interval later."""
+        from repro.replica.supervisor import _Member
+
+        interval = 1.0
+        state_dir.mkdir()
+        plane = ServingPlane(state_dir, replicas=0, heartbeat_interval=interval)
+        ctx = multiprocessing.get_context("spawn")
+        conn, child_conn = ctx.Pipe()
+        writer = _Member(
+            name="writer", role="writer", conn=conn,
+            process=ctx.Process(target=time.sleep, args=(60,), daemon=True),
+        )
+        writer.process.start()
+        plane.members.append(writer)
+        plane.writer = writer
+        ticked = threading.Event()
+        rounds = []
+        promoting = []
+        publish = plane._publish
+
+        def publish_and_tick():
+            publish()
+            rounds.append(time.monotonic())
+            if len(rounds) == 2:  # the first wait timed out: a tick
+                ticked.set()
+
+        plane._publish = publish_and_tick
+        plane._promote_best = lambda: promoting.append(time.monotonic())
+        plane._start_monitor()
+        try:
+            assert ticked.wait(10 * interval)
+            assert rounds[1] - rounds[0] >= interval * 0.9
+            killed = time.monotonic()
+            os.kill(writer.process.pid, signal.SIGKILL)
+            assert wait_until(lambda: promoting, timeout=3 * interval,
+                              interval=0.01)
+            assert promoting[0] - killed < interval / 4
+        finally:
+            plane.stop()
+            # Held open until now: the writer's pipe reaches EOF only
+            # when its sentinel does, as with a real member.
+            child_conn.close()
 
     def test_refuses_to_start_without_flock(self, state_dir, monkeypatch):
         """No flock, no single-writer arbitration, no plane: the

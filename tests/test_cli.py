@@ -116,6 +116,33 @@ class TestRuntime:
         assert "partition placement" in out
         assert trace_path.exists() and events_path.exists()
 
+    def test_event_log_is_complete_past_the_served_ring(
+        self, capsys, tmp_path
+    ):
+        """Only a served platform bounds its event log: ``repro runtime``
+        writes every event of a run longer than the serve path's ring,
+        byte for byte what it wrote before that ring existed."""
+        import hashlib
+        import json
+
+        from repro.platform.server import SERVED_EVENT_LOG_CAPACITY
+
+        events = tmp_path / "events.jsonl"
+        assert main(
+            ["runtime", "--jobs", "400", "--n-gpus", "4", "--seed", "5",
+             "--policy", "partition", "--events-out", str(events)]
+        ) == 0
+        lines = events.read_text().splitlines()
+        assert len(lines) == 1234 > SERVED_EVENT_LOG_CAPACITY
+        assert json.loads(lines[0]) == {
+            "kind": "user_arrived",
+            "payload": {"user": 0},
+            "time": 0.4966674940031111,
+        }
+        assert hashlib.sha256(events.read_bytes()).hexdigest() == (
+            "3bcb5f1e8b7e45e45e79b7a5b0f7e27e484b5f20500644896026a1ecb7bd46fd"
+        )
+
     def test_trace_replay_reproduces_events(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         first = tmp_path / "events1.jsonl"
@@ -617,6 +644,9 @@ class TestMetricsTextRendering:
         from repro.cli import _render_metrics_text
 
         assert _render_metrics_text("\n") == "\n"
+
+
+class TestReplicaStatusPickLatency:
     """`replica status` surfaces the writer's pick-latency histogram."""
 
     CLUSTER = {
