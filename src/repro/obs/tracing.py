@@ -388,7 +388,7 @@ class Tracer:
 
 def _expand(entry: Dict[str, Any]) -> Dict[str, Any]:
     """A kept trace as readers see it: each span a dict."""
-    if "spans" not in entry:
+    if "spans" not in entry:  # inserted directly, as the ring tests do
         return entry
     spans = []
     for sid, name, parent, start_ms, duration_ms, attrs in entry["spans"]:

@@ -70,27 +70,23 @@ class ExampleStore:
             return range(n, n)
         X = X.reshape(k, -1)
         Y = Y.reshape(k, -1)
-        if len(self._X) == 0:
-            self._allocate(max(_MIN_CAPACITY, k), X.shape[1], Y.shape[1])
+        if len(self._X) == 0:  # the first block sets the row widths
+            self._X = np.empty((0, X.shape[1]))
+            self._Y = np.empty((0, Y.shape[1]))
         elif (X.shape[1], Y.shape[1]) != (self._X.shape[1], self._Y.shape[1]):
             raise ValueError(
                 f"rows of {X.shape[1]} input and {Y.shape[1]} output "
                 f"scalars do not fit store {self.name!r}, which holds "
                 f"{self._X.shape[1]} and {self._Y.shape[1]}"
             )
-        elif n + k > len(self._X):
-            self._grow(max(2 * len(self._X), n + k))
+        if n + k > len(self._X):
+            self._grow(max(2 * len(self._X), n + k, _MIN_CAPACITY))
         self._X[n:n + k] = X
         self._Y[n:n + k] = Y
         self._enabled[n:n + k] = True
         self.n_enabled += k
         self._n = n + k
         return range(n, n + k)
-
-    def _allocate(self, capacity: int, d: int, c: int) -> None:
-        self._X = np.empty((capacity, d))
-        self._Y = np.empty((capacity, c))
-        self._enabled = np.zeros(capacity, dtype=bool)
 
     def _grow(self, capacity: int) -> None:
         # New arrays are filled before they are swapped in, so a reader
