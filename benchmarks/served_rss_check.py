@@ -7,7 +7,7 @@ tenants, as the ``http_mutate`` workload does.  The child's VmRSS is
 sampled every ``--every`` cycles; the least-squares slope of the samples
 from cycle ``--skip`` on is the growth per cycle.  A cycle feeds 5 rows
 of 2 inputs and 2 outputs (160 bytes) and adds one job handle.  A server
-whose memory follows its state grows about 4-5 KiB a cycle over cycles
+whose memory follows its state grows about 5 KiB a cycle over cycles
 100-600, while its bounded rings (event log, kept traces) fill, and
 about 2 KiB a cycle (the job's records) after that; one that keeps
 something per operation grows 11-13 KiB a cycle over cycles 100-600

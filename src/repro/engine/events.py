@@ -93,7 +93,18 @@ class EventLog:
         return len(self._events)
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
+        return iter(self._scan())
+
+    def _scan(self) -> Union[List[Event], tuple]:
+        """The events to scan while another thread may append.
+
+        A list iterator tolerates appends, but a deque iterator raises
+        once the deque changes, so a ring is first copied to a tuple
+        (one C call, no Python code in between).
+        """
+        if self.capacity is None:
+            return self._events
+        return tuple(self._events)
 
     def __getitem__(self, index: int) -> Event:
         return self._events[index]
@@ -124,7 +135,7 @@ class EventLog:
         else:
             kinds = {EventKind(k) for k in kind}
         out = []
-        for event in self._events:
+        for event in self._scan():
             if kinds is not None and event.kind not in kinds:
                 continue
             if any(
@@ -141,7 +152,7 @@ class EventLog:
         self, start: float, end: float, kind: Optional[EventKind] = None
     ) -> List[Event]:
         """Events with ``start <= time < end``, optionally filtered."""
-        out = [e for e in self._events if start <= e.time < end]
+        out = [e for e in self._scan() if start <= e.time < end]
         if kind is not None:
             kind = EventKind(kind)
             out = [e for e in out if e.kind is kind]
@@ -151,7 +162,7 @@ class EventLog:
         """Most recent event (of a kind), or ``None``."""
         if kind is None:
             return self._events[-1] if self._events else None
-        for event in reversed(self._events):
+        for event in reversed(self._scan()):
             if event.kind is EventKind(kind):
                 return event
         return None

@@ -296,13 +296,14 @@ class Tracer:
         else:
             return
         with trace._lock:
-            spans = [(0, "request", None, 0.0, duration_ms, None)] + [
-                (
-                    s["sid"], s["name"], s["parent"], s["start_ms"],
-                    s["duration_ms"], s.get("attrs"),
-                )
-                for s in trace.spans
-            ]
+            spans = list(trace.spans)
+        spans.insert(0, {
+            "sid": 0,
+            "name": "request",
+            "parent": None,
+            "start_ms": 0.0,
+            "duration_ms": duration_ms,
+        })
         entry = {
             "trace_id": trace.trace_id,
             "route": route,
@@ -313,9 +314,7 @@ class Tracer:
             "duration_ms": duration_ms,
             "start_ts": round(trace.wall_start, 6),
             "kept": kept,
-            # A kept span is a tuple (the ring holds up to ``capacity``
-            # traces of them); readers get dicts, see _expand.
-            "spans": tuple(spans),
+            "spans": spans,
         }
         self._insert(entry)
 
@@ -371,38 +370,18 @@ class Tracer:
         if min_ms > 0.0:
             entries = [e for e in entries if e["duration_ms"] >= min_ms]
         entries.sort(key=lambda e: e["duration_ms"], reverse=True)
-        return [_expand(e) for e in entries[: max(int(limit), 0)]]
+        return entries[: max(int(limit), 0)]
 
     def get(self, trace_id: str) -> List[Dict[str, Any]]:
         """Every kept entry for one trace id."""
         with self._lock:
-            entries = [
+            return [
                 e for e in self._ring if e["trace_id"] == trace_id
             ]
-        return [_expand(e) for e in entries]
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._ring)
-
-
-def _expand(entry: Dict[str, Any]) -> Dict[str, Any]:
-    """A kept trace as readers see it: each span a dict."""
-    if "spans" not in entry:  # inserted directly, as the ring tests do
-        return entry
-    spans = []
-    for sid, name, parent, start_ms, duration_ms, attrs in entry["spans"]:
-        span_dict = {
-            "sid": sid,
-            "name": name,
-            "parent": parent,
-            "start_ms": start_ms,
-            "duration_ms": duration_ms,
-        }
-        if attrs:
-            span_dict["attrs"] = attrs
-        spans.append(span_dict)
-    return dict(entry, spans=spans)
 
 
 class NullTracer:

@@ -294,8 +294,6 @@ def _apply_primary(gateway: ServiceGateway, record: JournalRecord) -> None:
 
 
 def _replay_feed(gateway: ServiceGateway, record: JournalRecord) -> None:
-    import numpy as np
-
     p = record.payload
     if p.get("via") == "gateway" and p.get("tenant"):
         tenant = _tenant_for(gateway, p["tenant"])
@@ -313,14 +311,7 @@ def _replay_feed(gateway: ServiceGateway, record: JournalRecord) -> None:
         # A feed performed directly on the backing server (no tenant
         # accounting happened live, so none is replayed).
         app = gateway.server.get_app(p["app"])
-        replayed = app.feed(
-            [np.asarray(row, dtype=float) for row in p["inputs"]],
-            [
-                int(y) if isinstance(y, (int, float)) else
-                np.asarray(y, dtype=float)
-                for y in p["outputs"]
-            ],
-        )
+        replayed = app.feed(p["inputs"], p["outputs"])
     if list(replayed) != list(p["example_ids"]):
         raise RecoveryError(
             f"seq {record.seq}: replayed feed assigned example ids "

@@ -322,9 +322,12 @@ class ServingPlane:
         if self._monitor is not None:
             self._wake_send.send(None)
             self._monitor.join(timeout=5.0)
+            if not self._monitor.is_alive():
+                # A monitor still inside a promotion may yet reach its
+                # wait; leave the pipe open for it to the collector.
+                self._wake_recv.close()
+                self._wake_send.close()
             self._monitor = None
-            self._wake_recv.close()
-            self._wake_send.close()
         for member in self.members:
             if member.conn is not None:
                 try:
@@ -428,6 +431,8 @@ class ServingPlane:
                     self._promote_best()
                 stuck = self.writer is writer
             self._publish()
+            if self._stop.is_set():
+                break
             waitables = [self._wake_recv] + [
                 member.conn for member in self.members if member.alive
             ]

@@ -74,3 +74,26 @@ def test_streamed_digest_hashes_the_whole_document(recovered, monkeypatch):
     for chunk in (1, 3, 256):
         monkeypatch.setattr(digest, "_CHUNK", chunk)
         assert state_digest(gateway) == expected
+
+
+def test_a_name_that_spells_the_hole_still_digests_the_document(
+    recovered,
+):
+    """The streamed digest marks each streamed list with a placeholder
+    string; a state that spells it, even ahead of a list in key order,
+    gets the one-shot encoding's hash."""
+    import hashlib
+
+    from repro.errors import jsonify
+    from repro.persist import digest, state_view
+
+    gateway, _ = recovered
+    gateway.create_tenant(digest._HOLE)
+    gateway.server.get_app("moons").best_candidate = digest._HOLE
+    whole = json.dumps(
+        state_view(gateway), sort_keys=True, separators=(",", ":"),
+        default=jsonify,
+    )
+    assert state_digest(gateway) == hashlib.sha256(
+        whole.encode("utf-8")
+    ).hexdigest()

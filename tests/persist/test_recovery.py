@@ -105,6 +105,31 @@ class TestRoundTrip:
         assert app_status.best_candidate is not None
         recovered.store.close()
 
+    def test_direct_server_feed_replays_its_rows_as_fed(self, state_dir):
+        """A feed made on the backing server, not through a tenant,
+        journals its rows and labels; replay hands them to ``feed``
+        as they were read back and rebuilds the same store."""
+        import numpy as np
+
+        gateway = _fresh(state_dir)
+        _onboard(gateway)
+        app = gateway.server.get_app("moons")
+        rows = np.random.default_rng(5).standard_normal((4, 2))
+        app.feed(
+            list(rows),
+            [np.int64(1), 0, np.array([0.25, 0.75]), [1.0, 0.0]],
+        )
+        live_digest = state_digest(gateway)
+        live_X, live_Y = app.store.enabled_arrays()
+        gateway.store.close()
+
+        recovered, _ = recover_gateway(state_dir)
+        X, Y = recovered.server.get_app("moons").store.enabled_arrays()
+        assert X.tobytes() == live_X.tobytes()
+        assert Y.tobytes() == live_Y.tobytes()
+        assert state_digest(recovered) == live_digest
+        recovered.store.close()
+
     def test_two_tenants_interleaved(self, state_dir):
         gateway = _fresh(state_dir)
         alice = _onboard(gateway, "alice", "moons", MOONS_PROGRAM, "moons")

@@ -10,6 +10,8 @@ Python object per row.
 """
 
 import gc
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -251,3 +253,37 @@ class TestEventsUnderTheRing:
             auth_token=tokens["alice"], kinds=("job_finished",)
         )).events
         assert over_http and list(over_http) == list(in_process)
+
+    def test_reads_while_another_thread_writes(self, wrapped):
+        """A read runs without the gateway lock while feeds append to
+        the ring; it must answer from a consistent copy, not fail."""
+        gateway, tokens = wrapped
+        inputs, outputs = task_payload("moons")
+        done = threading.Event()
+        errors = []
+
+        def write() -> None:
+            try:
+                while not done.is_set():
+                    gateway.handle(FeedRequest(
+                        auth_token=tokens["alice"], app="moons",
+                        inputs=inputs[:2], outputs=outputs[:2],
+                    ))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            for _ in range(300):
+                events = gateway.handle(
+                    EventsRequest(auth_token=tokens["alice"])
+                ).events
+                assert len(events) <= RING
+        finally:
+            done.set()
+            writer.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not errors
